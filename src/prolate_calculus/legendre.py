@@ -64,9 +64,6 @@ class BandedSymMatrix:
             out[:-k] += b * v[k:]
         return out
 
-    def quadratic_form(self, v: np.ndarray):
-        return np.conj(v) @ self.matvec(v)
-
 
 @dataclass(frozen=True)
 class CoeffVector:

@@ -6,6 +6,10 @@ versions assemble the same operators as weighted integrals of the boundary
 translation family over xi: the Fourier weight is ``exp(ic(1-xi))`` on [0,2]
 (or its reflected fold onto [0,1]) and the sinc weight is ``sin(c xi)/(pi xi)``
 likewise.  Agreement of the two routes is the package's central check.
+
+Each xi rule costs one (modes x xi) table of spectral boundary ratios
+psi_n(-1 + xi) / psi_n(-1), built in one call; the mode integrals are then
+two matrix-vector products with the quadrature-weighted xi weights.
 """
 
 from __future__ import annotations
@@ -36,9 +40,6 @@ class OperatorMatrix:
             raise DomainError("coefficient length does not match operator dim")
         return CoeffVector(coeffs=self.entries @ f.coeffs)
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
 
 def _tensor_quadrature_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
     """Entries <Pbar_m, K Pbar_n> with K applied by q_order-point quadrature."""
@@ -60,8 +61,16 @@ def _resolved_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
     return fine
 
 
-def _default_q_order(c: float, n_dim: int) -> int:
-    return n_dim + math.ceil(c) + 8
+def _q_order(c: float, n_dim: int, q_order: int | None) -> int:
+    """Requested tensor-quadrature order, defaulted and checked against its floor."""
+    if c < 0:
+        raise DomainError("bandwidth c must be >= 0")
+    floor = n_dim + math.ceil(c) + 8
+    if q_order is None:
+        return floor
+    if q_order < floor:
+        raise DomainError(f"q_order {q_order} below resolution floor {floor}")
+    return q_order
 
 
 def finite_fourier_direct(c: float, n_dim: int, q_order: int | None = None) -> OperatorMatrix:
@@ -70,14 +79,7 @@ def finite_fourier_direct(c: float, n_dim: int, q_order: int | None = None) -> O
     Entries with m+n even are purely real and with m+n odd purely imaginary
     (cos/sin parity of the kernel).
     """
-    if c < 0:
-        raise DomainError("bandwidth c must be >= 0")
-    if q_order is None:
-        q_order = _default_q_order(c, n_dim)
-    elif q_order < _default_q_order(c, n_dim):
-        raise DomainError(
-            f"q_order {q_order} below resolution floor {_default_q_order(c, n_dim)}"
-        )
+    q_order = _q_order(c, n_dim, q_order)
     entries = _resolved_matrix(
         lambda x, t: np.exp(1j * c * x * t), n_dim, q_order
     )
@@ -86,14 +88,7 @@ def finite_fourier_direct(c: float, n_dim: int, q_order: int | None = None) -> O
 
 def sinc_kernel_direct(c: float, n_dim: int, q_order: int | None = None) -> OperatorMatrix:
     """Matrix of the sinc-kernel operator; real symmetric, spectrum in (0, 1)."""
-    if c < 0:
-        raise DomainError("bandwidth c must be >= 0")
-    if q_order is None:
-        q_order = _default_q_order(c, n_dim)
-    elif q_order < _default_q_order(c, n_dim):
-        raise DomainError(
-            f"q_order {q_order} below resolution floor {_default_q_order(c, n_dim)}"
-        )
+    q_order = _q_order(c, n_dim, q_order)
     entries = _resolved_matrix(
         lambda x, t: sinc_kernel(c, x, t), n_dim, q_order
     ).astype(complex)
@@ -113,51 +108,66 @@ def _default_q_xi(c: float, n_dim: int) -> int:
     return max(math.ceil(16 + 4 * c), n_dim // 2 + 12)
 
 
-def _mode_integrals(basis, xi_nodes, xi_weights, weight_plus, weight_minus, ratio_method):
+def fourier_weights(c: float, nodes: np.ndarray, variant: str):
+    """(weight_plus, weight_minus) of the Fourier reconstruction at xi nodes.
+
+    full:   exp(ic(1-xi)) on [0, 2], no reflected part
+    folded: exp(ic(1-xi)) plus R exp(-ic(1-xi)) on [0, 1]
+    """
+    phase = np.exp(1j * c * (1.0 - nodes))
+    if variant == "full":
+        return phase, None
+    return phase, np.conj(phase)
+
+
+def sinc_weights(c: float, nodes: np.ndarray, variant: str):
+    """(weight_plus, weight_minus) of the sinc reconstruction at xi nodes.
+
+    full:   sin(c xi)/(pi xi) on [0, 2], no reflected part
+    folded: sin(c xi)/(pi xi) plus R sin(c(2-xi))/(pi(2-xi)) on [0, 1]
+
+    The weight takes its limit value c/pi at xi = 0.
+    """
+    w_plus = (c / np.pi) * np.sinc((c / np.pi) * nodes) + 0j
+    if variant == "full":
+        return w_plus, None
+    w_minus = (c / np.pi) * np.sinc((c / np.pi) * (2.0 - nodes)) + 0j
+    return w_plus, w_minus
+
+
+def mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) -> np.ndarray:
     """Integrals int w(xi) ratio_n(xi) dxi for every mode, complex array.
 
-    weight_plus multiplies the identity part and weight_minus the reflected
-    part (scaled per-mode by parity (-1)^n); either may be None.
+    Uses a q_xi-node Gauss rule on [0, 1] (folded) or [0, 2] (full) and one
+    spectral ratio table for all its nodes.  weights_on(c, nodes, variant)
+    returns (weight_plus, weight_minus): weight_plus multiplies the identity
+    part and weight_minus, if not None, the reflected part (scaled per mode
+    by parity (-1)^n).
     """
-    n_modes = basis.n_dim
-    ratios = np.empty((n_modes, xi_nodes.size))
-    for j, xi in enumerate(xi_nodes):
-        ratios[:, j] = boundary_ratios(basis, float(xi), method=ratio_method[j])
-    values = np.zeros(n_modes, dtype=complex)
-    if weight_plus is not None:
-        values += ratios @ (xi_weights * weight_plus)
-    if weight_minus is not None:
-        parity = (-1.0) ** np.arange(n_modes)
-        values += parity * (ratios @ (xi_weights * weight_minus))
+    if variant not in ("full", "folded"):
+        raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
+    rule = gauss_legendre_rule(q_xi)
+    if variant == "folded":
+        nodes = 0.5 * (rule.nodes + 1.0)  # [0, 1]
+        weights = 0.5 * rule.weights
+    else:
+        nodes = rule.nodes + 1.0  # [0, 2]
+        weights = rule.weights
+    w_plus, w_minus = weights_on(basis.c, nodes, variant)
+    ratios = boundary_ratios(basis, nodes, method="spectral")
+    values = ratios @ (weights * w_plus)
+    if w_minus is not None:
+        parity = (-1.0) ** np.arange(basis.n_dim)
+        values += parity * (ratios @ (weights * w_minus))
     return values
 
 
 def _reconstruct(basis, variant, q_xi, weights_on):
-    """Shared mode-wise reconstruction driver.
-
-    weights_on(xi_nodes, variant) must return (weight_plus, weight_minus)
-    arrays for the chosen xi interval.
-    """
-    if variant not in ("full", "folded"):
-        raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
+    """Shared mode-wise reconstruction driver with an xi-doubling drift check."""
     if q_xi is None:
         q_xi = _default_q_xi(basis.c, basis.n_dim)
-
-    def eigen_integrals(q):
-        rule = gauss_legendre_rule(q)
-        if variant == "folded":
-            nodes = 0.5 * (rule.nodes + 1.0)  # [0, 1]
-            weights = 0.5 * rule.weights
-        else:
-            nodes = rule.nodes + 1.0  # [0, 2]
-            weights = rule.weights
-        w_plus, w_minus = weights_on(nodes, variant)
-        # The series converges slowly near xi = 2; the ratio path is exact.
-        method = ["spectral" if xi >= 1.9 else "auto" for xi in nodes]
-        return _mode_integrals(basis, nodes, weights, w_plus, w_minus, method)
-
-    coarse = eigen_integrals(q_xi)
-    fine = eigen_integrals(2 * q_xi)
+    coarse = mode_integrals(basis, weights_on, variant, q_xi)
+    fine = mode_integrals(basis, weights_on, variant, 2 * q_xi)
     certified = basis.n_certified
     drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
     if drift > _DRIFT_TOL:
@@ -177,15 +187,7 @@ def reconstruct_fourier(
     folded: integral over xi in [0, 1] of
             (exp(ic(1-xi)) + R exp(-ic(1-xi))) U(xi; T)
     """
-    c = basis.c
-
-    def weights_on(nodes, variant):
-        phase = np.exp(1j * c * (1.0 - nodes))
-        if variant == "full":
-            return phase, None
-        return phase, np.conj(phase)
-
-    return _reconstruct(basis, variant, q_xi, weights_on)
+    return _reconstruct(basis, variant, q_xi, fourier_weights)
 
 
 def reconstruct_sinc(
@@ -196,19 +198,8 @@ def reconstruct_sinc(
     full:   integral over [0, 2] of sin(c xi)/(pi xi) U(xi; T)
     folded: integral over [0, 1] of
             (sin(c xi)/(pi xi) + sin(c(2-xi))/(pi(2-xi)) R) U(xi; T)
-
-    The weight takes its limit value c/pi at xi = 0.
     """
-    c = basis.c
-
-    def weights_on(nodes, variant):
-        w_plus = (c / np.pi) * np.sinc((c / np.pi) * nodes) + 0j
-        if variant == "full":
-            return w_plus, None
-        w_minus = (c / np.pi) * np.sinc((c / np.pi) * (2.0 - nodes)) + 0j
-        return w_plus, w_minus
-
-    return _reconstruct(basis, variant, q_xi, weights_on)
+    return _reconstruct(basis, variant, q_xi, sinc_weights)
 
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:

@@ -16,7 +16,12 @@ endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 
 Two independent evaluation paths are kept deliberately: the scalar/matrix
 power series and the spectral ratio through the eigenbasis.  Their agreement
-is the sharpest numerical test of the translation property.
+is the sharpest numerical test of the translation property.  The spectral
+path also takes a whole xi-grid at once and returns the (modes x xi) ratio
+table that the F_c / Q_c reconstructions integrate.  No reconstruction sums
+the series: it runs only where it is itself under test, against the spectral
+path (translation suite) or an asymptotic limit (limits-large suite), and in
+the tests.
 """
 
 from __future__ import annotations
@@ -187,7 +192,7 @@ def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12, k_max: 
 
 def boundary_ratios(
     basis: ProlateBasis,
-    xi: float,
+    xi: float | np.ndarray,
     method: str = "auto",
     tol: float = 1e-13,
     guard: float = 1e-11,
@@ -200,9 +205,24 @@ def boundary_ratios(
     |lambda| ~ N^2 and lose the series to cancellation, the ratio path is
     exact there).  The spectral path accepts xi in (0, 2]; the series path
     requires xi in (-2, 2).
+
+    A scalar xi gives shape (n_modes,).  A 1-D array of xi gives the ratio
+    table of shape (n_modes, len(xi)) in one Legendre table and one matrix
+    product; it is computed by the spectral path only, so any other method
+    raises DomainError.  The reconstructions use this table; the series and
+    "auto" methods serve the translation suite's per-xi check and the tests.
     """
     if method not in ("series", "spectral", "auto"):
         raise DomainError(f"unknown method {method!r}")
+    if np.ndim(xi) != 0:
+        if np.ndim(xi) != 1:
+            raise DomainError(f"xi must be a scalar or a 1-D array, got {np.ndim(xi)} dims")
+        if method != "spectral":
+            raise DomainError(f"an xi array needs method 'spectral', got {method!r}")
+        xi = np.asarray(xi, dtype=float)
+        if not np.all((xi > 0.0) & (xi <= 2.0)):
+            raise DomainError("spectral ratio path needs every xi in (0, 2]")
+        return pswf_eval_ratio(basis, xi)
     if method in ("series", "auto") and not -2.0 < xi < 2.0:
         if method == "auto" and 0.0 < xi <= 2.0:
             method = "spectral"
@@ -221,10 +241,14 @@ def boundary_ratios(
     return np.where(cancel <= guard, series, spectral)
 
 
-def pswf_eval_ratio(basis: ProlateBasis, xi: float) -> np.ndarray:
-    """Spectral-ratio path: psi_n(-1 + xi) / psi_n(-1) for every mode."""
-    table = legendre_table(basis.n_dim - 1, np.asarray(-1.0 + xi))
-    return (basis.psi_coeffs.T @ table) / basis.endpoint_minus
+def pswf_eval_ratio(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
+    """Spectral-ratio path: psi_n(-1 + xi) / psi_n(-1) for every mode.
+
+    Shape (n_modes,) + shape(xi): one row per mode, one column per xi.
+    """
+    x = -1.0 + np.asarray(xi, dtype=float)
+    table = legendre_table(basis.n_dim - 1, x)
+    return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * x.ndim)
 
 
 def u_operator_apply(

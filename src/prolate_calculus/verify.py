@@ -22,7 +22,7 @@ from .asymptotics import (
     wkb_value,
 )
 from .errors import DomainError
-from .legendre import CoeffVector, default_truncation, gauss_legendre_rule
+from .legendre import CoeffVector, default_truncation
 from .nystrom import nystrom_sinc_eigen
 from .prolate import (
     assemble_heun_matrix,
@@ -34,14 +34,22 @@ from .transforms import (
     OperatorMatrix,
     commutator_report,
     finite_fourier_direct,
+    fourier_weights,
+    mode_integrals,
     reconstruct_fourier,
     reconstruct_sinc,
     reflect,
     sinc_kernel_direct,
+    sinc_weights,
 )
 from .ucalc import boundary_ratios, u_operator_apply, u_series_scalar
 
 SUITES = ("translation", "fourier", "sinc", "limits-small", "limits-large", "commutation")
+# The fourier and sinc suites check the per-mode identity on modes 0..8,
+# which must be certified (n < N // 2).
+_IDENTITY_MODES = 9
+# Gauss nodes of the xi rule behind the per-mode identity.
+_IDENTITY_Q_XI = 64
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,12 @@ class RunConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.c < 0:
-            raise DomainError("c must be >= 0")
-        if self.tol is not None and self.tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise DomainError(f"c must be finite and >= 0, got {self.c}")
+        if self.n_trunc < 0:
+            raise DomainError(f"n_trunc must be >= 0 (0 = auto), got {self.n_trunc}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(f"tolerances must be finite and positive, got {self.tol}")
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be json or csv, got {self.fmt!r}")
         if self.variant not in ("full", "folded"):
@@ -164,10 +174,21 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
     return rep
 
 
+def _identity_dim(config: RunConfig) -> int:
+    """Basis size of a fourier/sinc run, refused before any work if too small."""
+    n_dim = config.n_dim
+    if n_dim // 2 < _IDENTITY_MODES:
+        raise DomainError(
+            f"N = {n_dim} certifies {n_dim // 2} modes; the per-mode identity "
+            f"needs {_IDENTITY_MODES} (N >= {2 * _IDENTITY_MODES})"
+        )
+    return n_dim
+
+
 def _suite_fourier(config: RunConfig) -> VerificationReport:
     rep = _report("fourier", config, {"variant": config.variant})
     tol = config.tol if config.tol is not None else 1e-7
-    n_dim = config.n_dim
+    n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
     direct = finite_fourier_direct(config.c, n_dim)
     recon = reconstruct_fourier(basis, config.variant)
@@ -177,11 +198,10 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     ) / np.linalg.norm(direct.entries[:block, :block])
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, tol)
 
-    worst = 0.0
-    for n in range(9):
-        target = fourier_eigenvalue(basis, n)
-        measured = _mode_integral_fourier(basis, n, config.variant)
-        worst = max(worst, abs(measured - target))
+    measured = mode_integrals(basis, fourier_weights, config.variant, _IDENTITY_Q_XI)
+    worst = max(
+        abs(measured[n] - fourier_eigenvalue(basis, n)) for n in range(_IDENTITY_MODES)
+    )
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
     other = reconstruct_fourier(basis, "full" if config.variant == "folded" else "folded")
@@ -193,7 +213,7 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
 def _suite_sinc(config: RunConfig) -> VerificationReport:
     rep = _report("sinc", config, {"variant": config.variant})
     tol = config.tol if config.tol is not None else 1e-7
-    n_dim = config.n_dim
+    n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
     direct = sinc_kernel_direct(config.c, n_dim)
     recon = reconstruct_sinc(basis, config.variant)
@@ -203,11 +223,8 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     ) / np.linalg.norm(direct.entries[:block, :block])
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, tol)
 
-    worst = 0.0
-    for n in range(9):
-        fourier_eigenvalue(basis, n)
-        measured = _mode_integral_sinc(basis, n, config.variant)
-        worst = max(worst, abs(measured - basis.mu(n)))
+    measured = mode_integrals(basis, sinc_weights, config.variant, _IDENTITY_Q_XI)
+    worst = max(abs(measured[n] - basis.mu(n)) for n in range(_IDENTITY_MODES))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
     fourier = finite_fourier_direct(config.c, n_dim)
@@ -217,53 +234,10 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     )
     rep.add("factorization (c/2pi) F*F = Q", fact, 1e-9)
 
-    mu = np.array([basis.mu(n) for n in range(9)])
+    mu = np.array([basis.mu(n) for n in range(_IDENTITY_MODES)])
     rep.add("mu strictly decreasing", float(np.max(np.diff(mu))), 0.0)
     rep.add("mu inside (0, 1)", float(max(np.max(mu) - 1.0, -np.min(mu))), 0.0)
     return rep
-
-
-def _mode_integral_fourier(basis, n, variant, q_xi=64):
-    rule = gauss_legendre_rule(q_xi)
-    c = basis.c
-    if variant == "folded":
-        nodes = 0.5 * (rule.nodes + 1.0)
-        weights = 0.5 * rule.weights
-        w = np.exp(1j * c * (1 - nodes)) + (-1.0) ** n * np.exp(-1j * c * (1 - nodes))
-    else:
-        nodes = rule.nodes + 1.0
-        weights = rule.weights
-        w = np.exp(1j * c * (1 - nodes))
-    ratios = np.array(
-        [
-            boundary_ratios(basis, float(x), method="spectral" if x >= 1.9 else "auto")[n]
-            for x in nodes
-        ]
-    )
-    return complex((ratios * w) @ weights)
-
-
-def _mode_integral_sinc(basis, n, variant, q_xi=64):
-    rule = gauss_legendre_rule(q_xi)
-    c = basis.c
-    if variant == "folded":
-        nodes = 0.5 * (rule.nodes + 1.0)
-        weights = 0.5 * rule.weights
-        w = (c / np.pi) * (
-            np.sinc((c / np.pi) * nodes)
-            + (-1.0) ** n * np.sinc((c / np.pi) * (2 - nodes))
-        )
-    else:
-        nodes = rule.nodes + 1.0
-        weights = rule.weights
-        w = (c / np.pi) * np.sinc((c / np.pi) * nodes)
-    ratios = np.array(
-        [
-            boundary_ratios(basis, float(x), method="spectral" if x >= 1.9 else "auto")[n]
-            for x in nodes
-        ]
-    )
-    return float((ratios * w) @ weights)
 
 
 def _suite_limits_small(config: RunConfig) -> VerificationReport:

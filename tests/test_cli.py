@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from prolate_calculus import cli
 from prolate_calculus.serialize import load_json, operator_from_dict
 
 
@@ -36,6 +37,33 @@ class TestExitCodes:
         proc = run_cli("export-operator", "T", "--c", "1", "--n-trunc", "8")
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pswf", "--c", "nan"),
+            ("verify", "--suite", "translation", "--c", "inf"),
+            ("verify", "--suite", "commutation", "--tol", "nan"),
+            ("pswf", "--tol", "inf"),
+            ("pswf", "--n-trunc", "-5"),
+            ("verify", "--suite", "fourier", "--n-trunc", "10"),
+            ("verify", "--suite", "sinc", "--n-trunc", "17"),
+        ],
+    )
+    def test_invalid_input_exits_two(self, argv, capsys):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert "error[" in captured.err
+        assert captured.out == ""
+
+
+class TestSuiteSmoke:
+    @pytest.mark.parametrize("variant", ["folded", "full"])
+    @pytest.mark.parametrize("suite", ["fourier", "sinc"])
+    def test_reconstruction_suite_passes(self, suite, variant, capsys):
+        argv = ["verify", "--suite", suite, "--c", "4", "--variant", variant]
+        assert cli.main(argv) == 0
+        assert f"suite {suite}: PASS" in capsys.readouterr().out
 
 
 class TestPswfCommand:

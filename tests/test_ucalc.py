@@ -154,6 +154,28 @@ class TestBoundaryRatios:
         ratios = boundary_ratios(basis, 2.0, method="auto")
         np.testing.assert_allclose(ratios, (-1.0) ** np.arange(64), atol=1e-10)
 
+    def test_array_matches_stacked_scalar_calls(self, ops):
+        basis = ops.basis(1.0, 64)
+        xis = np.array([1e-3, 0.3, 0.8, 1.5, 1.95, 2.0])
+        table = boundary_ratios(basis, xis, method="spectral")
+        stacked = np.stack(
+            [boundary_ratios(basis, float(x), method="spectral") for x in xis], axis=1
+        )
+        assert table.shape == (64, xis.size)
+        assert np.max(np.abs(table - stacked)) <= 1e-14
+
+    @pytest.mark.parametrize("method", ["series", "auto"])
+    def test_array_needs_spectral_method(self, ops, method):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, np.array([0.5, 0.8]), method=method)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 2.0 + 1e-9, 3.0, np.nan])
+    def test_array_rejects_xi_outside_half_open_interval(self, ops, bad):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, np.array([0.5, bad, 1.0]), method="spectral")
+
     def test_series_rejects_closed_endpoint(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(DomainError):
