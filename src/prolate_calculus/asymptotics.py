@@ -26,13 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .legendre import QuadRule, gauss_legendre_rule
-from .prolate import (
-    ProlateBasis,
-    fourier_eigenvalue,
-    fourier_rayleigh,
-    pswf_eval,
-    solve_prolate,
-)
+from .prolate import ProlateBasis, fourier_rayleigh, pswf_eval, solve_prolate
 from .transforms import OperatorMatrix
 from .ucalc import u_series_scalar
 
@@ -238,7 +232,6 @@ def large_c_eigen_convergence(c_list, n_max: int) -> list[dict]:
             raise DomainError("large-c report capped at c = 30 (desk scale)")
         basis = solve_prolate(c)
         for n in range(n_max + 1):
-            fourier_eigenvalue(basis, n)
             scaled = math.sqrt(c / (2 * math.pi)) * basis.lam(n)
             # Raw quotient keeps the measured phase, not the enforced one.
             quotient = fourier_rayleigh(basis, n)

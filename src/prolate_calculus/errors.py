@@ -32,7 +32,7 @@ class SpectralFailureError(ProlateCalculusError, RuntimeError):
 
 
 class ConventionViolationError(ProlateCalculusError, RuntimeError):
-    """A quantity that must be real under the sign convention is not."""
+    """A quantity the sign convention makes real and positive is not."""
 
     kind = "convention-violation"
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .legendre import QuadRule, gauss_legendre_rule, legendre_table
@@ -56,7 +55,7 @@ def nystrom_sinc_eigen(c: float, n_nodes: int = DEFAULT_NODES, n_modes: int | No
     sw = np.sqrt(rule.weights)
     sym = sw[:, None] * kernel * sw[None, :]
     sym = 0.5 * (sym + sym.T)
-    w, h = scipy.linalg.eigh(sym)
+    w, h = np.linalg.eigh(sym)
     order = np.argsort(w)[::-1][:n_modes]
     mu = w[order]
     psi = h[:, order] / sw[:, None]

@@ -1,18 +1,26 @@
-"""Eigenpairs of the prolate differential operator on [-1, 1].
+"""Eigenpairs and eigenvalues of the prolate differential operator on [-1, 1].
 
 The operator ``T = (1-x^2) d^2/dx^2 - 2x d/dx - c^2 x^2`` is pentadiagonal in
 the orthonormal Legendre basis; its eigenvectors are the bandlimited prolate
 functions psi_n with ``T psi_n = -chi_n psi_n``.  The same functions
 diagonalize the finite Fourier transform (eigenvalue ``i^n lambda_n``) and the
 sinc-kernel operator (eigenvalue ``mu_n = c/(2 pi) lambda_n^2``).
+
+``solve_prolate`` diagonalizes T as two symmetric tridiagonal blocks, one per
+parity of the Legendre degree, and computes every certified lambda_n and mu_n
+eagerly from the eigenvectors: lambda_0 in closed form from F_c psi_0 at
+x = 0, the rest from the eigenvalue-ratio recurrence of Xiao, Rokhlin &
+Yarvin (Inverse Problems 17:805, 2001) and Osipov, Rokhlin & Xiao (Prolate
+Spheroidal Wave Functions of Order Zero, 2013).  No quadrature is involved,
+and each lambda_n carries a relative, not an absolute, accuracy.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConventionViolationError, DomainError, SpectralFailureError
 from .legendre import (
@@ -24,7 +32,8 @@ from .legendre import (
     position_offdiag,
 )
 
-_IMAG_RESIDUE_TOL = 1e-8
+# Below this |psi_n(1)| the sign convention is read off the leading coefficient.
+_ENDPOINT_RESOLVED = 1e-8
 
 
 def assemble_heun_matrix(c: float, n_dim: int) -> BandedSymMatrix:
@@ -43,71 +52,149 @@ def assemble_heun_matrix(c: float, n_dim: int) -> BandedSymMatrix:
     return BandedSymMatrix(dim=n_dim, half_bandwidth=2, bands=bands)
 
 
+@dataclass(frozen=True, eq=False)
 class ProlateBasis:
-    """Truncated eigendecomposition of T at bandwidth c.
+    """Truncated eigendecomposition of T at bandwidth c, with its eigenvalues.
 
     Columns of ``psi_coeffs`` are the orthonormal-Legendre coefficients of
     psi_n under the conventions: unit L2 norm, psi_n(1) > 0, chi ascending.
-    Only modes n <= N/2 are certified; the tail is truncation-polluted.
+    Where |psi_n(1)| < 1e-8 the sign is read off the equivalent condition on
+    the leading coefficient of psi_n's parity, which survives rounding.
+    Only modes n < N/2 are certified; the tail is truncation-polluted.
+    ``lambdas`` and ``mus`` hold lambda_n and mu_n for the certified modes,
+    each to a relative accuracy, so the exponentially small tail is resolved
+    rather than buried under an absolute noise floor.  The basis is frozen
+    and its arrays are read-only.
     """
 
-    def __init__(self, c, n_dim, psi_coeffs, chi, endpoint_minus, endpoint_plus):
-        self.c = float(c)
-        self.n_dim = int(n_dim)
-        self.psi_coeffs = psi_coeffs
-        self.chi = chi
-        self.endpoint_minus = endpoint_minus
-        self.endpoint_plus = endpoint_plus
-        self._lam = np.full(n_dim, np.nan)
-        self._mu = np.full(n_dim, np.nan)
+    c: float
+    n_dim: int
+    psi_coeffs: np.ndarray
+    chi: np.ndarray
+    endpoint_minus: np.ndarray
+    endpoint_plus: np.ndarray
+    lambdas: np.ndarray
+    mus: np.ndarray
 
     @property
     def n_certified(self) -> int:
         return self.n_dim // 2
 
+    def _certified(self, n: int) -> int:
+        if not 0 <= n < self.n_certified:
+            raise IndexError(f"mode {n} not certified (need n < {self.n_certified})")
+        return n
+
     def lam(self, n: int) -> float:
         """Magnitude lambda_n of the finite-Fourier eigenvalue i^n lambda_n."""
-        if math.isnan(self._lam[n]):
-            fourier_eigenvalue(self, n)
-        return float(self._lam[n])
+        return float(self.lambdas[self._certified(n)])
 
     def mu(self, n: int) -> float:
         """Sinc-kernel eigenvalue mu_n = c/(2 pi) lambda_n^2."""
-        if math.isnan(self._mu[n]):
-            fourier_eigenvalue(self, n)
-        return float(self._mu[n])
+        return float(self.mus[self._certified(n)])
+
+
+def _legendre_at_zero(n_dim: int) -> np.ndarray:
+    """Pbar_k(0) for k < n_dim in closed form, without legendre_table's degree loop.
+
+    Zero for odd k; P_2m(0) = prod_{j<=m} -(2j-1)/(2j).
+    """
+    values = np.zeros(n_dim)
+    j = np.arange(1, (n_dim + 1) // 2)
+    values[0::2] = np.cumprod(np.concatenate(([1.0], -(2 * j - 1) / (2 * j))))
+    return values * np.sqrt((2 * np.arange(n_dim) + 1) / 2.0)
+
+
+def _fourier_magnitudes(c: float, psi_coeffs: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """lambda_n for the certified modes, each to a relative accuracy.
+
+    lambda_0 comes from F_c psi_0 at x = 0: the integral sqrt(2) a_0 of psi_0
+    equals lambda_0 psi_0(0).  Consecutive ratios r_n = lambda_{n+1}/lambda_n
+    come from pairing the derivative of F_c psi_n = i^n lambda_n psi_n with
+    psi_{n+1} (Xiao, Rokhlin & Yarvin 2001; Osipov, Rokhlin & Xiao 2013):
+
+        lambda_n <psi_{n+1}, psi_n'> = -c lambda_{n+1} <psi_{n+1}, x psi_n>.
+
+    The same identity with n and n+1 swapped, integrated by parts, removes
+    the derivative: with B = <psi_{n+1}, x psi_n> and P = psi_{n+1}(1) psi_n(1),
+    2 P r = c B (1 - r^2).  Its positive root is taken in the cancellation-free
+    form below, so small ratios keep their relative accuracy as c -> 0.
+    """
+    n_dim = psi_coeffs.shape[0]
+    m = n_dim // 2
+    lam0 = math.sqrt(2.0) * psi_coeffs[0, 0] / (_legendre_at_zero(n_dim) @ psi_coeffs[:, 0])
+    lower = psi_coeffs[:, : m - 1]
+    a = position_offdiag(n_dim - 1)[:, None]
+    x_lower = np.zeros_like(lower)
+    x_lower[1:] = a * lower[:-1]
+    x_lower[:-1] += a * lower[1:]
+    cb = c * np.einsum("ij,ij->j", psi_coeffs[:, 1:m], x_lower)
+    p = plus[1:m] * plus[: m - 1]
+    steps = np.concatenate(([lam0], cb / (p + np.sqrt(p * p + cb * cb))))
+    valid = np.isfinite(steps) & (steps > 0)
+    if c == 0:
+        valid[1:] = steps[1:] == 0  # F_0 has rank one
+    if not np.all(valid):
+        n = int(np.argmin(valid))
+        what = "lambda_0" if n == 0 else f"lambda_{n}/lambda_{n - 1}"
+        raise ConventionViolationError(
+            f"{what} = {steps[n]:.3e} is not finite and positive under the sign "
+            f"convention psi_n(1) > 0 (psi_{n}(1) = {plus[n]:.3e})"
+        )
+    return np.cumprod(steps)
 
 
 def solve_prolate(c: float, n_dim: int | None = None) -> ProlateBasis:
-    """Diagonalize the banded matrix of T and package the eigenpairs."""
+    """Diagonalize T by parity and package the eigenpairs with lambda_n, mu_n.
+
+    Multiplication by x^2 moves the Legendre degree by 0 or 2, so T splits
+    into two symmetric tridiagonal blocks, one on even degrees and one on odd.
+    Mode n has parity n, so its off-parity coefficients are exactly zero.
+    """
     if c < 0:
         raise DomainError("bandwidth c must be >= 0")
     if n_dim is None:
         n_dim = default_truncation(c)
-    matrix = assemble_heun_matrix(c, n_dim)
-    try:
-        # scipy wants bands as rows; lower form matches our storage.
-        w, v = scipy.linalg.eig_banded(matrix.bands, lower=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SpectralFailureError(f"banded eigensolve failed: {exc}") from exc
-    # Matrix eigenvalues are -chi_n; ascending chi reverses LAPACK's order.
-    chi = -w[::-1]
-    v = v[:, ::-1]
+    bands = assemble_heun_matrix(c, n_dim).bands
+    chi = np.empty(n_dim)
+    v = np.zeros((n_dim, n_dim), order="F")  # column-major: each psi_n is contiguous
+    for parity in (0, 1):
+        diag = bands[0, parity::2]
+        off = bands[2, parity::2][: diag.size - 1]
+        block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        try:
+            w, h = np.linalg.eigh(block)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise SpectralFailureError(f"parity-block eigensolve failed: {exc}") from exc
+        # Block eigenvalues are -chi; ascending chi reverses LAPACK's order.
+        chi[parity::2] = -w[::-1]
+        v[parity::2, parity::2] = h[:, ::-1]
     if np.any(np.diff(chi) <= 0):
         raise SpectralFailureError("eigenvalues chi_n not strictly increasing")
     norms = np.sqrt((2 * np.arange(n_dim) + 1) / 2.0)
     plus = norms @ v
-    sign = np.where(plus >= 0, 1.0, -1.0)
+    # psi_n(1) > 0 is equivalent to a positive leading coefficient of psi_n's
+    # parity (a_0 for even n, a_1 for odd n; see F_c psi_n at x = 0).  That
+    # coefficient decides where psi_n(1) is too small to keep its sign under
+    # rounding, as happens to the low modes at large c.
+    sign = np.where(np.abs(plus) >= _ENDPOINT_RESOLVED, plus, v[0] + v[1])
+    sign = np.where(sign >= 0, 1.0, -1.0)
     v = v * sign
     plus = plus * sign
     minus = (norms * (-1.0) ** np.arange(n_dim)) @ v
+    lambdas = _fourier_magnitudes(c, v, plus)
+    mus = c / (2 * np.pi) * lambdas**2
+    for array in (v, chi, minus, plus, lambdas, mus):
+        array.flags.writeable = False
     return ProlateBasis(
-        c=c,
-        n_dim=n_dim,
+        c=float(c),
+        n_dim=int(n_dim),
         psi_coeffs=v,
         chi=chi,
         endpoint_minus=minus,
         endpoint_plus=plus,
+        lambdas=lambdas,
+        mus=mus,
     )
 
 
@@ -127,8 +214,9 @@ def pswf_eval(basis: ProlateBasis, n: int, x, extrapolate: bool = False):
 def fourier_rayleigh(basis: ProlateBasis, n: int, q_order: int | None = None) -> complex:
     """Raw Rayleigh quotient <psi_n, F_c psi_n> with F_c applied by quadrature.
 
-    Carries the full complex phase (including quadrature noise); used both to
-    extract lambda_n and to check the i^n phase convention honestly.
+    Carries the full measured complex phase, so it serves only the honest
+    check of the i^n phase convention; lambda_n itself is ``basis.lam(n)``.
+    Costs one dense q x q complex kernel per call.
     """
     if not 0 <= n < basis.n_certified:
         raise IndexError(f"mode {n} not certified (need n < {basis.n_certified})")
@@ -142,18 +230,9 @@ def fourier_rayleigh(basis: ProlateBasis, n: int, q_order: int | None = None) ->
     return complex((rule.weights * psi_vals) @ transformed)
 
 
-def fourier_eigenvalue(basis: ProlateBasis, n: int, q_order: int | None = None) -> complex:
+def fourier_eigenvalue(basis: ProlateBasis, n: int) -> complex:
     """Eigenvalue i^n lambda_n of the finite Fourier transform on psi_n.
 
-    Computed from the Rayleigh quotient, which avoids the zeros of psi_n that
-    a pointwise ratio would hit.  Stores lambda_n and mu_n on the basis.
+    A complex view of the eagerly computed ``basis.lam(n)``; no quadrature.
     """
-    quotient = fourier_rayleigh(basis, n, q_order)
-    lam = (-1j) ** n * quotient
-    if abs(lam.imag) > _IMAG_RESIDUE_TOL:
-        raise ConventionViolationError(
-            f"imaginary residue {lam.imag:.3e} of lambda_{n} exceeds {_IMAG_RESIDUE_TOL}"
-        )
-    basis._lam[n] = lam.real
-    basis._mu[n] = basis.c / (2 * np.pi) * lam.real**2
-    return (1j) ** n * lam.real
+    return (1j) ** n * basis.lam(n)

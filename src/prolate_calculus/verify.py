@@ -234,7 +234,7 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     )
     rep.add("factorization (c/2pi) F*F = Q", fact, 1e-9)
 
-    mu = np.array([basis.mu(n) for n in range(_IDENTITY_MODES)])
+    mu = basis.mus[:_IDENTITY_MODES]
     rep.add("mu strictly decreasing", float(np.max(np.diff(mu))), 0.0)
     rep.add("mu inside (0, 1)", float(max(np.max(mu) - 1.0, -np.min(mu))), 0.0)
     return rep
@@ -280,11 +280,7 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
     for cc in (c / 4, c / 2, c):
         basis = solve_prolate(cc)
         bases[cc] = basis
-        row = []
-        for n in range(5):
-            fourier_eigenvalue(basis, n)
-            row.append(abs(math.sqrt(cc / (2 * math.pi)) * basis.lam(n) - 1))
-        deltas[cc] = row
+        deltas[cc] = [abs(math.sqrt(cc / (2 * math.pi)) * basis.lam(n) - 1) for n in range(5)]
     worst_gap = max(
         max(deltas[c / 2][n] - deltas[c / 4][n], deltas[c][n] - deltas[c / 2][n])
         for n in range(5)

@@ -57,6 +57,13 @@ class TestExitCodes:
         assert captured.out == ""
 
 
+def test_cli_import_loads_no_scipy():
+    probe = "import sys, prolate_calculus.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSuiteSmoke:
     @pytest.mark.parametrize("variant", ["folded", "full"])
     @pytest.mark.parametrize("suite", ["fourier", "sinc"])

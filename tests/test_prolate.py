@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from prolate_calculus import (
     pswf_eval,
     solve_prolate,
 )
+from prolate_calculus import prolate
 from prolate_calculus.nystrom import nystrom_chi, nystrom_psi_value
 
 
@@ -159,6 +161,118 @@ class TestFourierEigenvalue:
         for n in range(4):
             q = fourier_rayleigh(basis, n)
             assert abs(q / (1j) ** n - abs(q)) <= 1e-12 * abs(q)
+
+
+def _mp_parity_lambdas(c, n_dim, modes, dps=50):
+    """lambda_n at ``dps`` digits from the parity blocks of the same truncated T.
+
+    Independent of the ratio recurrence: F_c psi_n = i^n lambda_n psi_n at
+    x = 0 gives lambda_n = |sqrt(2) a_0 / psi_n(0)| for even n, and its
+    derivative there gives |c sqrt(2/3) a_1 / psi_n'(0)| for odd n.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        c = mp.mpf(c)
+        a = [mp.mpf(k + 1) / mp.sqrt((2 * k + 1) * (2 * k + 3)) for k in range(n_dim - 1)]
+        sq = [(a[k] ** 2 if k < n_dim - 1 else 0) + (a[k - 1] ** 2 if k else 0) for k in range(n_dim)]
+        p_even = [mp.mpf(1)]  # P_2m(0)
+        for m in range(1, n_dim // 2 + 1):
+            p_even.append(-p_even[-1] * (2 * m - 1) / (2 * m))
+        out = {}
+        for parity in (0, 1):
+            deg = list(range(parity, n_dim, 2))
+            block = mp.matrix(len(deg))
+            for i, k in enumerate(deg):
+                block[i, i] = -k * (k + 1) - c * c * sq[k]
+                if i + 1 < len(deg):
+                    block[i, i + 1] = block[i + 1, i] = -c * c * a[k] * a[k + 1]
+            e, q = mp.eigsy(block)
+            descending = sorted(range(len(deg)), key=lambda j: -e[j])  # chi ascending
+            norms = [mp.sqrt(mp.mpf(2 * k + 1) / 2) for k in deg]
+            for n in (n for n in modes if n % 2 == parity):
+                coef = [q[i, descending[n // 2]] for i in range(len(deg))]
+                if parity == 0:
+                    centre = mp.fsum(f * s * p_even[k // 2] for f, s, k in zip(coef, norms, deg))
+                    out[n] = abs(mp.sqrt(2) * coef[0] / centre)
+                else:
+                    slope = mp.fsum(
+                        f * s * k * p_even[(k - 1) // 2] for f, s, k in zip(coef, norms, deg)
+                    )
+                    out[n] = abs(c * mp.sqrt(mp.mpf(2) / 3) * coef[0] / slope)
+        return out
+
+
+class TestEagerEigenvalues:
+    @pytest.mark.parametrize("c", [0.05, 1.0, 10.0, 20.0])
+    def test_matches_rayleigh_quotient(self, ops, c):
+        basis = ops.basis(c, None)
+        for n in range(basis.n_certified):
+            rayleigh = ((-1j) ** n * fourier_rayleigh(basis, n)).real
+            assert abs(basis.lam(n) - rayleigh) <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.05, 1.0, 10.0, 20.0])
+    def test_positive_and_mu_strictly_decreasing(self, ops, c):
+        basis = ops.basis(c, None)
+        assert basis.lambdas.shape == (basis.n_certified,)
+        assert np.all(basis.lambdas > 0)
+        assert np.all(np.diff(basis.mus) < 0)
+
+    def test_c_zero_is_rank_one(self, ops):
+        basis = ops.basis(0.0, 16)
+        expected = np.zeros(8)
+        expected[0] = 2.0
+        np.testing.assert_allclose(basis.lambdas, expected, rtol=1e-15, atol=0.0)
+        assert np.all(basis.mus == 0.0)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3])
+    def test_small_c_tail_keeps_relative_accuracy(self, c):
+        # Leading small-c law lambda_n = sqrt(pi) (n!)^2 c^n / ((2n)! Gamma(n+3/2)),
+        # with a relative O(c^2) correction.
+        basis = solve_prolate(c, 64)
+        for n in (0, 1, 5, 20, 31):
+            law = (
+                math.sqrt(math.pi) * math.factorial(n) ** 2 * c**n
+                / (math.factorial(2 * n) * math.gamma(n + 1.5))
+            )
+            assert abs(basis.lam(n) / law - 1) <= 0.1 * c * c
+
+    def test_tail_relative_accuracy_against_mpmath(self, ops):
+        basis = ops.basis(10.0, None)
+        oracle = _mp_parity_lambdas(10.0, basis.n_dim, (20, 31))
+        for n, value in oracle.items():
+            assert abs(basis.lam(n) / float(value) - 1) <= 1e-10
+
+    def test_agrees_with_banded_eigensolve(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for c in (0.05, 1.0, 10.0, 20.0, 30.0):
+            basis = solve_prolate(c)
+            w, v = scipy_linalg.eig_banded(assemble_heun_matrix(c, basis.n_dim).bands, lower=True)
+            v = v[:, ::-1]
+            norms = np.sqrt((2 * np.arange(basis.n_dim) + 1) / 2.0)
+            v = v * np.where(norms @ v >= 0, 1.0, -1.0)
+            np.testing.assert_allclose(basis.chi, -w[::-1], rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(basis.psi_coeffs, v, rtol=0.0, atol=1e-13)
+
+    def test_sign_convention_survives_large_c(self):
+        # At c = 40, psi_0(1) is below rounding; the ratios stay positive and
+        # lambda_n stays at the complete-Fourier value sqrt(2 pi / c).
+        basis = solve_prolate(40.0)
+        assert np.all(basis.lambdas > 0)
+        np.testing.assert_allclose(basis.lambdas[:5], math.sqrt(2 * math.pi / 40.0), rtol=1e-12)
+
+    def test_ratio_against_sign_convention_raises(self, ops):
+        basis = ops.basis(1.0, 64)
+        flip = np.ones(64)
+        flip[3] = -1.0  # psi_3(1) < 0: lambda_3/lambda_2 and lambda_4/lambda_3 turn negative
+        with pytest.raises(ConventionViolationError, match="lambda_3/lambda_2"):
+            prolate._fourier_magnitudes(1.0, basis.psi_coeffs * flip, basis.endpoint_plus * flip)
+
+    def test_basis_is_frozen(self, ops):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.chi = np.zeros(64)
+        with pytest.raises(ValueError):
+            basis.lambdas[0] = 0.0
 
 
 class TestPswfEval:
