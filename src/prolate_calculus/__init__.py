@@ -38,7 +38,6 @@ from .ucalc import (
     USeriesResult,
     boundary_ratios,
     heun_ode_residual,
-    pswf_eval_ratio,
     u_operator_apply,
     u_operator_matrix_series,
     u_poly_table,

@@ -24,6 +24,7 @@ from .serialize import (
     dump_json,
     operator_to_csv,
     operator_to_dict,
+    report_to_csv,
     report_to_dict,
     table_to_csv,
     table_to_dict,
@@ -199,15 +200,7 @@ def main(argv=None) -> int:
                 if config.fmt == "json":
                     dump_json(report_to_dict(report), config.out)
                 else:
-                    table_to_csv(
-                        {
-                            "name": np.array([r.name for r in report.records], dtype=object),
-                            "value": np.array([r.value for r in report.records]),
-                            "tol": np.array([r.tol for r in report.records]),
-                            "passed": np.array([int(r.passed) for r in report.records]),
-                        },
-                        config.out,
-                    )
+                    report_to_csv(report, config.out)
         elif args.command == "export-operator":
             cmd_export_operator(config, args.which)
             print(f"wrote {args.which} (c={config.c}, N={config.n_dim}) to {config.out}")

@@ -133,6 +133,15 @@ def table_to_csv(columns: dict, path) -> None:
             writer.writerow([_format_cell(split[n][i]) for n in names])
 
 
+def report_to_csv(report, path) -> None:
+    """One row per check: name, value, tol, passed (0 or 1)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "value", "tol", "passed"])
+        for r in report.records:
+            writer.writerow([r.name, _CSV_FMT % r.value, _CSV_FMT % r.tol, int(r.passed)])
+
+
 def _format_cell(v):
     if isinstance(v, (np.integer, int)):
         return int(v)

@@ -14,14 +14,14 @@ converges for xi in (-2, 2) (terms behave like (xi/2)^k) and, evaluated on
 the spectrum, translates boundary data: on mode n it multiplies by the
 endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 
-Two independent evaluation paths are kept deliberately: the scalar/matrix
-power series and the spectral ratio through the eigenbasis.  Their agreement
-is the sharpest numerical test of the translation property.  The spectral
-path also takes a whole xi-grid at once and returns the (modes x xi) ratio
-table that the F_c / Q_c reconstructions integrate.  No reconstruction sums
-the series: it runs only where it is itself under test, against the spectral
-path (translation suite) or an asymptotic limit (limits-large suite), and in
-the tests.
+Two independent paths to the boundary ratio are kept deliberately, and
+``boundary_ratios`` takes exactly these two: "series" sums the power series
+for one xi in (-2, 2), "spectral" goes through the eigenbasis for a scalar xi
+or a whole xi-grid in (0, 2].  Their agreement is the sharpest numerical test
+of the translation property.  The spectral (modes x xi) table is what the
+F_c / Q_c reconstructions integrate and what ``u_operator_apply`` scales by;
+the series runs only where it is itself under test (translation and
+limits-large suites, and the tests).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .prolate import ProlateBasis, assemble_heun_matrix
 K_MAX = 2000
 _RUN_LENGTH = 20  # consecutive small terms required before stopping
 _OVERFLOW_LIMIT = 1e300
+# Relative term size at which boundary_ratios' series path stops summing.
+_SERIES_TOL = 1e-13
 # Extended precision where available; the cancellation bound below uses the
 # actual epsilon, so platforms where longdouble == double just report larger
 # bounds instead of silently losing digits.
@@ -190,77 +192,39 @@ def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12, k_max: 
     )
 
 
-def boundary_ratios(
-    basis: ProlateBasis,
-    xi: float | np.ndarray,
-    method: str = "auto",
-    tol: float = 1e-13,
-    guard: float = 1e-11,
-) -> np.ndarray:
+def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "spectral") -> np.ndarray:
     """Per-mode factors psi_n(-1 + xi) / psi_n(-1) for all modes of the basis.
 
-    method "series" sums the power series at lambda = -chi_n, "spectral"
-    evaluates the eigenfunction ratio directly, and "auto" takes the series
-    wherever its cancellation bound stays below ``guard`` (high modes have
-    |lambda| ~ N^2 and lose the series to cancellation, the ratio path is
-    exact there).  The spectral path accepts xi in (0, 2]; the series path
-    requires xi in (-2, 2).
-
-    A scalar xi gives shape (n_modes,).  A 1-D array of xi gives the ratio
-    table of shape (n_modes, len(xi)) in one Legendre table and one matrix
-    product; it is computed by the spectral path only, so any other method
-    raises DomainError.  The reconstructions use this table; the series and
-    "auto" methods serve the translation suite's per-xi check and the tests.
+    "spectral" takes a scalar or 1-D xi in (0, 2] and returns shape
+    (n_modes,) + shape(xi) from one Legendre table and one matrix product.
+    "series" sums U(xi; lambda) at lambda = -chi_n for one scalar xi in
+    (-2, 2); high modes (|lambda| ~ N^2) lose it to cancellation.  Any other
+    method raises DomainError.
     """
-    if method not in ("series", "spectral", "auto"):
-        raise DomainError(f"unknown method {method!r}")
-    if np.ndim(xi) != 0:
-        if np.ndim(xi) != 1:
-            raise DomainError(f"xi must be a scalar or a 1-D array, got {np.ndim(xi)} dims")
-        if method != "spectral":
-            raise DomainError(f"an xi array needs method 'spectral', got {method!r}")
-        xi = np.asarray(xi, dtype=float)
-        if not np.all((xi > 0.0) & (xi <= 2.0)):
-            raise DomainError("spectral ratio path needs every xi in (0, 2]")
-        return pswf_eval_ratio(basis, xi)
-    if method in ("series", "auto") and not -2.0 < xi < 2.0:
-        if method == "auto" and 0.0 < xi <= 2.0:
-            method = "spectral"
-        else:
-            raise DomainError(f"xi = {xi} outside (-2, 2)")
-    if method == "spectral" and not 0.0 < xi <= 2.0:
-        raise DomainError(f"spectral ratio path needs xi in (0, 2], got {xi}")
-
-    if method != "series":
-        spectral = pswf_eval_ratio(basis, xi)
     if method == "spectral":
-        return spectral
-    series, _, _, cancel = u_series_many(basis.c, -basis.chi, xi, tol=tol)
-    if method == "series":
-        return series
-    return np.where(cancel <= guard, series, spectral)
+        return _spectral_ratios(basis, xi)
+    if method != "series":
+        raise DomainError(f"unknown method {method!r}; choose 'series' or 'spectral'")
+    if np.ndim(xi) != 0:
+        raise DomainError("the series path takes one scalar xi")
+    return u_series_many(basis.c, -basis.chi, xi, tol=_SERIES_TOL)[0]
 
 
-def pswf_eval_ratio(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
-    """Spectral-ratio path: psi_n(-1 + xi) / psi_n(-1) for every mode.
+def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
+    """psi_n(-1 + xi) / psi_n(-1), shape (n_modes,) + shape(xi), xi in (0, 2]."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim > 1:
+        raise DomainError(f"xi must be a scalar or a 1-D array, got {xi.ndim} dims")
+    if not np.all((xi > 0.0) & (xi <= 2.0)):
+        raise DomainError("spectral ratio path needs every xi in (0, 2]")
+    table = legendre_table(basis.n_dim - 1, -1.0 + xi)
+    return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * xi.ndim)
 
-    Shape (n_modes,) + shape(xi): one row per mode, one column per xi.
-    """
-    x = -1.0 + np.asarray(xi, dtype=float)
-    table = legendre_table(basis.n_dim - 1, x)
-    return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * x.ndim)
 
+def u_operator_apply(basis: ProlateBasis, xi: float, f: CoeffVector) -> CoeffVector:
+    """Apply U(xi; T), xi in [0, 2], to a coefficient vector by spectral scaling.
 
-def u_operator_apply(
-    basis: ProlateBasis,
-    xi: float,
-    f: CoeffVector,
-    tol: float = 1e-13,
-    method: str = "auto",
-) -> CoeffVector:
-    """Apply U(xi; T) to a coefficient vector by spectral scaling.
-
-    Expands f in the prolate eigenbasis and multiplies mode n by the
+    Expands f in the prolate eigenbasis and multiplies mode n by its spectral
     boundary ratio; linear in f, the identity at xi = 0.
     """
     if f.n_coeffs != basis.n_dim:
@@ -268,15 +232,8 @@ def u_operator_apply(
     if xi == 0.0:
         # U(0; T) is the identity; skip the eigenbasis round-trip noise.
         return CoeffVector(coeffs=f.coeffs.copy())
-    try:
-        factors = boundary_ratios(basis, xi, method=method, tol=tol)
-    except SeriesStallError as exc:
-        raise SeriesStallError(
-            f"series stalled while applying U(xi={xi}); worst mode {exc.worst_index}",
-            worst_index=exc.worst_index,
-        ) from exc
     modal = basis.psi_coeffs.T @ f.coeffs
-    return CoeffVector(coeffs=basis.psi_coeffs @ (factors * modal))
+    return CoeffVector(coeffs=basis.psi_coeffs @ (_spectral_ratios(basis, xi) * modal))
 
 
 def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.ndarray:

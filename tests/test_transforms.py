@@ -156,7 +156,7 @@ class TestReconstructions:
         for n in range(9):
             target = fourier_eigenvalue(basis, n)
             ratios = np.array(
-                [boundary_ratios(basis, float(x), method="auto")[n] for x in nodes]
+                [boundary_ratios(basis, float(x), method="series")[n] for x in nodes]
             )
             value = (ratios * (phase + (-1.0) ** n * phase.conj())) @ weights
             assert abs(value - target) <= 1e-8
@@ -171,7 +171,7 @@ class TestReconstructions:
         for n in range(9):
             fourier_eigenvalue(basis, n)
             ratios = np.array(
-                [boundary_ratios(basis, float(x), method="auto")[n] for x in nodes]
+                [boundary_ratios(basis, float(x), method="series")[n] for x in nodes]
             )
             value = (ratios * (w_plus + (-1.0) ** n * w_minus)) @ weights
             assert abs(value - basis.mu(n)) <= 1e-8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+import prolate_calculus
 from prolate_calculus import (
     CoeffVector,
     DomainError,
@@ -145,14 +146,32 @@ class TestBoundaryRatios:
         basis = ops.basis(1.0, 64)
         series = boundary_ratios(basis, 0.8, method="series")
         spectral = boundary_ratios(basis, 0.8, method="spectral")
-        auto = boundary_ratios(basis, 0.8, method="auto")
         assert np.max(np.abs(series[:9] - spectral[:9])) <= 1e-10
-        assert np.max(np.abs(auto[:32] - spectral[:32])) <= 1e-9
 
-    def test_auto_falls_back_at_xi_two(self, ops):
+    def test_spectral_reflects_at_xi_two(self, ops):
         basis = ops.basis(1.0, 64)
-        ratios = boundary_ratios(basis, 2.0, method="auto")
+        ratios = boundary_ratios(basis, 2.0, method="spectral")
         np.testing.assert_allclose(ratios, (-1.0) ** np.arange(64), atol=1e-10)
+
+    def test_spectral_is_the_default(self, ops):
+        basis = ops.basis(1.0, 64)
+        xis = np.array([0.3, 1.2])
+        assert np.array_equal(boundary_ratios(basis, xis), boundary_ratios(basis, xis, method="spectral"))
+
+    def test_only_series_and_spectral(self, ops):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, 0.8, method="auto")
+
+    def test_no_tuning_knobs(self, ops):
+        basis = ops.basis(1.0, 64)
+        for knob in ("tol", "guard"):
+            with pytest.raises(TypeError):
+                boundary_ratios(basis, 0.8, method="series", **{knob: 1e-12})
+        f = CoeffVector(coeffs=np.ones(64))
+        with pytest.raises(TypeError):
+            u_operator_apply(basis, 0.5, f, method="series")
+        assert not hasattr(prolate_calculus, "pswf_eval_ratio")
 
     def test_array_matches_stacked_scalar_calls(self, ops):
         basis = ops.basis(1.0, 64)
@@ -164,11 +183,16 @@ class TestBoundaryRatios:
         assert table.shape == (64, xis.size)
         assert np.max(np.abs(table - stacked)) <= 1e-14
 
-    @pytest.mark.parametrize("method", ["series", "auto"])
+    @pytest.mark.parametrize("method", ["series"])
     def test_array_needs_spectral_method(self, ops, method):
         basis = ops.basis(1.0, 64)
         with pytest.raises(DomainError):
             boundary_ratios(basis, np.array([0.5, 0.8]), method=method)
+
+    def test_spectral_rejects_two_dimensional_xi(self, ops):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, np.full((2, 2), 0.5), method="spectral")
 
     @pytest.mark.parametrize("bad", [0.0, -0.5, 2.0 + 1e-9, 3.0, np.nan])
     def test_array_rejects_xi_outside_half_open_interval(self, ops, bad):
@@ -213,9 +237,23 @@ class TestUOperatorApply:
     def test_reflection_via_spectral_path(self, ops, rng):
         basis = ops.basis(1.0, 64)
         f = CoeffVector(coeffs=rng.standard_normal(64))
-        out = u_operator_apply(basis, 2.0, f, method="spectral")
+        out = u_operator_apply(basis, 2.0, f)
         mirrored = reflect(64).apply(CoeffVector(coeffs=f.coeffs.astype(complex)))
         assert np.max(np.abs(out.coeffs - mirrored.coeffs.real)) <= 1e-9
+
+    def test_scales_by_the_spectral_ratios(self, ops, rng):
+        basis = ops.basis(1.0, 64)
+        f = CoeffVector(coeffs=rng.standard_normal(64))
+        out = u_operator_apply(basis, 0.9, f)
+        factors = boundary_ratios(basis, 0.9, method="spectral")
+        expected = basis.psi_coeffs @ (factors * (basis.psi_coeffs.T @ f.coeffs))
+        assert np.array_equal(out.coeffs, expected)
+
+    @pytest.mark.parametrize("xi", [-0.5, 2.0 + 1e-9])
+    def test_rejects_xi_outside_closed_interval(self, ops, xi):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(DomainError):
+            u_operator_apply(basis, xi, CoeffVector(coeffs=np.ones(64)))
 
     def test_dim_mismatch(self, ops):
         basis = ops.basis(1.0, 64)
