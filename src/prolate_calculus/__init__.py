@@ -28,19 +28,16 @@ from .prolate import (
     ProlateBasis,
     assemble_heun_matrix,
     fourier_eigenvalue,
-    fourier_rayleigh,
     pswf_eval,
     solve_prolate,
 )
 from .nystrom import NystromResult, nystrom_chi, nystrom_psi_value, nystrom_sinc_eigen
 from .ucalc import (
-    UPolyTable,
     USeriesResult,
     boundary_ratios,
     heun_ode_residual,
     u_operator_apply,
     u_operator_matrix_series,
-    u_poly_table,
     u_series_scalar,
 )
 from .transforms import (
@@ -53,16 +50,17 @@ from .transforms import (
     sinc_kernel_direct,
 )
 from .asymptotics import (
-    DilationMap,
     HermiteBasis,
     bessel_i0_series,
     bessel_limit_check,
     dilated_heun_hermite_defect,
     dilated_pswf,
+    fourier_phase_errors,
     hermite_basis,
     hermite_distance,
     hermite_exponential,
     large_c_eigen_convergence,
+    oscillator_gaps,
     small_c_operator,
     wkb_matching_ratio,
     wkb_scalar_check,

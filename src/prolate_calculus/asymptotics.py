@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .legendre import QuadRule, gauss_legendre_rule
-from .prolate import ProlateBasis, fourier_rayleigh, pswf_eval, solve_prolate
-from .transforms import OperatorMatrix
+from .legendre import gauss_legendre_rule
+from .prolate import ProlateBasis, pswf_eval, solve_prolate
+from .transforms import OperatorMatrix, finite_fourier_direct
 from .ucalc import u_series_scalar
 
 SMALL_C_MAX = 0.2
@@ -154,32 +154,13 @@ def hermite_values(m_count: int, x) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class DilationMap:
-    """Coordinate bookkeeping for phi(x) <-> phi(sqrt(c) x)."""
-
-    c: float
-
-    @property
-    def scale(self) -> float:
-        return math.sqrt(self.c)
-
-    def forward(self, x):
-        """Argument map of the dilation: (D phi)(x) = phi(forward(x))."""
-        return np.asarray(x) * self.scale
-
-    def inverse(self, x):
-        return np.asarray(x) / self.scale
-
-
 def dilated_pswf(basis: ProlateBasis, n: int, x) -> np.ndarray:
     """Unit-norm dilated eigenfunction c^{-1/4} psi_n(x / sqrt(c)).
 
     This is the scaling under which the large-c limit lands on the unit-norm
     Hermite function h_n; it lives on |x| <= sqrt(c).
     """
-    dil = DilationMap(basis.c)
-    u = dil.inverse(x)
+    u = np.asarray(x) / math.sqrt(basis.c)
     if np.any(np.abs(u) > 1.0 + 1e-12):
         raise DomainError("dilated argument outside [-1, 1]")
     return basis.c ** (-0.25) * pswf_eval(basis, n, np.clip(u, -1.0, 1.0))
@@ -219,38 +200,55 @@ def dilated_heun_hermite_defect(c: float, block: int, buffer: int = 8) -> float:
     return float(np.linalg.norm(defect[:block, :block]))
 
 
+def oscillator_gaps(basis: ProlateBasis, n_max: int) -> np.ndarray:
+    """|sqrt(c/2pi) lambda_n - 1| for n <= n_max, from ``basis.lambdas``.
+
+    Every eigenvalue of the complete Fourier transform has modulus 1.
+    """
+    count = basis._certified(n_max) + 1
+    return np.abs(math.sqrt(basis.c / (2 * math.pi)) * basis.lambdas[:count] - 1.0)
+
+
+def fourier_phase_errors(basis: ProlateBasis, n_max: int) -> np.ndarray:
+    """Wrapped |arg <psi_n, F_c psi_n> - pi n/2| for n <= n_max.
+
+    The quotients v^T F v are read off one direct F_c matrix on the basis's
+    Legendre coefficients, so they carry the measured phase, not the i^n
+    that ``fourier_eigenvalue`` enforces.
+    """
+    count = basis._certified(n_max) + 1
+    v = basis.psi_coeffs[:, :count]
+    fourier = finite_fourier_direct(basis.c, basis.n_dim).entries
+    quotients = np.einsum("in,in->n", v, fourier @ v)
+    phase = np.angle(quotients) - math.pi * np.arange(count) / 2
+    return np.abs((phase + math.pi) % (2 * math.pi) - math.pi)
+
+
 def large_c_eigen_convergence(c_list, n_max: int) -> list[dict]:
     """Convergence report toward the complete-Fourier limit.
 
-    For each bandwidth and mode: the gap |sqrt(c/2pi) lambda_n - 1|, the
-    phase error of the raw transform quotient against pi n / 2, and the L2
-    distance of the dilated eigenfunction from the matching Hermite function.
+    For each bandwidth and mode: the oscillator gap, the phase error of the
+    measured transform quotient against pi n / 2, and the L2 distance of the
+    dilated eigenfunction from the matching Hermite function.
     """
     rows = []
     for c in c_list:
         if c > 30:
             raise DomainError("large-c report capped at c = 30 (desk scale)")
         basis = solve_prolate(c)
+        gaps, phases = oscillator_gaps(basis, n_max), fourier_phase_errors(basis, n_max)
         for n in range(n_max + 1):
-            scaled = math.sqrt(c / (2 * math.pi)) * basis.lam(n)
-            # Raw quotient keeps the measured phase, not the enforced one.
-            quotient = fourier_rayleigh(basis, n)
-            phase_err = abs(_wrap_angle(np.angle(quotient) - math.pi * n / 2))
             rows.append(
                 {
                     "c": float(c),
                     "n": n,
-                    "delta": abs(scaled - 1.0),
-                    "phase_error": float(phase_err),
+                    "delta": float(gaps[n]),
+                    "phase_error": float(phases[n]),
                     "hermite_distance": hermite_distance(basis, n),
                     "mu": basis.mu(n),
                 }
             )
     return rows
-
-
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2 * math.pi) - math.pi
 
 
 def bessel_i0_series(z: float, tol: float = 1e-16) -> float:

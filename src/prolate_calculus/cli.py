@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import ProlateCalculusError
+from .errors import DomainError, ProlateCalculusError
 from .legendre import default_truncation
 from .nystrom import nystrom_chi, nystrom_sinc_eigen
 from .prolate import solve_prolate, assemble_heun_matrix
@@ -172,6 +172,9 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
 
 
 def cmd_nystrom(config: RunConfig, n_modes: int, n_nodes: int) -> None:
+    # nystrom_chi projects onto n_nodes // 2 Legendre degrees and needs >= 4.
+    if n_nodes < 8 or not 1 <= n_modes <= n_nodes:
+        raise DomainError(f"need 1 <= n_modes <= n_nodes and n_nodes >= 8, got {n_modes}, {n_nodes}")
     result = nystrom_sinc_eigen(config.c, n_nodes=n_nodes, n_modes=n_modes)
     columns = {
         "n": np.arange(n_modes),

@@ -26,7 +26,6 @@ from .errors import ConventionViolationError, DomainError, SpectralFailureError
 from .legendre import (
     BandedSymMatrix,
     default_truncation,
-    gauss_legendre_rule,
     legendre_operator_diag,
     legendre_table,
     position_offdiag,
@@ -209,25 +208,6 @@ def pswf_eval(basis: ProlateBasis, n: int, x, extrapolate: bool = False):
     x = np.asarray(x, dtype=float)
     table = legendre_table(basis.n_dim - 1, x, extrapolate=extrapolate)
     return basis.psi_coeffs[:, n] @ table
-
-
-def fourier_rayleigh(basis: ProlateBasis, n: int, q_order: int | None = None) -> complex:
-    """Raw Rayleigh quotient <psi_n, F_c psi_n> with F_c applied by quadrature.
-
-    Carries the full measured complex phase, so it serves only the honest
-    check of the i^n phase convention; lambda_n itself is ``basis.lam(n)``.
-    Costs one dense q x q complex kernel per call.
-    """
-    if not 0 <= n < basis.n_certified:
-        raise IndexError(f"mode {n} not certified (need n < {basis.n_certified})")
-    c = basis.c
-    if q_order is None:
-        q_order = basis.n_dim + math.ceil(c) + 8
-    rule = gauss_legendre_rule(q_order)
-    psi_vals = pswf_eval(basis, n, rule.nodes)
-    kernel = np.exp(1j * c * np.outer(rule.nodes, rule.nodes))
-    transformed = kernel @ (rule.weights * psi_vals)
-    return complex((rule.weights * psi_vals) @ transformed)
 
 
 def fourier_eigenvalue(basis: ProlateBasis, n: int) -> complex:

@@ -213,4 +213,6 @@ def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float
     den = np.linalg.norm(a.entries[:block, :block]) * np.linalg.norm(
         b.entries[:block, :block]
     )
+    if den == 0:
+        raise DomainError("an operator has norm 0 on the block; the relative commutator is undefined")
     return float(num / den)

@@ -22,6 +22,10 @@ of the translation property.  The spectral (modes x xi) table is what the
 F_c / Q_c reconstructions integrate and what ``u_operator_apply`` scales by;
 the series runs only where it is itself under test (translation and
 limits-large suites, and the tests).
+
+``u_series_terms`` is the one scalar unrolling of the recurrence, in the
+scaled form t_k = xi^k U_k / k!; ``u_operator_matrix_series`` runs the same
+recurrence on the matrix of T as an independent reference.
 """
 
 from __future__ import annotations
@@ -51,16 +55,6 @@ SERIES_DTYPE = np.longdouble
 
 
 @dataclass(frozen=True)
-class UPolyTable:
-    """Values U_k(lambda) for k = 0..K at a set of spectral points."""
-
-    c: float
-    lambdas: np.ndarray
-    k_max: int
-    values: np.ndarray  # shape (k_max+1, len(lambdas))
-
-
-@dataclass(frozen=True)
 class USeriesResult:
     """Converged partial sum of U(xi; lambda) with error bookkeeping.
 
@@ -74,38 +68,6 @@ class USeriesResult:
     terms_used: int
     tail_estimate: float
     cancellation_bound: float
-
-
-def recurrence_coefficients(c: float, k: int):
-    """(A_k, B_k, C_k) with U_{k+1} = A_k U_k + B_k U_{k-1} + C_k U_{k-2}."""
-    c2 = c * c
-    a = (c2 + k * (k + 1)) / (2.0 * (k + 1))  # + lambda/(2(k+1)) handled by caller
-    b = -c2 * k / (k + 1.0)
-    d = c2 * k * (k - 1) / (2.0 * (k + 1))
-    return a, b, d
-
-
-def u_poly_table(c: float, lambdas, k_max: int) -> UPolyTable:
-    """Unroll the four-term recurrence in floating point."""
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    values = np.zeros((k_max + 1, lam.size))
-    values[0] = 1.0
-    u_m2 = np.zeros_like(lam)
-    u_m1 = np.zeros_like(lam)
-    u = values[0].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_max):
-            a, b, d = recurrence_coefficients(c, k)
-            nxt = (lam / (2.0 * (k + 1)) + a) * u + b * u_m1 + d * u_m2
-            if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > _OVERFLOW_LIMIT:
-                raise RecurrenceOverflowError(
-                    f"U_{k + 1} overflowed (last valid degree {k})", last_valid_k=k
-                )
-            u_m2, u_m1, u = u_m1, u, nxt
-            values[k + 1] = u
-    return UPolyTable(c=c, lambdas=lam, k_max=k_max, values=values)
 
 
 def u_series_terms(c: float, lambdas, xi: float, k_max: int, dtype=SERIES_DTYPE):

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import (
-    bessel_i0_series,
+    bessel_limit_check,
+    fourier_phase_errors,
     hermite_distance,
+    oscillator_gaps,
     small_c_diagonal_terms,
     small_c_operator,
     wkb_value,
@@ -25,12 +27,7 @@ from .asymptotics import (
 from .errors import DomainError
 from .legendre import CoeffVector, default_truncation
 from .nystrom import nystrom_sinc_eigen
-from .prolate import (
-    assemble_heun_matrix,
-    fourier_eigenvalue,
-    fourier_rayleigh,
-    solve_prolate,
-)
+from .prolate import assemble_heun_matrix, fourier_eigenvalue, solve_prolate
 from .transforms import (
     OperatorMatrix,
     commutator_report,
@@ -45,8 +42,8 @@ from .transforms import (
 )
 from .ucalc import boundary_ratios, u_operator_apply, u_series_scalar
 
-# The fourier and sinc suites check the per-mode identity on modes 0..8,
-# which must be certified (n < N // 2).
+# The translation, fourier and sinc suites check modes 0..8, which must be
+# certified (n < N // 2).
 _IDENTITY_MODES = 9
 # Gauss nodes of the xi rule behind the per-mode identity.
 _IDENTITY_Q_XI = 64
@@ -139,14 +136,14 @@ def _report(suite, config, extra=None) -> VerificationReport:
 def _suite_translation(config: RunConfig) -> VerificationReport:
     rep = _report("translation", config)
     tol = config.tol if config.tol is not None else (1e-10 if config.c == 0 else 1e-8)
-    basis = solve_prolate(config.c, config.n_dim)
+    basis = solve_prolate(config.c, _identity_dim(config))
     rng = np.random.default_rng(config.seed)
     xis = rng.uniform(0.05, 1.5, size=10)
     worst = 0.0
     for xi in xis:
         series = boundary_ratios(basis, float(xi), method="series")
         spectral = boundary_ratios(basis, float(xi), method="spectral")
-        worst = max(worst, float(np.max(np.abs(series - spectral)[:9])))
+        worst = max(worst, float(np.max(np.abs(series - spectral)[:_IDENTITY_MODES])))
     rep.add("series-vs-spectral ratio, n<=8, 10 random xi", worst, tol)
 
     f = CoeffVector(coeffs=rng.standard_normal(basis.n_dim))
@@ -172,12 +169,13 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
 
 
 def _identity_dim(config: RunConfig) -> int:
-    """Basis size of a fourier/sinc run, refused before any work if too small."""
+    """Basis size of a run that checks modes n <= 8, refused before any work
+    if those modes are not certified."""
     n_dim = config.n_dim
     if n_dim // 2 < _IDENTITY_MODES:
         raise DomainError(
-            f"N = {n_dim} certifies {n_dim // 2} modes; the per-mode identity "
-            f"needs {_IDENTITY_MODES} (N >= {2 * _IDENTITY_MODES})"
+            f"N = {n_dim} certifies {n_dim // 2} modes; the checks on modes "
+            f"n <= {_IDENTITY_MODES - 1} need N >= {2 * _IDENTITY_MODES}"
         )
     return n_dim
 
@@ -213,11 +211,13 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
     direct = sinc_kernel_direct(config.c, n_dim)
-    recon = reconstruct_sinc(basis, config.variant)
     block = n_dim // 2
-    rel = np.linalg.norm(
-        (recon.entries - direct.entries)[:block, :block]
-    ) / np.linalg.norm(direct.entries[:block, :block])
+    # Q_0 = 0, and for c below ~1e-160 the norm of Q_c underflows to 0.
+    reference = np.linalg.norm(direct.entries[:block, :block])
+    if reference == 0:
+        raise DomainError(f"Q_c has norm 0 at c = {config.c:g}; its relative error is undefined")
+    recon = reconstruct_sinc(basis, config.variant)
+    rel = np.linalg.norm((recon.entries - direct.entries)[:block, :block]) / reference
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, tol)
 
     measured = mode_integrals(basis, sinc_weights, config.variant, _IDENTITY_Q_XI)
@@ -270,25 +270,16 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
     if config.c < 4:
         raise DomainError("limits-large requires c >= 4")
     c = config.c
-    rep = _report("limits-large", config, {"c_list": [c / 4, c / 2, c]})
+    c_list = [c / 4, c / 2, c]
+    rep = _report("limits-large", config, {"c_list": c_list})
 
-    deltas = {}
-    bases = {}
-    for cc in (c / 4, c / 2, c):
-        basis = solve_prolate(cc)
-        bases[cc] = basis
-        deltas[cc] = [abs(math.sqrt(cc / (2 * math.pi)) * basis.lam(n) - 1) for n in range(5)]
-    worst_gap = max(
-        max(deltas[c / 2][n] - deltas[c / 4][n], deltas[c][n] - deltas[c / 2][n])
-        for n in range(5)
-    )
+    bases = {cc: solve_prolate(cc) for cc in c_list}
+    quarter, half, full = (oscillator_gaps(bases[cc], 4) for cc in c_list)
+    worst_gap = np.max(np.maximum(half - quarter, full - half))
     rep.add("sqrt(c/2pi) lambda_n -> 1 monotonically, n<=4", worst_gap, 0.0)
 
     basis = bases[c]
-    phase = max(
-        abs((np.angle(fourier_rayleigh(basis, n)) - math.pi * n / 2 + math.pi) % (2 * math.pi) - math.pi)
-        for n in range(5)
-    )
+    phase = np.max(fourier_phase_errors(basis, 4))
     rep.add("phase of <psi_n, F psi_n> vs pi n/2, n<=4", phase, 0.05)
     dist_here = hermite_distance(basis, 0)
     rep.add("hermite distance of dilated mode 0", dist_here, 0.05)
@@ -301,13 +292,8 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
     ny = nystrom_sinc_eigen(c / 2)
     rep.add(f"1 - mu_0({c / 2:g}) (Nystrom)", 1.0 - ny.mu[0], 1e-6)
 
-    eps = 2.0
-    series = u_series_scalar(c, -basis.chi[0], eps / (c * c), tol=1e-14).value
-    rep.add(
-        f"|U(eps/c^2) - I0(sqrt(2 eps))| at eps={eps:g}",
-        abs(series - bessel_i0_series(math.sqrt(2 * eps))),
-        0.05,
-    )
+    bessel = bessel_limit_check(c, [2.0], -basis.chi[0])[0]
+    rep.add("|U(eps/c^2) - I0(sqrt(2 eps))| at eps=2", bessel["deviation"], 0.05)
     if c >= 10:
         eps_m = 30.0
         y_star = -1.0 + eps_m / (c * c)

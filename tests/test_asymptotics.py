@@ -5,17 +5,19 @@ import pytest
 from scipy.special import eval_hermite, iv
 
 from prolate_calculus import (
-    DilationMap,
     DomainError,
     bessel_i0_series,
     bessel_limit_check,
     dilated_heun_hermite_defect,
     dilated_pswf,
+    finite_fourier_direct,
     fourier_eigenvalue,
+    fourier_phase_errors,
     hermite_basis,
     hermite_distance,
     hermite_exponential,
     large_c_eigen_convergence,
+    oscillator_gaps,
     small_c_operator,
     solve_prolate,
     u_series_scalar,
@@ -104,11 +106,6 @@ class TestHermite:
 
 
 class TestDilation:
-    def test_roundtrip_identity(self):
-        dil = DilationMap(c=7.3)
-        x = np.linspace(-1, 1, 11)
-        assert np.max(np.abs(dil.inverse(dil.forward(x)) - x)) <= 1e-12
-
     def test_dilated_pswf_domain(self, ops):
         basis = ops.basis(4.0, None)
         with pytest.raises(DomainError):
@@ -148,6 +145,41 @@ class TestLargeCLimit:
     def test_desk_scale_cap(self):
         with pytest.raises(DomainError):
             large_c_eigen_convergence([40.0], n_max=1)
+
+    def test_oscillator_gaps_from_lambdas(self, ops):
+        basis = ops.basis(8.0, None)
+        gaps = oscillator_gaps(basis, 4)
+        expected = [abs(math.sqrt(8.0 / (2 * math.pi)) * basis.lam(n) - 1.0) for n in range(5)]
+        np.testing.assert_array_equal(gaps, expected)
+
+    def test_phase_errors_from_direct_transform(self, ops):
+        basis = ops.basis(16.0, None)
+        fourier = finite_fourier_direct(16.0, basis.n_dim).entries
+        for n, err in enumerate(fourier_phase_errors(basis, 4)):
+            v = basis.psi_coeffs[:, n]
+            quotient = v @ fourier @ v
+            assert err <= 1e-12
+            assert abs(quotient - fourier_eigenvalue(basis, n)) <= 1e-12
+
+    def test_helpers_refuse_uncertified_modes(self, ops):
+        basis = ops.basis(4.0, 16)
+        for helper in (oscillator_gaps, fourier_phase_errors):
+            with pytest.raises(IndexError):
+                helper(basis, 8)
+
+    def test_second_routes_are_gone(self):
+        import prolate_calculus
+        from prolate_calculus import asymptotics, prolate, ucalc
+
+        for module, name in [
+            (prolate, "fourier_rayleigh"),
+            (ucalc, "u_poly_table"),
+            (ucalc, "UPolyTable"),
+            (ucalc, "recurrence_coefficients"),
+            (asymptotics, "DilationMap"),
+        ]:
+            assert not hasattr(module, name)
+            assert not hasattr(prolate_calculus, name)
 
     def test_hermite_distance_tracks_modes(self, ops):
         basis = ops.basis(16.0, None)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
 
@@ -13,11 +14,16 @@ from prolate_calculus.serialize import load_json, operator_from_dict
 from prolate_calculus.verify import SUITES
 
 
+# The child interpreter imports the package from the same path as this one.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "prolate_calculus.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -51,6 +57,14 @@ class TestExitCodes:
             ("pswf", "--n-trunc", "-5"),
             ("verify", "--suite", "fourier", "--n-trunc", "10"),
             ("verify", "--suite", "sinc", "--n-trunc", "17"),
+            ("verify", "--suite", "translation", "--c", "1", "--n-trunc", "4"),
+            ("verify", "--suite", "translation", "--c", "1", "--n-trunc", "8"),
+            ("verify", "--suite", "translation", "--c", "1", "--n-trunc", "12"),
+            ("nystrom", "--n-modes", "500", "--n-nodes", "400", "--out", "unused.json"),
+            ("nystrom", "--n-nodes", "1", "--out", "unused.json"),
+            ("nystrom", "--n-nodes", "7", "--n-modes", "7", "--out", "unused.json"),
+            ("nystrom", "--n-modes", "-1", "--out", "unused.csv", "--format", "csv"),
+            ("nystrom", "--n-modes", "0", "--out", "unused.json"),
         ],
     )
     def test_invalid_input_exits_two(self, argv, capsys):
@@ -59,10 +73,24 @@ class TestExitCodes:
         assert "error[" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", ["0", "1e-200"])
+    @pytest.mark.parametrize("suite", ["sinc", "commutation"])
+    def test_zero_reference_norm_exits_two(self, suite, c, capsys):
+        # Q_0 = 0, and at c = 1e-200 the norm of Q_c underflows to 0: a
+        # relative error against it is 0/0, refused instead of a NaN record.
+        assert cli.main(["verify", "--suite", suite, "--c", c]) == 2
+        assert "error[domain]" in capsys.readouterr().err
+
+    def test_smallest_sizes_nystrom_accepts(self, tmp_path):
+        out = tmp_path / "ny.json"
+        assert cli.main(["nystrom", "--n-nodes", "8", "--n-modes", "8", "--out", str(out)]) == 0
+        assert load_json(out)["data"]["n"] == list(range(8))
+
 
 def test_cli_import_loads_no_scipy():
     probe = "import sys, prolate_calculus.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -17,51 +17,42 @@ from prolate_calculus import (
     reflect,
     u_operator_apply,
     u_operator_matrix_series,
-    u_poly_table,
     u_series_scalar,
 )
-from prolate_calculus.ucalc import recurrence_coefficients, u_series_terms
+from prolate_calculus.ucalc import u_series_terms
 
 
 class TestUPolyTable:
+    """U_k values read off the scaled series terms: at xi = 1, t_k = U_k / k!."""
+
+    @staticmethod
+    def terms(c, lambdas, k_max):
+        return np.array(list(u_series_terms(c, lambdas, 1.0, k_max)))
+
     def test_degree_zero_row_is_one(self):
-        table = u_poly_table(1.7, [-3.0, 0.0, 5.0], 6)
-        np.testing.assert_array_equal(table.values[0], 1.0)
+        np.testing.assert_array_equal(self.terms(1.7, [-3.0, 0.0, 5.0], 6)[0], 1.0)
 
     def test_c_zero_lambda_minus_two_terminates(self):
         # Hand-unrolled: U_1 = -1 and the recurrence kills everything after.
-        table = u_poly_table(0.0, [-2.0], 6)
-        np.testing.assert_allclose(table.values[:, 0], [1, -1, 0, 0, 0, 0, 0], atol=0)
+        terms = self.terms(0.0, [-2.0], 6)
+        np.testing.assert_array_equal(terms[:, 0], [1, -1, 0, 0, 0, 0, 0])
 
     def test_hand_unrolled_u2(self):
-        # c=1, lambda=0: U_2 = (0+1+2)/4 * 1/2 - 1/2 = -1/8.
-        table = u_poly_table(1.0, [0.0], 2)
-        assert table.values[1, 0] == 0.5
-        assert table.values[2, 0] == -0.125
+        # c=1, lambda=0: U_1 = 1/2 and U_2 = (0+1+2)/4 * 1/2 - 1/2 = -1/8.
+        terms = self.terms(1.0, [0.0], 2)
+        assert terms[1, 0] == 0.5
+        assert terms[2, 0] == -0.125 / 2  # U_2 / 2!
 
     def test_u1_closed_form(self):
+        lam = np.array([-7.0, 3.0])
         for c in (0.0, 1.0, 2.5):
-            table = u_poly_table(c, [-7.0, 3.0], 1)
-            np.testing.assert_allclose(
-                table.values[1], (table.lambdas + c * c) / 2.0, rtol=1e-15
-            )
-
-    def test_recurrence_residual_on_reevaluation(self):
-        table = u_poly_table(2.0, [-30.0, -2.0, 4.0], 40)
-        lam = table.lambdas
-        for k in range(2, table.k_max):
-            a, b, d = recurrence_coefficients(2.0, k)
-            rebuilt = (lam / (2 * (k + 1)) + a) * table.values[k] + b * table.values[
-                k - 1
-            ] + d * table.values[k - 2]
-            resid = np.abs(table.values[k + 1] - rebuilt)
-            assert np.all(resid <= 1e-12 * np.maximum(1.0, np.abs(table.values[k + 1])))
+            np.testing.assert_allclose(self.terms(c, lam, 1)[1], (lam + c * c) / 2.0, rtol=1e-15)
 
     def test_overflow_reports_last_valid_degree(self):
         with pytest.raises(RecurrenceOverflowError) as err:
-            u_poly_table(1.0, [-1e12], 400)
+            u_operator_matrix_series(1e3, 8, 1.0, 2000)
         assert err.value.kind == "recurrence-overflow"
-        assert 0 < err.value.last_valid_k < 400
+        assert 0 < err.value.last_valid_k < 2000
 
 
 class TestUSeriesScalar:
