@@ -3,6 +3,7 @@
 from .errors import (
     ConventionViolationError,
     DomainError,
+    OutOfRangeError,
     ProlateCalculusError,
     QuadratureUnresolvedError,
     RecurrenceOverflowError,

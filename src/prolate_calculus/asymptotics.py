@@ -18,7 +18,9 @@ the turning points.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,8 +60,15 @@ def small_c_diagonal_terms(n_dim: int, k_max: int):
         B_m = 2 sum_k  (k/(k+2)) prod_k(m) / (k! (k+1)!)
 
     Sums are finite (terms vanish for k > m) and evaluated in rational
-    arithmetic, so A_0 = 2 and A_m = 0 for m >= 1 hold exactly.
+    arithmetic, so A_0 = 2 and A_m = 0 for m >= 1 hold exactly.  The table
+    depends on no bandwidth; it is built once per process and shared, so
+    both arrays are read-only.
     """
+    return _small_c_terms(operator.index(n_dim), operator.index(k_max))
+
+
+@functools.lru_cache(maxsize=16)
+def _small_c_terms(n_dim: int, k_max: int):
     a = [Fraction(0)] * n_dim
     b = [Fraction(0)] * n_dim
     prod = [Fraction(1)] * n_dim
@@ -74,10 +83,11 @@ def small_c_diagonal_terms(n_dim: int, k_max: int):
             term = 2 * prod[m] / denom
             a[m] += term
             b[m] += Fraction(k, k + 2) * term
-    return (
-        np.array([float(x) for x in a]),
-        np.array([float(x) for x in b]),
-    )
+    a_terms = np.array([float(x) for x in a])
+    b_terms = np.array([float(x) for x in b])
+    a_terms.flags.writeable = False
+    b_terms.flags.writeable = False
+    return a_terms, b_terms
 
 
 def small_c_operator(c: float, n_dim: int, k_max: int) -> OperatorMatrix:

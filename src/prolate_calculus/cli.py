@@ -68,7 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("which", choices=OPERATOR_NAMES)
     common(p_export)
 
-    p_ny = sub.add_parser("nystrom", help="write oracle fixtures for mu_n, chi_n")
+    p_ny = sub.add_parser(
+        "nystrom",
+        help="write oracle fixtures for mu_n, chi_n",
+        description="Write mu_n and chi_n from the Nystrom discretization of the sinc "
+        "kernel. chi_n is a Rayleigh quotient of T on the Nystrom eigenvectors, which "
+        "are ill-conditioned where the mu_n cluster: at c = 20, n = 0, 1 it is 1.7e-3 "
+        "off the spectral chi.",
+    )
     common(p_ny)
     p_ny.add_argument("--n-modes", type=int, default=9)
     p_ny.add_argument("--n-nodes", type=int, default=400)

@@ -73,3 +73,9 @@ class XiQuadratureUnresolvedError(ProlateCalculusError, RuntimeError):
     """Reconstruction integral drifts when the node count is doubled."""
 
     kind = "xi-quadrature-unresolved"
+
+
+class OutOfRangeError(ProlateCalculusError, ValueError):
+    """Bandwidth outside the range where a path's quantities are representable."""
+
+    kind = "out-of-range"

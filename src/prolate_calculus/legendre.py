@@ -8,7 +8,9 @@ problems.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,29 +103,45 @@ class GridFunction:
 
 
 def gauss_legendre_rule(order: int) -> QuadRule:
-    """Gauss-Legendre rule by Newton iteration from Chebyshev initial guesses."""
+    """Gauss-Legendre rule of the given order, built once per process.
+
+    The rule is shared by every caller that asks for the same order, so its
+    ``nodes`` and ``weights`` are read-only.
+    """
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise DomainError(f"quadrature order must be an integer, got {order!r}") from None
     if order < 1:
         raise DomainError(f"quadrature order must be >= 1, got {order}")
     if order > MAX_RULE_ORDER:
         raise RuleTooLargeError(
             f"order {order} exceeds {MAX_RULE_ORDER}; node separation underflows"
         )
-    if order == 1:
-        return QuadRule(order=1, nodes=np.zeros(1), weights=np.full(1, 2.0))
+    return _build_rule(order)
 
-    k = np.arange(order)
-    x = -np.cos((4 * k + 3) * np.pi / (4 * order + 2))
-    for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _legendre_value_and_derivative(order, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < _NEWTON_TOL:
-            break
-    _, dp = _legendre_value_and_derivative(order, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # Exact +/- symmetry by construction.
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
+
+@functools.lru_cache(maxsize=128)
+def _build_rule(order: int) -> QuadRule:
+    """Gauss-Legendre rule by Newton iteration from Chebyshev initial guesses."""
+    if order == 1:
+        x, w = np.zeros(1), np.full(1, 2.0)
+    else:
+        k = np.arange(order)
+        x = -np.cos((4 * k + 3) * np.pi / (4 * order + 2))
+        for _ in range(_NEWTON_MAX_ITER):
+            p, dp = _legendre_value_and_derivative(order, x)
+            dx = p / dp
+            x -= dx
+            if np.max(np.abs(dx)) < _NEWTON_TOL:
+                break
+        _, dp = _legendre_value_and_derivative(order, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        # Exact +/- symmetry by construction.
+        x = 0.5 * (x - x[::-1])
+        w = 0.5 * (w + w[::-1])
+    x.flags.writeable = False
+    w.flags.writeable = False
     return QuadRule(order=order, nodes=x, weights=w)
 
 

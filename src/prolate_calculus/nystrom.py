@@ -82,6 +82,11 @@ def nystrom_chi(result: NystromResult, n: int, n_legendre: int | None = None) ->
     The eigenvector is projected onto Legendre coefficients by quadrature
     (exact at this grid size for the relevant degrees), then contracted with
     the banded matrix of T.
+
+    The quotient is only as good as the eigenvector, and the eigenvector is
+    ill-conditioned where the mu_n cluster or fall to rounding: eigh mixes
+    modes whose mu agree to the last bit.  At c = 20, where mu_0 and mu_1
+    both round to 1, chi_0 and chi_1 are 1.7e-3 off the spectral chi.
     """
     if n_legendre is None:
         n_legendre = min(result.rule.order // 2, 160)

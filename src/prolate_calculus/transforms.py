@@ -54,7 +54,7 @@ def _resolved_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
     coarse = _tensor_quadrature_matrix(kernel, n_dim, q_order)
     fine = _tensor_quadrature_matrix(kernel, n_dim, 2 * q_order)
     drift = float(np.max(np.abs(fine - coarse)))
-    if drift > _DRIFT_TOL:
+    if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
         raise QuadratureUnresolvedError(
             f"entries drift by {drift:.3e} when doubling q_order={q_order}"
         )
@@ -170,7 +170,7 @@ def _reconstruct(basis, variant, q_xi, weights_on):
     fine = mode_integrals(basis, weights_on, variant, 2 * q_xi)
     certified = basis.n_certified
     drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
-    if drift > _DRIFT_TOL:
+    if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
         raise XiQuadratureUnresolvedError(
             f"mode integrals drift by {drift:.3e} when doubling q_xi={q_xi}"
         )

@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    OutOfRangeError,
     RecurrenceOverflowError,
     SeriesStallError,
     StencilOutOfDomainError,
@@ -158,7 +159,8 @@ def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "
     """Per-mode factors psi_n(-1 + xi) / psi_n(-1) for all modes of the basis.
 
     "spectral" takes a scalar or 1-D xi in (0, 2] and returns shape
-    (n_modes,) + shape(xi) from one Legendre table and one matrix product.
+    (n_modes,) + shape(xi) from one Legendre table and one matrix product;
+    it raises OutOfRangeError where some psi_n(-1) rounds to 0 (c = 40).
     "series" sums U(xi; lambda) at lambda = -chi_n for one scalar xi in
     (-2, 2); high modes (|lambda| ~ N^2) lose it to cancellation.  Any other
     method raises DomainError.
@@ -179,6 +181,12 @@ def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
         raise DomainError(f"xi must be a scalar or a 1-D array, got {xi.ndim} dims")
     if not np.all((xi > 0.0) & (xi <= 2.0)):
         raise DomainError("spectral ratio path needs every xi in (0, 2]")
+    if not np.all(basis.endpoint_minus):
+        n = int(np.argmin(np.abs(basis.endpoint_minus)))
+        raise OutOfRangeError(
+            f"psi_{n}(-1) rounds to 0 at c = {basis.c:g}; the spectral ratios "
+            "psi_n(-1 + xi) / psi_n(-1) are not representable"
+        )
     table = legendre_table(basis.n_dim - 1, -1.0 + xi)
     return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * xi.ndim)
 

@@ -26,6 +26,7 @@ from prolate_calculus import (
     wkb_value,
 )
 from prolate_calculus.asymptotics import (
+    _small_c_terms,
     hermite_values,
     legendre_annihilator_diag,
     small_c_diagonal_terms,
@@ -62,6 +63,15 @@ class TestSmallC:
         assert a_terms[0] == 2.0
         assert np.max(np.abs(a_terms[1:])) == 0.0
         assert abs(b_terms[1] + 2.0 / 3.0) <= 1e-15
+
+    def test_diagonal_terms_are_built_once_and_read_only(self):
+        terms = small_c_diagonal_terms(24, 30)
+        assert small_c_diagonal_terms(24, 30) is terms
+        for cached, built in zip(terms, _small_c_terms.__wrapped__(24, 30)):
+            assert cached.tobytes() == built.tobytes()
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
     def test_error_scales_quadratically(self, ops):
         errs = {}

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from prolate_calculus import RunConfig, cli, run_suite
+from prolate_calculus.asymptotics import _small_c_terms
+from prolate_calculus.legendre import _build_rule
 from prolate_calculus.serialize import load_json, operator_from_dict
 from prolate_calculus.verify import SUITES
 
@@ -81,6 +83,25 @@ class TestExitCodes:
         # relative error against it is 0/0, refused instead of a NaN record.
         assert cli.main(["verify", "--suite", suite, "--c", c]) == 2
         assert "error[domain]" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "fourier"),
+            ("--suite", "fourier", "--variant", "full"),
+            ("--suite", "sinc"),
+            ("--suite", "sinc", "--variant", "full"),
+            ("--suite", "translation"),
+        ],
+    )
+    def test_zero_endpoint_value_exits_two(self, argv, capsys):
+        # psi_0(-1) rounds to exactly 0.0 at c = 40: the spectral ratios are
+        # refused instead of carried into NaN records.
+        assert cli.main(["verify", *argv, "--c", "40"]) == 2
+        captured = capsys.readouterr()
+        assert "error[out-of-range]" in captured.err
+        assert captured.out == ""
 
     def test_smallest_sizes_nystrom_accepts(self, tmp_path):
         out = tmp_path / "ny.json"
@@ -254,3 +275,32 @@ class TestVerifyArtifacts:
             assert float(row[1]) == check["value"]
             assert float(row[2]) == check["tol"]
             assert int(row[3]) == int(check["passed"])
+
+
+@pytest.mark.parametrize(
+    "argv, suffix",
+    [
+        (("pswf", "--c", "3"), ".json"),
+        (("export-operator", "Fc", "--c", "3", "--n-trunc", "24"), ".json"),
+        (("export-operator", "Fc", "--c", "3", "--n-trunc", "24", "--format", "csv"), ".csv"),
+        (("export-operator", "Qc", "--c", "3", "--n-trunc", "24"), ".json"),
+        (("export-operator", "Qc", "--c", "3", "--n-trunc", "24", "--format", "csv"), ".csv"),
+        (("export-operator", "Fc-reconstructed", "--c", "3", "--n-trunc", "24"), ".json"),
+        (("export-operator", "Fc-reconstructed", "--c", "3", "--n-trunc", "24", "--format", "csv"), ".csv"),
+        (("nystrom", "--c", "3", "--n-nodes", "96"), ".json"),
+        (("verify", "--suite", "limits-small", "--c", "0.05"), ".json"),
+        (("verify", "--suite", "limits-large", "--c", "8"), ".json"),
+        (("verify", "--suite", "commutation", "--c", "3"), ".json"),
+    ],
+)
+def test_cached_tables_keep_repeated_runs_byte_identical(argv, suffix, tmp_path, capsys):
+    # The first run builds the quadrature rules and the small-c table, the
+    # second reuses them; the files must not tell the two apart.
+    _build_rule.cache_clear()
+    _small_c_terms.cache_clear()
+    outs = [tmp_path / f"run{i}{suffix}" for i in range(2)]
+    codes = [cli.main([*argv, "--out", str(out)]) for out in outs]
+    capsys.readouterr()
+    assert codes[0] == codes[1]
+    assert codes[0] in (0, 1)
+    assert outs[0].read_bytes() == outs[1].read_bytes()

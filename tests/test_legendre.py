@@ -16,6 +16,7 @@ from prolate_calculus import (
     legendre_table,
     position_matrix,
 )
+from prolate_calculus.legendre import MAX_RULE_ORDER, _build_rule
 
 
 def orthonormal_oracle(n, x):
@@ -68,6 +69,41 @@ class TestGaussLegendreRule:
         with pytest.raises(RuleTooLargeError) as err:
             gauss_legendre_rule(1_000_001)
         assert err.value.kind == "rule-too-large"
+
+
+class TestRuleCache:
+    def test_repeat_call_returns_the_same_rule(self):
+        rule = gauss_legendre_rule(72)
+        assert gauss_legendre_rule(72) is rule
+        assert gauss_legendre_rule(np.int64(72)) is rule
+
+    @pytest.mark.parametrize("order", [1, 2, 33, 72, 400])
+    def test_cached_rule_is_read_only_and_bit_identical_to_a_fresh_build(self, order):
+        rule = gauss_legendre_rule(order)
+        fresh = _build_rule.__wrapped__(order)
+        assert rule.order == fresh.order == order
+        for cached, built in ((rule.nodes, fresh.nodes), (rule.weights, fresh.weights)):
+            assert cached.tobytes() == built.tobytes()
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            (0, DomainError),
+            (-1, DomainError),
+            (MAX_RULE_ORDER + 1, RuleTooLargeError),
+            (16.5, DomainError),
+            (16.0, DomainError),
+        ],
+    )
+    def test_invalid_orders_raise_every_time_and_are_never_cached(self, order, error):
+        before = _build_rule.cache_info()
+        for _ in range(2):
+            with pytest.raises(error):
+                gauss_legendre_rule(order)
+        assert _build_rule.cache_info() == before
 
 
 class TestOrthonormalLegendre:

@@ -7,6 +7,7 @@ from prolate_calculus import (
     CoeffVector,
     DomainError,
     OperatorMatrix,
+    QuadratureUnresolvedError,
     XiQuadratureUnresolvedError,
     assemble_heun_matrix,
     commutator_report,
@@ -19,6 +20,7 @@ from prolate_calculus import (
     sinc_kernel_direct,
     solve_prolate,
 )
+from prolate_calculus.transforms import _reconstruct, _resolved_matrix
 from prolate_calculus.ucalc import boundary_ratios
 
 
@@ -200,6 +202,16 @@ class TestReconstructions:
         basis = ops.basis(1.0, 64)
         with pytest.raises(XiQuadratureUnresolvedError):
             reconstruct_fourier(basis, "folded", q_xi=6)
+
+    def test_nan_drifts_are_refused(self, ops):
+        # NaN > tol is False; both drift guards must still refuse.
+        with pytest.raises(QuadratureUnresolvedError):
+            _resolved_matrix(lambda x, t: np.full(np.broadcast(x, t).shape, np.nan), 8, 16)
+        with pytest.raises(XiQuadratureUnresolvedError):
+            _reconstruct(
+                ops.basis(1.0, 64), "folded", 16,
+                lambda c, nodes, variant: (np.full(nodes.shape, np.nan + 0j), None),
+            )
 
     def test_graceful_degradation(self, ops):
         # Halving the node count changes the answer beyond tolerance only
