@@ -21,34 +21,20 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
 from .legendre import gauss_legendre_rule
-from .prolate import ProlateBasis, pswf_eval, solve_prolate
+from .prolate import ProlateBasis, pswf_eval
 from .transforms import OperatorMatrix, finite_fourier_direct
 from .ucalc import u_series_scalar
 
 SMALL_C_MAX = 0.2
 SMALL_K_MAX = 30
-
-
-def legendre_annihilator_diag(n_dim: int, k: int) -> np.ndarray:
-    """Diagonal of prod_{n=1..k} (T0 + n(n-1)) at c = 0, exact integers.
-
-    The m-th entry is prod_{n=1..k} (n(n-1) - m(m+1)), which vanishes for all
-    m < k; this finite-rank structure is what turns the small-c series into
-    Legendre projectors.
-    """
-    m = np.arange(n_dim, dtype=object)
-    lam = -m * (m + 1)
-    out = np.ones(n_dim, dtype=object)
-    for n in range(1, k + 1):
-        out = out * (lam + n * (n - 1))
-    return out
+# Gauss order of the rule that hermite_distance integrates on.
+HERMITE_QUAD = 400
 
 
 def small_c_diagonal_terms(n_dim: int, k_max: int):
@@ -109,49 +95,12 @@ def small_c_operator(c: float, n_dim: int, k_max: int) -> OperatorMatrix:
     return OperatorMatrix(dim=n_dim, entries=np.diag(a - 1j * c * b))
 
 
-def hermite_exponential(m_count: int) -> np.ndarray:
-    """Eigenphases i^n of the complete Fourier transform on Hermite functions.
-
-    Convention note: with the oscillator Hamiltonian normalized as
-    H = (d^2/dx^2 - x^2 - 1)/2 the literal exponential exp(-i pi H / 2)
-    carries an extra global factor i relative to the transform; the returned
-    sequence is the one that fixes the Gaussian (period 4 in n).
-    """
-    if m_count < 1:
-        raise DomainError("need at least one mode")
-    return (1j) ** np.arange(m_count)
-
-
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Unit-norm Hermite functions h_n(x) ~ H_n(x) exp(-x^2/2) on a grid."""
-
-    m_count: int
-    grid: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray  # shape (m_count, len(grid))
-
-
-def hermite_basis(m_count: int, half_width: float | None = None, n_quad: int | None = None) -> HermiteBasis:
-    """Sample h_0..h_{m-1} on a Gauss grid wide enough for orthonormality.
+def hermite_values(m_count: int, x) -> np.ndarray:
+    """Unit-norm Hermite functions h_0..h_{m-1} at x, shape (m_count,) + shape(x).
 
     Stable three-term recurrence
     h_{n+1} = x sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}.
     """
-    if m_count < 1:
-        raise DomainError("need at least one mode")
-    if half_width is None:
-        half_width = math.sqrt(2 * m_count) + 4.0
-    if n_quad is None:
-        n_quad = max(256, 8 * m_count)
-    rule = gauss_legendre_rule(n_quad)
-    grid = half_width * rule.nodes
-    weights = half_width * rule.weights
-    values = hermite_values(m_count, grid)
-    return HermiteBasis(m_count=m_count, grid=grid, weights=weights, values=values)
-
-
-def hermite_values(m_count: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     values = np.empty((m_count,) + x.shape)
     values[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
@@ -176,10 +125,10 @@ def dilated_pswf(basis: ProlateBasis, n: int, x) -> np.ndarray:
     return basis.c ** (-0.25) * pswf_eval(basis, n, np.clip(u, -1.0, 1.0))
 
 
-def hermite_distance(basis: ProlateBasis, n: int, n_quad: int = 400) -> float:
+def hermite_distance(basis: ProlateBasis, n: int) -> float:
     """L2 distance between the dilated mode n and h_n on [-sqrt(c), sqrt(c)]."""
     half = math.sqrt(basis.c)
-    rule = gauss_legendre_rule(n_quad)
+    rule = gauss_legendre_rule(HERMITE_QUAD)
     grid = half * rule.nodes
     weights = half * rule.weights
     diff = dilated_pswf(basis, n, grid) - hermite_values(n + 1, grid)[n]
@@ -232,33 +181,6 @@ def fourier_phase_errors(basis: ProlateBasis, n_max: int) -> np.ndarray:
     quotients = np.einsum("in,in->n", v, fourier @ v)
     phase = np.angle(quotients) - math.pi * np.arange(count) / 2
     return np.abs((phase + math.pi) % (2 * math.pi) - math.pi)
-
-
-def large_c_eigen_convergence(c_list, n_max: int) -> list[dict]:
-    """Convergence report toward the complete-Fourier limit.
-
-    For each bandwidth and mode: the oscillator gap, the phase error of the
-    measured transform quotient against pi n / 2, and the L2 distance of the
-    dilated eigenfunction from the matching Hermite function.
-    """
-    rows = []
-    for c in c_list:
-        if c > 30:
-            raise DomainError("large-c report capped at c = 30 (desk scale)")
-        basis = solve_prolate(c)
-        gaps, phases = oscillator_gaps(basis, n_max), fourier_phase_errors(basis, n_max)
-        for n in range(n_max + 1):
-            rows.append(
-                {
-                    "c": float(c),
-                    "n": n,
-                    "delta": float(gaps[n]),
-                    "phase_error": float(phases[n]),
-                    "hermite_distance": hermite_distance(basis, n),
-                    "mu": basis.mu(n),
-                }
-            )
-    return rows
 
 
 def bessel_i0_series(z: float, tol: float = 1e-16) -> float:
@@ -327,37 +249,3 @@ def wkb_value(c: float, lam: float, y: float, b_coeff: float = 0.0) -> float:
     grow = a_coeff * math.exp(c * s) * pref * spectral
     decay = b_coeff * math.exp(-c * s) * pref * spectral
     return grow + decay
-
-
-def wkb_matching_ratio(c: float, lam: float, eps: float) -> float:
-    """WKB value at y = -1 + eps/c^2 over the matching form
-    A sqrt(c) exp(sqrt(2 eps)) / (2 eps)^(1/4)."""
-    y = -1.0 + eps / (c * c)
-    a_coeff = 1.0 / math.sqrt(2.0 * math.pi * c)
-    matching = a_coeff * math.sqrt(c) * math.exp(math.sqrt(2.0 * eps)) / (2.0 * eps) ** 0.25
-    return wkb_value(c, lam, y) / matching
-
-
-def wkb_scalar_check(c: float, lam: float, y_list) -> list[dict]:
-    """Relative deviation of the series from the WKB form on y points.
-
-    Points must stay 0.1 away from the singular set {-1, 0}; deviations are
-    O(1/c) for c >= 10.
-    """
-    if c < 10:
-        raise DomainError("WKB check intended for c >= 10")
-    rows = []
-    for y in y_list:
-        if y >= -0.1 or y <= -0.9:
-            raise DomainError(f"y = {y} too close to a turning point")
-        series = u_series_scalar(c, lam, y + 1.0, tol=1e-14).value
-        wkb = wkb_value(c, lam, y)
-        rows.append(
-            {
-                "y": float(y),
-                "series": series,
-                "wkb": wkb,
-                "rel_deviation": abs(series - wkb) / abs(series),
-            }
-        )
-    return rows

@@ -168,9 +168,9 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
 
 
 def cmd_export_operator(config: RunConfig, which: str) -> None:
-    op = build_operator(config, which)
     if not config.out:
         raise ProlateCalculusError("export-operator requires --out")
+    op = build_operator(config, which)
     params = {"c": config.c, "N": config.n_dim, "which": which, "variant": config.variant}
     if config.fmt == "json":
         dump_json(operator_to_dict(op, params), config.out)
@@ -182,14 +182,10 @@ def cmd_nystrom(config: RunConfig, n_modes: int, n_nodes: int) -> None:
     # nystrom_chi projects onto n_nodes // 2 Legendre degrees and needs >= 4.
     if n_nodes < 8 or not 1 <= n_modes <= n_nodes:
         raise DomainError(f"need 1 <= n_modes <= n_nodes and n_nodes >= 8, got {n_modes}, {n_nodes}")
-    result = nystrom_sinc_eigen(config.c, n_nodes=n_nodes, n_modes=n_modes)
-    columns = {
-        "n": np.arange(n_modes),
-        "mu": result.mu,
-        "chi": np.array([nystrom_chi(result, n) for n in range(n_modes)]),
-    }
     if not config.out:
         raise ProlateCalculusError("nystrom requires --out")
+    result = nystrom_sinc_eigen(config.c, n_nodes=n_nodes, n_modes=n_modes)
+    columns = {"n": np.arange(n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
     params = {"c": config.c, "nodes": n_nodes, "oracle": "nystrom"}
     if config.fmt == "json":
         dump_json(table_to_dict(columns, params), config.out)

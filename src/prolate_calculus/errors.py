@@ -57,12 +57,6 @@ class SeriesStallError(ProlateCalculusError, RuntimeError):
         self.worst_index = worst_index
 
 
-class StencilOutOfDomainError(ProlateCalculusError, ValueError):
-    """Finite-difference stencil would leave the admissible interval."""
-
-    kind = "stencil-out-of-domain"
-
-
 class QuadratureUnresolvedError(ProlateCalculusError, RuntimeError):
     """Operator entries drift when the quadrature order is doubled."""
 

@@ -85,22 +85,6 @@ class CoeffVector:
         table = legendre_table(self.n_coeffs - 1, x, extrapolate=extrapolate)
         return self.coeffs @ table
 
-    def to_grid(self, rule: QuadRule) -> "GridFunction":
-        return GridFunction(rule=rule, values=self.evaluate(rule.nodes))
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Samples of a function at the nodes of a quadrature rule."""
-
-    rule: QuadRule
-    values: np.ndarray
-
-    def to_coeffs(self, n_coeffs: int) -> CoeffVector:
-        table = legendre_table(n_coeffs - 1, self.rule.nodes)
-        coeffs = table @ (self.rule.weights * self.values)
-        return CoeffVector(coeffs=coeffs)
-
 
 def gauss_legendre_rule(order: int) -> QuadRule:
     """Gauss-Legendre rule of the given order, built once per process.
@@ -174,26 +158,10 @@ def legendre_table(n_max: int, x, extrapolate: bool = False) -> np.ndarray:
     return table * norms.reshape((-1,) + (1,) * x.ndim)
 
 
-def eval_legendre_orthonormal(n_max: int, x: float) -> np.ndarray:
-    """Values Pbar_0(x) .. Pbar_nmax(x); Pbar_n(1) = sqrt((2n+1)/2)."""
-    if abs(x) > 1.0:
-        raise DomainError(f"|x| = {abs(x)} > 1")
-    return legendre_table(n_max, np.asarray(float(x)))
-
-
 def position_offdiag(n_terms: int) -> np.ndarray:
     """Couplings a_n = (n+1)/sqrt((2n+1)(2n+3)) of x between Pbar_n, Pbar_n+1."""
     n = np.arange(n_terms, dtype=float)
     return (n + 1) / np.sqrt((2 * n + 1) * (2 * n + 3))
-
-
-def position_matrix(n_dim: int) -> BandedSymMatrix:
-    """Matrix of multiplication by x in the orthonormal Legendre basis."""
-    if n_dim < 2:
-        raise DomainError("position matrix needs dimension >= 2")
-    bands = np.zeros((2, n_dim))
-    bands[1, : n_dim - 1] = position_offdiag(n_dim - 1)
-    return BandedSymMatrix(dim=n_dim, half_bandwidth=1, bands=bands)
 
 
 def legendre_operator_diag(n_dim: int) -> np.ndarray:

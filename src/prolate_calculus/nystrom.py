@@ -59,39 +59,40 @@ def nystrom_sinc_eigen(c: float, n_nodes: int = DEFAULT_NODES, n_modes: int | No
     order = np.argsort(w)[::-1][:n_modes]
     mu = w[order]
     psi = h[:, order] / sw[:, None]
-    edge = _interp_values(c, rule, mu, psi, 1.0)
-    psi = psi * np.where(edge >= 0, 1.0, -1.0)
-    return NystromResult(c=c, rule=rule, mu=mu, psi_nodes=psi)
+    unsigned = NystromResult(c=c, rule=rule, mu=mu, psi_nodes=psi)
+    edge = nystrom_psi_value(unsigned, np.arange(n_modes), 1.0)
+    return NystromResult(c=c, rule=rule, mu=mu, psi_nodes=psi * np.where(edge >= 0, 1.0, -1.0))
 
 
-def _interp_values(c, rule, mu, psi, x):
-    k_row = sinc_kernel(c, x, rule.nodes)
-    return (k_row * rule.weights) @ psi / mu
+def nystrom_psi_value(result: NystromResult, n, x):
+    """Eigenfunction value anywhere in [-1,1] via the interpolation formula.
 
-
-def nystrom_psi_value(result: NystromResult, n: int, x):
-    """Eigenfunction value anywhere in [-1,1] via the interpolation formula."""
+    ``n`` is one mode index or an array of them; an array adds a trailing
+    mode axis to the result.
+    """
     x = np.asarray(x, dtype=float)
     k = sinc_kernel(result.c, x[..., None], result.rule.nodes)
     return (k * result.rule.weights) @ result.psi_nodes[:, n] / result.mu[n]
 
 
-def nystrom_chi(result: NystromResult, n: int, n_legendre: int | None = None) -> float:
-    """chi_n from the Rayleigh quotient of T on the Nystrom eigenvector.
+def nystrom_chi(result: NystromResult) -> np.ndarray:
+    """chi_n for every mode, from the Rayleigh quotient of T on its Nystrom eigenvector.
 
-    The eigenvector is projected onto Legendre coefficients by quadrature
-    (exact at this grid size for the relevant degrees), then contracted with
-    the banded matrix of T.
+    Each eigenvector is projected onto the first min(nodes/2, 160) Legendre
+    coefficients by quadrature (exact at this grid size for the relevant
+    degrees), then contracted with the banded matrix of T.
 
     The quotient is only as good as the eigenvector, and the eigenvector is
     ill-conditioned where the mu_n cluster or fall to rounding: eigh mixes
     modes whose mu agree to the last bit.  At c = 20, where mu_0 and mu_1
     both round to 1, chi_0 and chi_1 are 1.7e-3 off the spectral chi.
     """
-    if n_legendre is None:
-        n_legendre = min(result.rule.order // 2, 160)
+    n_legendre = min(result.rule.order // 2, 160)
     table = legendre_table(n_legendre - 1, result.rule.nodes)
-    coeffs = table @ (result.rule.weights * result.psi_nodes[:, n])
     matrix = assemble_heun_matrix(result.c, n_legendre)
-    quad_form = coeffs @ matrix.matvec(coeffs)
-    return float(-quad_form / (coeffs @ coeffs))
+    chi = np.empty(result.n_modes)
+    for n in range(result.n_modes):
+        coeffs = table @ (result.rule.weights * result.psi_nodes[:, n])
+        quad_form = coeffs @ matrix.matvec(coeffs)
+        chi[n] = -quad_form / (coeffs @ coeffs)
+    return chi

@@ -65,13 +65,13 @@ def table_to_dict(columns: dict, params: dict) -> dict:
     return {"schema": SCHEMA, "kind": "table", "params": dict(params), "data": data}
 
 
-def report_to_dict(report, params: dict | None = None) -> dict:
+def report_to_dict(report) -> dict:
     # Wall time deliberately excluded: artifacts must be byte-identical
     # across runs of the same configuration.
     return {
         "schema": SCHEMA,
         "kind": "report",
-        "params": dict(params or report.params),
+        "params": dict(report.params),
         "data": {
             "suite": report.suite,
             "passed": report.passed,

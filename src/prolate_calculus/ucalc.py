@@ -25,7 +25,9 @@ limits-large suites, and the tests).
 
 ``u_series_terms`` is the one scalar unrolling of the recurrence, in the
 scaled form t_k = xi^k U_k / k!; ``u_operator_matrix_series`` runs the same
-recurrence on the matrix of T as an independent reference.
+recurrence on the matrix of T.  No CLI route calls it and the package does
+not export it: the tests keep it as an independent reference for
+``u_operator_apply``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import (
     OutOfRangeError,
     RecurrenceOverflowError,
     SeriesStallError,
-    StencilOutOfDomainError,
 )
 from .legendre import CoeffVector, legendre_table
 from .prolate import ProlateBasis, assemble_heun_matrix
@@ -71,7 +72,7 @@ class USeriesResult:
     cancellation_bound: float
 
 
-def u_series_terms(c: float, lambdas, xi: float, k_max: int, dtype=SERIES_DTYPE):
+def u_series_terms(c: float, lambdas, xi: float, k_max: int):
     """Generator of scaled terms t_k = xi^k U_k(lambda) / k!, shape (len(lambdas),).
 
     Uses the recurrence rewritten for t_k directly,
@@ -79,8 +80,10 @@ def u_series_terms(c: float, lambdas, xi: float, k_max: int, dtype=SERIES_DTYPE)
         t_{k+1} = xi / (2 (k+1)^2) * [ (lambda + c^2 + k(k+1)) t_k
                                        - 2 c^2 xi t_{k-1} + c^2 xi^2 t_{k-2} ],
 
-    which never overflows for |xi| < 2 since t_k ~ (xi/2)^k.
+    which never overflows for |xi| < 2 since t_k ~ (xi/2)^k.  Terms are
+    ``SERIES_DTYPE``.
     """
+    dtype = SERIES_DTYPE
     lam = np.asarray(lambdas, dtype=dtype).ravel()
     xi = dtype(xi)
     c2 = dtype(c) * dtype(c)
@@ -241,40 +244,3 @@ def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.
         s_m2, s_m1, s = s_m1, s, nxt
         total += s
     return np.asarray(total, dtype=float)
-
-
-_STENCIL_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_STENCIL_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
-def heun_ode_residual(
-    c: float,
-    lam: float,
-    y_grid,
-    h: float = 1e-3,
-    tol: float = 1e-13,
-) -> np.ndarray:
-    """Residual of [(1-y^2) d^2 - 2y d - c^2 y^2 - lambda] U(y+1; lambda).
-
-    Fourth-order centered differences of the series solution; the residual is
-    O(h^4) plus the series tolerance.  U(y+1; lambda) solves this equation on
-    y in (-3, 1) with U(0) = 1, which pins the series down as the boundary
-    solution of the two-variable problem.
-    """
-    if not 1e-4 <= h <= 1e-2:
-        raise DomainError(f"h = {h} outside [1e-4, 1e-2]")
-    y_grid = np.asarray(y_grid, dtype=float).ravel()
-    if np.any(np.abs(y_grid) + 2 * h >= 1.0):
-        raise StencilOutOfDomainError(
-            "grid point within 2h of an endpoint; stencil leaves (-1, 1)"
-        )
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
-    residuals = np.empty(y_grid.size)
-    for i, y in enumerate(y_grid):
-        f = np.array(
-            [u_series_scalar(c, lam, y + 1.0 + d, tol=tol).value for d in offsets]
-        )
-        d1 = (_STENCIL_D1 @ f) / h
-        d2 = (_STENCIL_D2 @ f) / (h * h)
-        residuals[i] = (1.0 - y * y) * d2 - 2.0 * y * d1 - (c * c * y * y + lam) * f[2]
-    return residuals

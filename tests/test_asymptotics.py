@@ -8,27 +8,22 @@ from prolate_calculus import (
     DomainError,
     bessel_i0_series,
     bessel_limit_check,
-    dilated_heun_hermite_defect,
     dilated_pswf,
     finite_fourier_direct,
     fourier_eigenvalue,
     fourier_phase_errors,
-    hermite_basis,
+    gauss_legendre_rule,
     hermite_distance,
-    hermite_exponential,
-    large_c_eigen_convergence,
     oscillator_gaps,
     small_c_operator,
     solve_prolate,
     u_series_scalar,
-    wkb_matching_ratio,
-    wkb_scalar_check,
     wkb_value,
 )
 from prolate_calculus.asymptotics import (
     _small_c_terms,
+    dilated_heun_hermite_defect,
     hermite_values,
-    legendre_annihilator_diag,
     small_c_diagonal_terms,
 )
 
@@ -53,10 +48,13 @@ class TestSmallC:
         assert np.max(np.abs(imag_part[mask])) <= 1e-12
 
     def test_product_factors_annihilate_low_modes(self):
+        # The order-k product vanishes on modes m < k, so summing to k_max
+        # completes every mode m <= k_max exactly; higher modes stay truncated.
         for k in (1, 3, 7):
-            diag = legendre_annihilator_diag(16, k)
-            assert all(diag[m] == 0 for m in range(k))
-            assert all(diag[m] != 0 for m in range(k, 16))
+            a_terms, _ = small_c_diagonal_terms(16, k)
+            assert a_terms[0] == 2.0
+            assert np.all(a_terms[1 : k + 1] == 0.0)
+            assert np.all(a_terms[k + 1 :] != 0.0)
 
     def test_diagonal_terms_are_exact(self):
         a_terms, b_terms = small_c_diagonal_terms(20, 30)
@@ -95,15 +93,20 @@ class TestSmallC:
 
 
 class TestHermite:
-    def test_exponential_phases(self):
-        phases = hermite_exponential(8)
+    def test_exponential_phases(self, ops):
+        # F_c carries the eigenphases i^n of the complete transform on
+        # Hermite functions: period 4 in n, fixing the Gaussian.
+        basis = ops.basis(16.0, None)
+        phases = np.array([fourier_eigenvalue(basis, n) / basis.lam(n) for n in range(8)])
         assert phases[0] == 1
         assert phases[1] == 1j
         np.testing.assert_array_equal(phases[:4], phases[4:])
 
     def test_orthonormal_on_grid(self):
-        basis = hermite_basis(16)
-        gram = (basis.values * basis.weights) @ basis.values.T
+        half = math.sqrt(2 * 16) + 4.0
+        rule = gauss_legendre_rule(256)
+        values = hermite_values(16, half * rule.nodes)
+        gram = (values * half * rule.weights) @ values.T
         assert np.max(np.abs(gram - np.eye(16))) <= 1e-8
 
     def test_matches_scipy_hermite(self):
@@ -124,8 +127,6 @@ class TestDilation:
     def test_dilated_pswf_unit_norm(self, ops):
         basis = ops.basis(16.0, None)
         half = math.sqrt(16.0)
-        from prolate_calculus import gauss_legendre_rule
-
         rule = gauss_legendre_rule(300)
         vals = dilated_pswf(basis, 0, half * rule.nodes)
         norm = math.sqrt(half * rule.integrate(vals**2))
@@ -138,23 +139,14 @@ class TestLargeCLimit:
         assert defects[16.0] < defects[8.0] < defects[4.0]
         assert defects[16.0] <= defects[4.0] / 2
 
-    def test_convergence_report(self):
-        rows = large_c_eigen_convergence([4.0, 8.0, 16.0], n_max=4)
-        by_n = {}
-        for row in rows:
-            by_n.setdefault(row["n"], []).append(row)
-        for n, entries in by_n.items():
-            deltas = [e["delta"] for e in sorted(entries, key=lambda e: e["c"])]
-            assert deltas[0] > deltas[1] > deltas[2]
-        at_16 = [r for r in rows if r["c"] == 16.0]
-        assert all(r["phase_error"] <= 0.05 for r in at_16)
-        dist0 = {r["c"]: r["hermite_distance"] for r in rows if r["n"] == 0}
+    def test_convergence_report(self, ops):
+        bases = {c: ops.basis(c, None) for c in (4.0, 8.0, 16.0)}
+        gaps = [oscillator_gaps(basis, 4) for basis in bases.values()]
+        assert np.all(gaps[0] > gaps[1]) and np.all(gaps[1] > gaps[2])
+        assert np.all(fourier_phase_errors(bases[16.0], 4) <= 0.05)
+        dist0 = {c: hermite_distance(basis, 0) for c, basis in bases.items()}
         assert dist0[16.0] <= 0.05
         assert dist0[16.0] < dist0[4.0]
-
-    def test_desk_scale_cap(self):
-        with pytest.raises(DomainError):
-            large_c_eigen_convergence([40.0], n_max=1)
 
     def test_oscillator_gaps_from_lambdas(self, ops):
         basis = ops.basis(8.0, None)
@@ -179,7 +171,7 @@ class TestLargeCLimit:
 
     def test_second_routes_are_gone(self):
         import prolate_calculus
-        from prolate_calculus import asymptotics, prolate, ucalc
+        from prolate_calculus import asymptotics, errors, legendre, nystrom, prolate, ucalc
 
         for module, name in [
             (prolate, "fourier_rayleigh"),
@@ -187,8 +179,35 @@ class TestLargeCLimit:
             (ucalc, "UPolyTable"),
             (ucalc, "recurrence_coefficients"),
             (asymptotics, "DilationMap"),
+            (asymptotics, "legendre_annihilator_diag"),
+            (asymptotics, "hermite_exponential"),
+            (asymptotics, "HermiteBasis"),
+            (asymptotics, "hermite_basis"),
+            (asymptotics, "large_c_eigen_convergence"),
+            (asymptotics, "wkb_matching_ratio"),
+            (asymptotics, "wkb_scalar_check"),
+            (ucalc, "heun_ode_residual"),
+            (ucalc, "_STENCIL_D1"),
+            (ucalc, "_STENCIL_D2"),
+            (errors, "StencilOutOfDomainError"),
+            (legendre, "GridFunction"),
+            (legendre, "eval_legendre_orthonormal"),
+            (legendre, "position_matrix"),
+            (nystrom, "_interp_values"),
         ]:
             assert not hasattr(module, name)
+            assert not hasattr(prolate_calculus, name)
+        assert not hasattr(legendre.CoeffVector, "to_grid")
+        # Test oracles and the pieces of the planned limits-large records
+        # stay in their modules, off the package surface.
+        for module, name in [
+            (ucalc, "u_operator_matrix_series"),
+            (errors, "RecurrenceOverflowError"),
+            (nystrom, "nystrom_psi_value"),
+            (asymptotics, "dilated_heun_hermite_defect"),
+            (asymptotics, "hermite_ladder_matrices"),
+        ]:
+            assert hasattr(module, name)
             assert not hasattr(prolate_calculus, name)
 
     def test_hermite_distance_tracks_modes(self, ops):
@@ -234,8 +253,9 @@ class TestWkb:
     def test_deviation_is_order_one_over_c(self):
         devs = {}
         for c in (10.0, 20.0):
-            basis = solve_prolate(c)
-            devs[c] = wkb_scalar_check(c, -basis.chi[0], [-0.5])[0]["rel_deviation"]
+            lam = -solve_prolate(c).chi[0]
+            series = u_series_scalar(c, lam, 0.5, tol=1e-14).value
+            devs[c] = abs(series - wkb_value(c, lam, -0.5)) / abs(series)
         assert abs(devs[20.0] / devs[10.0] - 0.5) <= 0.3
 
     def test_matching_region_consistency(self):
@@ -247,14 +267,6 @@ class TestWkb:
         y_star = -1.0 + eps / (c * c)
         series = u_series_scalar(c, lam, y_star + 1.0, tol=1e-14).value
         assert abs(series - wkb_value(c, lam, y_star)) / abs(series) <= 0.05
-
-    def test_matching_ratio_improves_with_c(self):
-        # The simplified corner form drops O(1/c) factors; the gap shrinks.
-        gaps = {}
-        for c in (20.0, 40.0):
-            basis = solve_prolate(c)
-            gaps[c] = abs(wkb_matching_ratio(c, -basis.chi[0], 30.0) - 1.0)
-        assert gaps[40.0] < gaps[20.0]
 
     def test_decaying_branch_absence(self):
         # The decaying branch is suppressed by exp(-2c sqrt(1-y^2)), below
@@ -282,9 +294,6 @@ class TestWkb:
     def test_domain_guards(self, ops):
         basis = ops.basis(20.0, None)
         lam = -basis.chi[0]
-        with pytest.raises(DomainError):
-            wkb_scalar_check(5.0, lam, [-0.5])
-        with pytest.raises(DomainError):
-            wkb_scalar_check(20.0, lam, [-0.05])
-        with pytest.raises(DomainError):
-            wkb_value(20.0, lam, 0.5)
+        for y in (-1.0, 0.0, 0.5):
+            with pytest.raises(DomainError):
+                wkb_value(20.0, lam, y)

@@ -103,6 +103,25 @@ class TestExitCodes:
         assert "error[out-of-range]" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (("export-operator", "T", "--c", "2"), "build_operator"),
+            (("export-operator", "Fc-reconstructed", "--c", "40"), "build_operator"),
+            (("nystrom", "--c", "2"), "nystrom_sinc_eigen"),
+        ],
+        ids=["export-T", "export-unresolvable-c", "nystrom"],
+    )
+    def test_missing_out_is_refused_before_any_work(self, argv, stage, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was checked")
+
+        monkeypatch.setattr(cli, stage, refuse)
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error[error]: {argv[0]} requires --out\n"
+        assert captured.out == ""
+
     def test_smallest_sizes_nystrom_accepts(self, tmp_path):
         out = tmp_path / "ny.json"
         assert cli.main(["nystrom", "--n-nodes", "8", "--n-modes", "8", "--out", str(out)]) == 0

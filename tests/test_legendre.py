@@ -5,18 +5,16 @@ import pytest
 from scipy.special import eval_legendre
 
 from prolate_calculus import (
+    BandedSymMatrix,
     CoeffVector,
     DomainError,
-    GridFunction,
     RuleTooLargeError,
     default_truncation,
-    eval_legendre_orthonormal,
     gauss_legendre_rule,
     legendre_operator_diag,
     legendre_table,
-    position_matrix,
 )
-from prolate_calculus.legendre import MAX_RULE_ORDER, _build_rule
+from prolate_calculus.legendre import MAX_RULE_ORDER, _build_rule, position_offdiag
 
 
 def orthonormal_oracle(n, x):
@@ -108,21 +106,21 @@ class TestRuleCache:
 
 class TestOrthonormalLegendre:
     def test_low_orders_at_zero(self):
-        values = eval_legendre_orthonormal(1, 0.0)
+        values = legendre_table(1, 0.0)
         np.testing.assert_allclose(values, [1 / math.sqrt(2), 0.0], atol=1e-15)
 
     def test_values_at_one(self):
-        values = eval_legendre_orthonormal(3, 1.0)
+        values = legendre_table(3, 1.0)
         expected = [math.sqrt((2 * n + 1) / 2) for n in range(4)]
         np.testing.assert_allclose(values, expected, rtol=1e-14)
 
     def test_alternating_signs_at_minus_one(self):
-        values = eval_legendre_orthonormal(2, -1.0)
+        values = legendre_table(2, -1.0)
         assert values[0] > 0 and values[1] < 0 and values[2] > 0
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            eval_legendre_orthonormal(3, 1.5)
+            legendre_table(3, 1.5)
 
     def test_extrapolation_is_opt_in(self):
         with pytest.raises(DomainError):
@@ -139,35 +137,39 @@ class TestOrthonormalLegendre:
 
 
 class TestPositionMatrix:
+    """Multiplication by x, built from its couplings in banded storage."""
+
+    @staticmethod
+    def dense(n_dim):
+        bands = np.zeros((2, n_dim))
+        bands[1, : n_dim - 1] = position_offdiag(n_dim - 1)
+        return BandedSymMatrix(dim=n_dim, half_bandwidth=1, bands=bands).to_dense()
+
     def quadrature_coupling(self, n):
         # Independent oracle: <x Pbar_n, Pbar_n+1> by quadrature on scipy values.
         x, w = np.polynomial.legendre.leggauss(12)
         return np.sum(w * x * orthonormal_oracle(n, x) * orthonormal_oracle(n + 1, x))
 
     def test_first_couplings_match_quadrature_oracle(self):
-        mat = position_matrix(3)
-        assert abs(mat.bands[1, 0] - self.quadrature_coupling(0)) <= 1e-14
-        assert abs(mat.bands[1, 1] - self.quadrature_coupling(1)) <= 1e-14
-        assert abs(mat.bands[1, 0] - 1 / math.sqrt(3)) <= 1e-15
-        assert abs(mat.bands[1, 1] - 2 / math.sqrt(15)) <= 1e-15
+        a = position_offdiag(2)
+        assert abs(a[0] - self.quadrature_coupling(0)) <= 1e-14
+        assert abs(a[1] - self.quadrature_coupling(1)) <= 1e-14
+        assert abs(a[0] - 1 / math.sqrt(3)) <= 1e-15
+        assert abs(a[1] - 2 / math.sqrt(15)) <= 1e-15
 
     def test_symmetry_is_structural(self):
-        dense = position_matrix(6).to_dense()
+        dense = self.dense(6)
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0.0)
 
     def test_square_is_pentadiagonal_with_e0_form_one_third(self):
-        dense = position_matrix(8).to_dense()
+        dense = self.dense(8)
         squared = dense @ dense
         for k in range(3, 8):
             assert np.max(np.abs(np.diag(squared, k))) == 0.0
         e0 = np.zeros(8)
         e0[0] = 1.0
         assert abs(e0 @ squared @ e0 - 1.0 / 3.0) <= 1e-12
-
-    def test_rejects_small_dims(self):
-        with pytest.raises(DomainError):
-            position_matrix(1)
 
 
 class TestLegendreOperator:
@@ -187,12 +189,12 @@ class TestCoeffAndGrid:
         assert abs(l2 - vec.norm()) <= 1e-12 * vec.norm()
 
     def test_grid_roundtrip_on_polynomials(self, rng):
+        # Samples -> coefficients by quadrature -> samples, on a degree-9 polynomial.
         rule = gauss_legendre_rule(24)
-        coeffs = np.zeros(10, dtype=complex)
-        coeffs[:10] = rng.standard_normal(10)
-        grid = CoeffVector(coeffs=coeffs).to_grid(rule)
-        back = grid.to_coeffs(10).to_grid(rule)
-        assert np.max(np.abs(back.values - grid.values)) <= 1e-10
+        values = CoeffVector(coeffs=rng.standard_normal(10)).evaluate(rule.nodes)
+        coeffs = legendre_table(9, rule.nodes) @ (rule.weights * values)
+        back = CoeffVector(coeffs=coeffs).evaluate(rule.nodes)
+        assert np.max(np.abs(back - values)) <= 1e-10
 
     def test_default_truncation_rule(self):
         assert default_truncation(1.0) == 64

@@ -8,18 +8,15 @@ import prolate_calculus
 from prolate_calculus import (
     CoeffVector,
     DomainError,
-    RecurrenceOverflowError,
     SeriesStallError,
-    StencilOutOfDomainError,
     boundary_ratios,
-    heun_ode_residual,
     pswf_eval,
     reflect,
     u_operator_apply,
-    u_operator_matrix_series,
     u_series_scalar,
 )
-from prolate_calculus.ucalc import u_series_terms
+from prolate_calculus.errors import RecurrenceOverflowError
+from prolate_calculus.ucalc import u_operator_matrix_series, u_series_terms
 
 
 class TestUPolyTable:
@@ -278,19 +275,28 @@ class TestMatrixSeries:
 
 
 class TestHeunOdeResidual:
+    """U(y+1; lambda) solves [(1-y^2) d^2 - 2y d - c^2 y^2 - lambda] U = 0 on
+    (-1, 1) with U = 1 at y = -1, which pins the series down as the boundary
+    solution of the two-variable problem."""
+
+    @staticmethod
+    def residual(c, lam, y_grid, h=1e-3):
+        # Fourth-order centred differences of the series: O(h^4) plus its tolerance.
+        d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+        d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+        out = []
+        for y in y_grid:
+            xi = y + 1.0 + h * np.arange(-2, 3)
+            f = np.array([u_series_scalar(c, lam, x, tol=1e-13).value for x in xi])
+            du, d2u = (d1 @ f) / h, (d2 @ f) / h**2
+            out.append((1.0 - y * y) * d2u - 2.0 * y * du - (c * c * y * y + lam) * f[2])
+        return np.array(out)
+
     def test_c_zero_exact_linear_solution(self):
-        resid = heun_ode_residual(0.0, -2.0, [-0.5, 0.0, 0.5], h=1e-3)
+        resid = self.residual(0.0, -2.0, [-0.5, 0.0, 0.5])
         assert np.max(np.abs(resid)) <= 1e-9
 
     def test_prolate_mode_solution(self, ops):
         basis = ops.basis(1.0, 64)
-        resid = heun_ode_residual(1.0, -basis.chi[0], [-0.7, -0.3, 0.3, 0.7], h=1e-3)
+        resid = self.residual(1.0, -basis.chi[0], [-0.7, -0.3, 0.3, 0.7])
         assert np.max(np.abs(resid)) <= 1e-6
-
-    def test_stencil_domain_guard(self):
-        with pytest.raises(StencilOutOfDomainError):
-            heun_ode_residual(1.0, -2.0, [0.999], h=1e-3)
-
-    def test_h_range_guard(self):
-        with pytest.raises(DomainError):
-            heun_ode_residual(1.0, -2.0, [0.0], h=1e-5)
