@@ -8,9 +8,22 @@ The JSON layout is fixed as schema ``prolate-calculus/v1``::
      "data":   ...}
 
 Operator data is a flat row-major list of ``[re, im]`` pairs; table data is a
-mapping of column name to value list.  Floats serialize as Python's shortest
-round-trip decimals, so identical inputs produce byte-identical files and a
-re-import reproduces entries bit-exactly.
+mapping of column name to value list.  Identical inputs produce
+byte-identical files, and a re-import reproduces entries bit-exactly.
+
+The byte layout of every written file is frozen:
+
+- JSON is ``json.dumps(payload, sort_keys=True, indent=1)`` plus a final
+  newline: sorted keys, one space of indent per level, floats as Python's
+  shortest round-trip ``repr`` and non-finite floats as json's ``NaN``,
+  ``Infinity`` and ``-Infinity`` tokens.
+- CSV has ``\r\n`` line ends, a header row, and floats formatted ``%.17g``
+  (``nan``, ``inf``, ``-inf`` for non-finite values, ``-0`` for -0.0).
+
+The operator body is written from the array: ``operator_to_dict`` keeps it
+as a (dim², 2) float array, and ``dump_json`` and ``operator_to_csv`` format
+it a block of rows at a time with one ``%`` template per block, never entry
+by entry.  The bytes are those of the layout above.
 """
 
 from __future__ import annotations
@@ -26,12 +39,15 @@ from .transforms import OperatorMatrix
 
 SCHEMA = "prolate-calculus/v1"
 _CSV_FMT = "%.17g"
+# Operator rows (entries) formatted per write: bounds the temporary strings.
+_BLOCK_ROWS = 512
 
 
 def operator_to_dict(op: OperatorMatrix, params: dict) -> dict:
-    pairs = [
-        [float(z.real), float(z.imag)] for z in op.entries.ravel(order="C")
-    ]
+    flat = op.entries.ravel()
+    pairs = np.empty((flat.size, 2))
+    pairs[:, 0] = flat.real
+    pairs[:, 1] = flat.imag
     return {
         "schema": SCHEMA,
         "kind": "operator",
@@ -45,11 +61,16 @@ def operator_from_dict(payload: dict) -> OperatorMatrix:
         raise DomainError(f"unknown schema {payload.get('schema')!r}")
     if payload.get("kind") != "operator":
         raise DomainError(f"payload kind {payload.get('kind')!r} is not an operator")
-    dim = int(payload["params"]["dim"])
-    flat = np.array(payload["data"], dtype=float)
-    if flat.shape != (dim * dim, 2):
+    try:
+        dim = int(payload["params"]["dim"])
+        flat = np.array(payload["data"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed operator payload: {exc}") from exc
+    if dim < 1 or flat.shape != (dim * dim, 2):
         raise DomainError("operator data has the wrong shape")
-    entries = (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)
+    # A view, not re + 1j*im: that turns (-0.0, 0.0) into 0.0 and an
+    # infinite imaginary part into a NaN real part.
+    entries = flat.view(complex).reshape(dim, dim)
     return OperatorMatrix(dim=dim, entries=entries)
 
 
@@ -97,8 +118,34 @@ def _json_scalar(v):
 
 
 def dump_json(payload: dict, path) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    pairs = payload.get("data")
+    if not isinstance(pairs, np.ndarray):
+        text = json.dumps(payload, sort_keys=True, indent=1)
+        Path(path).write_text(text + "\n", encoding="utf-8")
+        return
+    text = json.dumps(dict(payload, data=[]), sort_keys=True, indent=1) + "\n"
+    # "data" sorts first, so its empty list is the first one in the text.
+    head, tail = text.split('"data": []', 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + '"data": [')
+        if pairs.size:
+            blocks = _formatted_rows(pairs, "  [\n   %r,\n   %r\n  ]", ",\n")
+            if not np.isfinite(pairs).all():
+                # repr gives nan, inf, -inf; json writes NaN, Infinity, -Infinity.
+                blocks = (b.replace("nan", "NaN").replace("inf", "Infinity") for b in blocks)
+            fh.write("\n")
+            fh.writelines(blocks)
+            fh.write("\n ")
+        fh.write("]" + tail)
+
+
+def _formatted_rows(rows: np.ndarray, template: str, sep: str = ""):
+    """Text of ``template % row`` for each row of a 2-D float array, rows
+    joined by ``sep``, in blocks of ``_BLOCK_ROWS`` rows with one ``%`` each."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+        yield sep + text if start else text
 
 
 def load_json(path) -> dict:
@@ -106,13 +153,16 @@ def load_json(path) -> dict:
 
 
 def operator_to_csv(op: OperatorMatrix, path) -> None:
+    # The rows csv.writer would write: indices and %.17g floats never need
+    # quoting, and its line end is \r\n.
+    rows = np.empty((op.dim, op.dim, 4))
+    rows[..., 0] = np.arange(op.dim)[:, None]
+    rows[..., 1] = np.arange(op.dim)[None, :]
+    rows[..., 2] = op.entries.real
+    rows[..., 3] = op.entries.imag
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for i in range(op.dim):
-            for j in range(op.dim):
-                z = op.entries[i, j]
-                writer.writerow([i, j, _CSV_FMT % z.real, _CSV_FMT % z.imag])
+        fh.write("row,col,re,im\r\n")
+        fh.writelines(_formatted_rows(rows.reshape(-1, 4), f"%d,%d,{_CSV_FMT},{_CSV_FMT}\r\n"))
 
 
 def table_to_csv(columns: dict, path) -> None:

@@ -1,13 +1,17 @@
-"""End-to-end CLI checks through subprocess, including artifact round-trips."""
+"""End-to-end CLI checks, through subprocess and in process, including artifact round-trips."""
 
+import contextlib
 import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prolate_calculus import RunConfig, cli, run_suite
 from prolate_calculus.asymptotics import _small_c_terms
@@ -255,6 +259,57 @@ class TestExportOperator:
         )
         assert proc.returncode == 0
         assert out.read_text().splitlines()[0] == "row,col,re,im"
+
+
+def _read_operator_csv(path, dim):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["row", "col", "re", "im"]
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [(i, j) for i in range(dim) for j in range(dim)]
+    parts = np.array([[float(r[2]), float(r[3])] for r in rows[1:]])
+    return parts.view(complex).reshape(dim, dim)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    which=st.sampled_from(cli.OPERATOR_NAMES),
+    c=st.floats(0.0, 25.0),
+    n_trunc=st.one_of(st.just(0), st.integers(4, 48)),
+    fmt=st.sampled_from(("json", "csv")),
+    variant=st.sampled_from(("folded", "full")),
+)
+def test_export_operator_fuzz_writes_what_it_builds(which, c, n_trunc, fmt, variant, tmp_path):
+    """In process: exit 0 or a typed refusal (2), and on 0 a file that reads
+    back bit-exactly to the operator ``build_operator`` gives."""
+    out = tmp_path / f"op.{fmt}"
+    out.unlink(missing_ok=True)
+    argv = ["export-operator", which, "--c", repr(c), "--n-trunc", str(n_trunc),
+            "--format", fmt, "--variant", variant, "--out", str(out)]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert stderr.getvalue().startswith("error[")
+        assert not out.exists()
+        return
+    assert stderr.getvalue() == ""
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    expected = cli.build_operator(config, which).entries
+    if fmt == "json":
+        written = operator_from_dict(load_json(out)).entries
+    else:
+        written = _read_operator_csv(out, config.n_dim)
+    assert written.shape == expected.shape
+    assert written.tobytes() == np.ascontiguousarray(expected, dtype=complex).tobytes()
 
 
 class TestVerifyArtifacts:
