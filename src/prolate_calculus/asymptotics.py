@@ -183,7 +183,7 @@ def fourier_phase_errors(basis: ProlateBasis, n_max: int) -> np.ndarray:
     return np.abs((phase + math.pi) % (2 * math.pi) - math.pi)
 
 
-def bessel_i0_series(z: float, tol: float = 1e-16) -> float:
+def bessel_i0_series(z: float) -> float:
     """Modified Bessel I_0 by its power series sum_k (z^2/4)^k / (k!)^2.
 
     Deliberately independent of any library Bessel routine; used as the
@@ -195,7 +195,7 @@ def bessel_i0_series(z: float, tol: float = 1e-16) -> float:
     for k in range(1, 400):
         term *= q / (k * k)
         total += term
-        if term < tol * total:
+        if term < 1e-16 * total:
             break
     return total
 
@@ -231,14 +231,13 @@ def bessel_limit_check(c: float, eps_list, lambda_ref: float) -> list[dict]:
     return rows
 
 
-def wkb_value(c: float, lam: float, y: float, b_coeff: float = 0.0) -> float:
+def wkb_value(c: float, lam: float, y: float) -> float:
     """Exponential approximation of U(y+1; lambda) away from y in {0, +-1}.
 
     A exp(+c sqrt(1-y^2)) branch with A = 1/sqrt(2 pi c); the prefactor uses
     1/sqrt(|y|) (branch conventions absorbed into the matching constant) and
     the spectral factor ((1 + s)/(1 - s))^(lambda/4c) with s = sqrt(1-y^2).
-    An optional decaying branch with coefficient ``b_coeff`` is exposed so
-    its absence can be tested.
+    The decaying exp(-c sqrt(1-y^2)) branch has coefficient 0.
     """
     if y <= -1.0 or y >= 0.0:
         raise DomainError("WKB form evaluated on y in (-1, 0) only")
@@ -246,6 +245,4 @@ def wkb_value(c: float, lam: float, y: float, b_coeff: float = 0.0) -> float:
     pref = 1.0 / (math.sqrt(abs(y)) * (1.0 - y * y) ** 0.25)
     spectral = ((1.0 + s) / (1.0 - s)) ** (lam / (4.0 * c))
     a_coeff = 1.0 / math.sqrt(2.0 * math.pi * c)
-    grow = a_coeff * math.exp(c * s) * pref * spectral
-    decay = b_coeff * math.exp(-c * s) * pref * spectral
-    return grow + decay
+    return a_coeff * math.exp(c * s) * pref * spectral

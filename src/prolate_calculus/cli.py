@@ -1,10 +1,18 @@
 """Command-line front end.
 
-Commands:
+Commands and the flags each one reads:
   pswf             eigenvalue/endpoint table for the prolate basis
+                   --c --n-trunc --out --format
   verify           run one named verification suite
+                   --suite --c --n-trunc --variant --seed --out --format
   export-operator  write an operator matrix artifact
+                   WHICH --c --n-trunc --variant --out --format
   nystrom          regenerate the independent oracle fixtures for mu_n, chi_n
+                   --c --n-modes --n-nodes --out --format
+
+``--variant`` selects the full or folded xi integral of the fourier and sinc
+suites and of the two reconstructed operators; ``--seed`` draws the
+translation suite's test points.  Each check carries its own fixed tolerance.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """
@@ -12,6 +20,7 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -39,6 +48,17 @@ from .transforms import (
 from .verify import SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
+RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
+
+_FLAGS = {
+    "--c": dict(type=float, default=1.0, help="bandwidth parameter"),
+    "--n-trunc": dict(type=int, default=0, help="basis size (0 = auto)"),
+    "--variant": dict(choices=("full", "folded"), default="folded"),
+    "--out": dict(default=None, help="output file path"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
+    "--seed": dict(type=int, default=1234),
+}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,25 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--c", type=float, default=1.0, help="bandwidth parameter")
-        p.add_argument("--n-trunc", type=int, default=0, help="basis size (0 = auto)")
-        p.add_argument("--tol", type=float, default=None, help="headline tolerance override")
-        p.add_argument("--variant", choices=("full", "folded"), default="folded")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=1234)
+    def flags(p, *names):
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
 
     p_pswf = sub.add_parser("pswf", help="write the eigenvalue table")
-    common(p_pswf)
+    flags(p_pswf, "--c", "--n-trunc", "--out", "--format")
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
-    common(p_verify)
+    flags(p_verify, "--c", "--n-trunc", "--variant", "--out", "--format", "--seed")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
 
     p_export = sub.add_parser("export-operator", help="write an operator matrix")
     p_export.add_argument("which", choices=OPERATOR_NAMES)
-    common(p_export)
+    flags(p_export, "--c", "--n-trunc", "--variant", "--out", "--format")
 
     p_ny = sub.add_parser(
         "nystrom",
@@ -76,22 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
         "are ill-conditioned where the mu_n cluster: at c = 20, n = 0, 1 it is 1.7e-3 "
         "off the spectral chi.",
     )
-    common(p_ny)
+    flags(p_ny, "--c", "--out", "--format")
     p_ny.add_argument("--n-modes", type=int, default=9)
     p_ny.add_argument("--n-nodes", type=int, default=400)
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        c=args.c,
-        n_trunc=args.n_trunc,
-        tol=args.tol,
-        variant=args.variant,
-        out=args.out,
-        fmt=args.fmt,
-        seed=args.seed,
-    )
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
 
 
 def cmd_pswf(config: RunConfig) -> VerificationReport:
@@ -155,7 +162,7 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
         return finite_fourier_direct(config.c, n_dim)
     if which == "Qc":
         return sinc_kernel_direct(config.c, n_dim)
-    if which not in ("Fc-reconstructed", "Qc-reconstructed"):
+    if which not in RECONSTRUCTED:
         raise ProlateCalculusError(f"unknown operator {which!r}")
     # Reconstructions are assembled on an enlarged internal basis and cut
     # back, so every exported entry is converged (mode tails are not).
@@ -171,7 +178,9 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
     if not config.out:
         raise ProlateCalculusError("export-operator requires --out")
     op = build_operator(config, which)
-    params = {"c": config.c, "N": config.n_dim, "which": which, "variant": config.variant}
+    params = {"c": config.c, "N": config.n_dim, "which": which}
+    if which in RECONSTRUCTED:
+        params["variant"] = config.variant
     if config.fmt == "json":
         dump_json(operator_to_dict(op, params), config.out)
     else:

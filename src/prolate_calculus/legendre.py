@@ -81,8 +81,8 @@ class CoeffVector:
         # Parseval: the L2 norm on [-1,1] equals the Euclidean coefficient norm.
         return float(np.linalg.norm(self.coeffs))
 
-    def evaluate(self, x, extrapolate: bool = False):
-        table = legendre_table(self.n_coeffs - 1, x, extrapolate=extrapolate)
+    def evaluate(self, x):
+        table = legendre_table(self.n_coeffs - 1, x)
         return self.coeffs @ table
 
 
@@ -139,14 +139,13 @@ def _legendre_value_and_derivative(n: int, x: np.ndarray):
     return p, dp
 
 
-def legendre_table(n_max: int, x, extrapolate: bool = False) -> np.ndarray:
+def legendre_table(n_max: int, x) -> np.ndarray:
     """Table of orthonormal Legendre values, shape (n_max+1,) + shape(x).
 
-    The recurrence continues analytically outside [-1,1]; that use is only
-    legitimate for entire functions and must be requested explicitly.
+    Points with |x| > 1 (beyond a 1e-14 rounding margin) are refused.
     """
     x = np.asarray(x, dtype=float)
-    if not extrapolate and np.any(np.abs(x) > 1.0 + 1e-14):
+    if np.any(np.abs(x) > 1.0 + 1e-14):
         raise DomainError("evaluation point outside [-1, 1]")
     table = np.empty((n_max + 1,) + x.shape)
     table[0] = 1.0

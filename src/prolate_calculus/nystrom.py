@@ -59,8 +59,9 @@ def nystrom_sinc_eigen(c: float, n_nodes: int = DEFAULT_NODES, n_modes: int | No
     order = np.argsort(w)[::-1][:n_modes]
     mu = w[order]
     psi = h[:, order] / sw[:, None]
-    unsigned = NystromResult(c=c, rule=rule, mu=mu, psi_nodes=psi)
-    edge = nystrom_psi_value(unsigned, np.arange(n_modes), 1.0)
+    # psi_n(1) = (K psi_n)(1) / mu_n; its sign is read without the division,
+    # because a mode past the numerical rank has mu_n = 0.
+    edge = ((sinc_kernel(c, 1.0, rule.nodes) * rule.weights) @ psi) * np.sign(mu)
     return NystromResult(c=c, rule=rule, mu=mu, psi_nodes=psi * np.where(edge >= 0, 1.0, -1.0))
 
 

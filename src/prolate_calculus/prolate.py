@@ -197,16 +197,12 @@ def solve_prolate(c: float, n_dim: int | None = None) -> ProlateBasis:
     )
 
 
-def pswf_eval(basis: ProlateBasis, n: int, x, extrapolate: bool = False):
-    """psi_n(x) by Legendre-series summation.
-
-    Values for |x| > 1 are analytic continuation of an entire function and
-    must be requested with ``extrapolate=True``.
-    """
+def pswf_eval(basis: ProlateBasis, n: int, x):
+    """psi_n(x) for x in [-1, 1] by Legendre-series summation."""
     if not 0 <= n < basis.n_dim:
         raise IndexError(f"mode {n} outside 0..{basis.n_dim - 1}")
     x = np.asarray(x, dtype=float)
-    table = legendre_table(basis.n_dim - 1, x, extrapolate=extrapolate)
+    table = legendre_table(basis.n_dim - 1, x)
     return basis.psi_coeffs[:, n] @ table
 
 

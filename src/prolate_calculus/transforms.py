@@ -61,36 +61,29 @@ def _resolved_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
     return fine
 
 
-def _q_order(c: float, n_dim: int, q_order: int | None) -> int:
-    """Requested tensor-quadrature order, defaulted and checked against its floor."""
+def _q_order(c: float, n_dim: int) -> int:
+    """Tensor-quadrature order: the resolution floor n_dim + ceil(c) + 8."""
     if c < 0:
         raise DomainError("bandwidth c must be >= 0")
-    floor = n_dim + math.ceil(c) + 8
-    if q_order is None:
-        return floor
-    if q_order < floor:
-        raise DomainError(f"q_order {q_order} below resolution floor {floor}")
-    return q_order
+    return n_dim + math.ceil(c) + 8
 
 
-def finite_fourier_direct(c: float, n_dim: int, q_order: int | None = None) -> OperatorMatrix:
+def finite_fourier_direct(c: float, n_dim: int) -> OperatorMatrix:
     """Matrix of phi -> integral exp(icxt) phi(t) dt by tensor quadrature.
 
     Entries with m+n even are purely real and with m+n odd purely imaginary
     (cos/sin parity of the kernel).
     """
-    q_order = _q_order(c, n_dim, q_order)
     entries = _resolved_matrix(
-        lambda x, t: np.exp(1j * c * x * t), n_dim, q_order
+        lambda x, t: np.exp(1j * c * x * t), n_dim, _q_order(c, n_dim)
     )
     return OperatorMatrix(dim=n_dim, entries=entries)
 
 
-def sinc_kernel_direct(c: float, n_dim: int, q_order: int | None = None) -> OperatorMatrix:
+def sinc_kernel_direct(c: float, n_dim: int) -> OperatorMatrix:
     """Matrix of the sinc-kernel operator; real symmetric, spectrum in (0, 1)."""
-    q_order = _q_order(c, n_dim, q_order)
     entries = _resolved_matrix(
-        lambda x, t: sinc_kernel(c, x, t), n_dim, q_order
+        lambda x, t: sinc_kernel(c, x, t), n_dim, _q_order(c, n_dim)
     ).astype(complex)
     return OperatorMatrix(dim=n_dim, entries=entries)
 
@@ -164,8 +157,6 @@ def mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) -> 
 
 def _reconstruct(basis, variant, q_xi, weights_on):
     """Shared mode-wise reconstruction driver with an xi-doubling drift check."""
-    if q_xi is None:
-        q_xi = _default_q_xi(basis.c, basis.n_dim)
     coarse = mode_integrals(basis, weights_on, variant, q_xi)
     fine = mode_integrals(basis, weights_on, variant, 2 * q_xi)
     certified = basis.n_certified
@@ -178,28 +169,24 @@ def _reconstruct(basis, variant, q_xi, weights_on):
     return OperatorMatrix(dim=basis.n_dim, entries=entries)
 
 
-def reconstruct_fourier(
-    basis: ProlateBasis, variant: str = "folded", q_xi: int | None = None
-) -> OperatorMatrix:
+def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
     """Finite Fourier transform assembled from the translation family.
 
     full:   integral over xi in [0, 2] of exp(ic(1-xi)) U(xi; T)
     folded: integral over xi in [0, 1] of
             (exp(ic(1-xi)) + R exp(-ic(1-xi))) U(xi; T)
     """
-    return _reconstruct(basis, variant, q_xi, fourier_weights)
+    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), fourier_weights)
 
 
-def reconstruct_sinc(
-    basis: ProlateBasis, variant: str = "folded", q_xi: int | None = None
-) -> OperatorMatrix:
+def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
     """Sinc-kernel operator assembled from the translation family.
 
     full:   integral over [0, 2] of sin(c xi)/(pi xi) U(xi; T)
     folded: integral over [0, 1] of
             (sin(c xi)/(pi xi) + sin(c(2-xi))/(pi(2-xi)) R) U(xi; T)
     """
-    return _reconstruct(basis, variant, q_xi, sinc_weights)
+    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), sinc_weights)
 
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:

@@ -47,15 +47,16 @@ from .ucalc import boundary_ratios, u_operator_apply, u_series_scalar
 _IDENTITY_MODES = 9
 # Gauss nodes of the xi rule behind the per-mode identity.
 _IDENTITY_Q_XI = 64
+# Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
+_RECON_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters shared by every CLI command."""
+    """Parameters of one CLI command; fields it takes no flag for keep their defaults."""
 
     c: float = 1.0
     n_trunc: int = 0  # 0 = auto rule from the Legendre module
-    tol: float | None = None  # override of the suite's headline tolerance
     variant: str = "folded"
     out: str | None = None
     fmt: str = "json"
@@ -66,8 +67,6 @@ class RunConfig:
             raise DomainError(f"c must be finite and >= 0, got {self.c}")
         if self.n_trunc < 0:
             raise DomainError(f"n_trunc must be >= 0 (0 = auto), got {self.n_trunc}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise DomainError(f"tolerances must be finite and positive, got {self.tol}")
         if self.fmt not in ("json", "csv"):
             raise DomainError(f"format must be json or csv, got {self.fmt!r}")
         if self.variant not in ("full", "folded"):
@@ -134,8 +133,10 @@ def _report(suite, config, extra=None) -> VerificationReport:
 
 
 def _suite_translation(config: RunConfig) -> VerificationReport:
+    if config.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {config.seed}")
     rep = _report("translation", config)
-    tol = config.tol if config.tol is not None else (1e-10 if config.c == 0 else 1e-8)
+    tol = 1e-10 if config.c == 0 else 1e-8
     basis = solve_prolate(config.c, _identity_dim(config))
     rng = np.random.default_rng(config.seed)
     xis = rng.uniform(0.05, 1.5, size=10)
@@ -182,7 +183,6 @@ def _identity_dim(config: RunConfig) -> int:
 
 def _suite_fourier(config: RunConfig) -> VerificationReport:
     rep = _report("fourier", config, {"variant": config.variant})
-    tol = config.tol if config.tol is not None else 1e-7
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
     direct = finite_fourier_direct(config.c, n_dim)
@@ -191,7 +191,7 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     rel = np.linalg.norm(
         (recon.entries - direct.entries)[:block, :block]
     ) / np.linalg.norm(direct.entries[:block, :block])
-    rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, tol)
+    rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
     measured = mode_integrals(basis, fourier_weights, config.variant, _IDENTITY_Q_XI)
     worst = max(
@@ -201,13 +201,12 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
 
     other = reconstruct_fourier(basis, "full" if config.variant == "folded" else "folded")
     diff = np.linalg.norm((recon.entries - other.entries)[:block, :block])
-    rep.add("full vs folded variants", diff, tol)
+    rep.add("full vs folded variants", diff, _RECON_TOL)
     return rep
 
 
 def _suite_sinc(config: RunConfig) -> VerificationReport:
     rep = _report("sinc", config, {"variant": config.variant})
-    tol = config.tol if config.tol is not None else 1e-7
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
     direct = sinc_kernel_direct(config.c, n_dim)
@@ -218,7 +217,7 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
         raise DomainError(f"Q_c has norm 0 at c = {config.c:g}; its relative error is undefined")
     recon = reconstruct_sinc(basis, config.variant)
     rel = np.linalg.norm((recon.entries - direct.entries)[:block, :block]) / reference
-    rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, tol)
+    rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
     measured = mode_integrals(basis, sinc_weights, config.variant, _IDENTITY_Q_XI)
     worst = max(abs(measured[n] - basis.mu(n)) for n in range(_IDENTITY_MODES))
@@ -239,8 +238,8 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
 
 def _suite_limits_small(config: RunConfig) -> VerificationReport:
     c = config.c if 0 < config.c <= 0.1 else 0.1
-    rep = _report("limits-small", config, {"c_used": c})
     n_dim, k_max = 24, 30
+    rep = _report("limits-small", config, {"c_used": c, "N": n_dim})
 
     a_terms, b_terms = small_c_diagonal_terms(n_dim, k_max)
     rank_one = abs(a_terms[0] - 2.0) + float(np.max(np.abs(a_terms[1:])))
@@ -271,9 +270,8 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
         raise DomainError("limits-large requires c >= 4")
     c = config.c
     c_list = [c / 4, c / 2, c]
-    rep = _report("limits-large", config, {"c_list": c_list})
-
     bases = {cc: solve_prolate(cc) for cc in c_list}
+    rep = _report("limits-large", config, {"c_list": c_list, "N": bases[c].n_dim})
     quarter, half, full = (oscillator_gaps(bases[cc], 4) for cc in c_list)
     worst_gap = np.max(np.maximum(half - quarter, full - half))
     rep.add("sqrt(c/2pi) lambda_n -> 1 monotonically, n<=4", worst_gap, 0.0)
@@ -309,7 +307,7 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
 
 def _suite_commutation(config: RunConfig) -> VerificationReport:
     rep = _report("commutation", config)
-    tol = config.tol if config.tol is not None else 1e-8
+    tol = 1e-8
     n_dim = config.n_dim
     block = n_dim // 2
     t_op = OperatorMatrix(

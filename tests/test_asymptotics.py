@@ -282,7 +282,12 @@ class TestWkb:
         a_coeff = 1.0 / math.sqrt(2 * math.pi * c)
 
         def fit(b):
-            wkb = np.array([wkb_value(c, lam, y, b_coeff=b) for y in ys])
+            # A decaying branch b exp(-c s), s = sqrt(1 - y^2), added to the
+            # growing branch a exp(c s) that wkb_value returns.
+            wkb = np.array([
+                wkb_value(c, lam, y) * (1.0 + (b / a_coeff) * math.exp(-2.0 * c * math.sqrt(1.0 - y * y)))
+                for y in ys
+            ])
             return float(np.linalg.norm((wkb - series) / series))
 
         base = fit(0.0)

@@ -11,13 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prolate_calculus import RunConfig, cli, run_suite
+from prolate_calculus import RunConfig, cli, run_suite, verify
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import _build_rule
 from prolate_calculus.serialize import load_json, operator_from_dict
-from prolate_calculus.verify import SUITES
+from prolate_calculus.verify import SUITES, VerificationReport
 
 
 # The child interpreter imports the package from the same path as this one.
@@ -39,10 +39,17 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
-    def test_failing_check_exits_one(self):
-        proc = run_cli("verify", "--suite", "commutation", "--c", "2", "--tol", "1e-20")
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+    def test_failing_check_exits_one(self, monkeypatch, capsys, tmp_path):
+        def one_failing_record(config):
+            report = VerificationReport(suite="commutation", params={"c": config.c})
+            report.add("always above its tolerance", 1.0, 0.5)
+            return report
+
+        monkeypatch.setitem(SUITES, "commutation", one_failing_record)
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--suite", "commutation", "--c", "2", "--out", str(out)]) == 1
+        assert "[FAIL] always above its tolerance" in capsys.readouterr().out
+        assert load_json(out)["data"]["passed"] is False
 
     def test_usage_error_exits_two(self):
         proc = run_cli("verify", "--suite", "bogus")
@@ -58,8 +65,6 @@ class TestExitCodes:
         [
             ("pswf", "--c", "nan"),
             ("verify", "--suite", "translation", "--c", "inf"),
-            ("verify", "--suite", "commutation", "--tol", "nan"),
-            ("pswf", "--tol", "inf"),
             ("pswf", "--n-trunc", "-5"),
             ("verify", "--suite", "fourier", "--n-trunc", "10"),
             ("verify", "--suite", "sinc", "--n-trunc", "17"),
@@ -159,6 +164,52 @@ class TestSuiteSmoke:
         checks = load_json(out)["data"]["checks"]
         assert len(checks) >= 6
         assert all(math.isfinite(check["value"]) for check in checks)
+
+
+@pytest.mark.parametrize(
+    "argv, n_used",
+    [
+        (("limits-small", "--c", "0.05"), 24),
+        (("limits-small", "--c", "0.05", "--n-trunc", "100"), 24),
+        (("limits-large", "--c", "8", "--n-trunc", "30"), 64),
+    ],
+)
+def test_limits_reports_record_the_n_they_compute_on(argv, n_used, monkeypatch, tmp_path, capsys):
+    # Both suites fix their own basis size: limits-small a 24-mode Legendre
+    # block, limits-large the default truncation at the largest c.
+    used = []
+    real_fourier, real_solve = verify.finite_fourier_direct, verify.solve_prolate
+
+    def fourier_spy(c, n_dim):
+        used.append((c, n_dim))
+        return real_fourier(c, n_dim)
+
+    def solve_spy(c, n_dim=None):
+        basis = real_solve(c, n_dim)
+        used.append((c, basis.n_dim))
+        return basis
+
+    monkeypatch.setattr(verify, "finite_fourier_direct", fourier_spy)
+    monkeypatch.setattr(verify, "solve_prolate", solve_spy)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", *argv, "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    c = float(argv[2])
+    assert {n for cc, n in used if cc == c} == {n_used}
+    assert load_json(out)["params"]["N"] == n_used
+
+
+@pytest.mark.parametrize("which", cli.OPERATOR_NAMES)
+def test_export_records_the_variant_only_where_it_is_read(which, tmp_path, capsys):
+    out = tmp_path / "op.json"
+    argv = ["export-operator", which, "--c", "1", "--n-trunc", "8", "--variant", "full"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    params = load_json(out)["params"]
+    if which.endswith("-reconstructed"):
+        assert params["variant"] == "full"
+    else:
+        assert "variant" not in params
 
 
 def test_suite_registry_feeds_the_parser():
@@ -270,38 +321,76 @@ def _read_operator_csv(path, dim):
     return parts.view(complex).reshape(dim, dim)
 
 
-@settings(
-    max_examples=40,
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``, every warning raised."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _assert_outcome(code, stdout, stderr, out, fmt):
+    """Exit 0 or 1 with a written file that loads, or a typed refusal (2)."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stderr.startswith("error[")
+        assert stdout == ""
+        return
+    if out is None:
+        return
+    if fmt == "json":
+        assert load_json(out)["kind"] in ("table", "report")
+    else:
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) >= 2
+        assert all(len(row) == len(rows[0]) for row in rows)
+
+
+_FUZZ = settings(
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+_C = st.floats(0.0, 45.0)
+_N_TRUNC = st.one_of(st.just(0), st.integers(4, 80))
+_FORMATS = st.sampled_from(("json", "csv"))
+_VARIANTS = st.sampled_from(("folded", "full"))
+
+
+def _out_path(tmp_path, name, fmt, write):
+    """A fresh output path for one example, or None to run without --out."""
+    if not write:
+        return None
+    out = tmp_path / f"{name}.{fmt}"
+    out.unlink(missing_ok=True)
+    return out
+
+
+@settings(_FUZZ, max_examples=40)
 @given(
     which=st.sampled_from(cli.OPERATOR_NAMES),
     c=st.floats(0.0, 25.0),
     n_trunc=st.one_of(st.just(0), st.integers(4, 48)),
-    fmt=st.sampled_from(("json", "csv")),
-    variant=st.sampled_from(("folded", "full")),
+    fmt=_FORMATS,
+    variant=_VARIANTS,
 )
 def test_export_operator_fuzz_writes_what_it_builds(which, c, n_trunc, fmt, variant, tmp_path):
     """In process: exit 0 or a typed refusal (2), and on 0 a file that reads
     back bit-exactly to the operator ``build_operator`` gives."""
-    out = tmp_path / f"op.{fmt}"
-    out.unlink(missing_ok=True)
+    out = _out_path(tmp_path, "op", fmt, True)
     argv = ["export-operator", which, "--c", repr(c), "--n-trunc", str(n_trunc),
             "--format", fmt, "--variant", variant, "--out", str(out)]
-    stderr = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
+    code, _, stderr = _main_in_process(argv)
     assert code in (0, 2)
     if code == 2:
-        assert stderr.getvalue().startswith("error[")
+        assert stderr.startswith("error[")
         assert not out.exists()
         return
-    assert stderr.getvalue() == ""
+    assert stderr == ""
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     expected = cli.build_operator(config, which).entries
     if fmt == "json":
@@ -310,6 +399,55 @@ def test_export_operator_fuzz_writes_what_it_builds(which, c, n_trunc, fmt, vari
         written = _read_operator_csv(out, config.n_dim)
     assert written.shape == expected.shape
     assert written.tobytes() == np.ascontiguousarray(expected, dtype=complex).tobytes()
+
+
+@settings(_FUZZ, max_examples=40)
+@given(c=_C, n_trunc=_N_TRUNC, fmt=_FORMATS, write=st.booleans())
+def test_pswf_fuzz_exits_with_a_verdict_or_a_refusal(c, n_trunc, fmt, write, tmp_path):
+    out = _out_path(tmp_path, "pswf", fmt, write)
+    argv = ["pswf", "--c", repr(c), "--n-trunc", str(n_trunc), "--format", fmt]
+    if out is not None:
+        argv += ["--out", str(out)]
+    _assert_outcome(*_main_in_process(argv), out, fmt)
+
+
+@st.composite
+def _nystrom_sizes(draw):
+    n_nodes = draw(st.integers(8, 200))
+    return n_nodes, draw(st.integers(1, n_nodes))
+
+
+@settings(_FUZZ, max_examples=40)
+@given(c=_C, sizes=_nystrom_sizes(), fmt=_FORMATS)
+# Modes past the kernel's numerical rank, some with mu_n = 0 exactly.
+@example(c=35.45642296794748, sizes=(158, 95), fmt="json")
+def test_nystrom_fuzz_exits_with_a_table_or_a_refusal(c, sizes, fmt, tmp_path):
+    n_nodes, n_modes = sizes
+    out = _out_path(tmp_path, "ny", fmt, True)
+    argv = ["nystrom", "--c", repr(c), "--n-nodes", str(n_nodes), "--n-modes", str(n_modes),
+            "--format", fmt, "--out", str(out)]
+    _assert_outcome(*_main_in_process(argv), out, fmt)
+
+
+@settings(_FUZZ, max_examples=80)
+@given(
+    suite=st.sampled_from(list(SUITES)),
+    c=_C,
+    n_trunc=_N_TRUNC,
+    variant=_VARIANTS,
+    seed=st.integers(-2, 2**32),
+    fmt=_FORMATS,
+    write=st.booleans(),
+)
+@example(suite="translation", c=0.0, n_trunc=0, variant="folded", seed=-1, fmt="json", write=False)
+def test_verify_fuzz_exits_with_a_verdict_or_a_refusal(suite, c, n_trunc, variant, seed, fmt,
+                                                       write, tmp_path):
+    out = _out_path(tmp_path, "report", fmt, write)
+    argv = ["verify", "--suite", suite, "--c", repr(c), "--n-trunc", str(n_trunc),
+            "--variant", variant, "--seed", str(seed), "--format", fmt]
+    if out is not None:
+        argv += ["--out", str(out)]
+    _assert_outcome(*_main_in_process(argv), out, fmt)
 
 
 class TestVerifyArtifacts:

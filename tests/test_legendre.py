@@ -125,8 +125,6 @@ class TestOrthonormalLegendre:
     def test_extrapolation_is_opt_in(self):
         with pytest.raises(DomainError):
             legendre_table(4, np.array([1.2]))
-        table = legendre_table(4, np.array([1.2]), extrapolate=True)
-        assert np.all(np.isfinite(table))
 
     @pytest.mark.parametrize("n_dim", [8, 24])
     def test_gram_matrix_is_identity(self, n_dim):

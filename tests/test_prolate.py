@@ -290,4 +290,3 @@ class TestPswfEval:
         basis = ops.basis(1.0, 64)
         with pytest.raises(DomainError):
             pswf_eval(basis, 0, 1.1)
-        assert np.isfinite(pswf_eval(basis, 0, 1.1, extrapolate=True))

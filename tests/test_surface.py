@@ -1,9 +1,16 @@
-"""The package exports only names that the package itself runs."""
+"""The package exports only names that the package itself runs, and
+accepts only the options some caller reads."""
 
+import argparse
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
+import pytest
+
 import prolate_calculus
+from prolate_calculus import asymptotics, cli, legendre, prolate, transforms, verify
 
 PACKAGE = Path(prolate_calculus.__file__).parent
 
@@ -27,3 +34,66 @@ def test_every_export_is_loaded_outside_init():
                 loaded.add(node.attr)
     unused = sorted(exported - loaded)
     assert not unused, f"exported but never loaded by the package: {unused}"
+
+
+# Each command's argument slots: its positionals by dest, its options by flag.
+COMMAND_FLAGS = {
+    "pswf": {"--c", "--n-trunc", "--out", "--format"},
+    "verify": {"--suite", "--c", "--n-trunc", "--variant", "--seed", "--out", "--format"},
+    "export-operator": {"which", "--c", "--n-trunc", "--variant", "--out", "--format"},
+    "nystrom": {"--c", "--n-modes", "--n-nodes", "--out", "--format"},
+}
+REMOVED_FLAGS = [
+    ("pswf", "--tol"), ("pswf", "--variant"), ("pswf", "--seed"),
+    ("verify", "--tol"),
+    ("export-operator", "--tol"), ("export-operator", "--seed"),
+    ("nystrom", "--n-trunc"), ("nystrom", "--tol"), ("nystrom", "--variant"), ("nystrom", "--seed"),
+]
+REMOVED_PARAMETERS = [
+    (transforms.finite_fourier_direct, "q_order"),
+    (transforms.sinc_kernel_direct, "q_order"),
+    (transforms.reconstruct_fourier, "q_xi"),
+    (transforms.reconstruct_sinc, "q_xi"),
+    (legendre.legendre_table, "extrapolate"),
+    (prolate.pswf_eval, "extrapolate"),
+    (legendre.CoeffVector.evaluate, "extrapolate"),
+    (asymptotics.wkb_value, "b_coeff"),
+    (asymptotics.bessel_i0_series, "tol"),
+]
+
+
+def _command_slots():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {
+            action.option_strings[0] if action.option_strings else action.dest
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        for name, sub in commands.choices.items()
+    }
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    slots = _command_slots()
+    assert slots == COMMAND_FLAGS
+    assert sum(map(len, slots.values())) == 22
+
+
+def test_removed_parameters_are_gone():
+    for fn, name in REMOVED_PARAMETERS:
+        assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
+    assert "tol" not in {f.name for f in dataclasses.fields(verify.RunConfig)}
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_removed_flag_is_a_usage_error(command, flag, capsys, tmp_path):
+    argv = {"verify": ["verify", "--suite", "commutation"],
+            "export-operator": ["export-operator", "T"]}.get(command, [command])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, flag, "1", "--out", str(tmp_path / "unused.json")])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert captured.out == ""

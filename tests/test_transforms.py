@@ -20,7 +20,7 @@ from prolate_calculus import (
     sinc_kernel_direct,
     solve_prolate,
 )
-from prolate_calculus.transforms import _reconstruct, _resolved_matrix
+from prolate_calculus.transforms import _reconstruct, _resolved_matrix, fourier_weights
 from prolate_calculus.ucalc import boundary_ratios
 
 
@@ -70,10 +70,6 @@ class TestFourierDirect:
                 - sinc.entries
             )
             assert resid <= 1e-9
-
-    def test_q_order_floor_enforced(self):
-        with pytest.raises(DomainError):
-            finite_fourier_direct(1.0, 32, q_order=16)
 
 
 class TestSincDirect:
@@ -201,7 +197,7 @@ class TestReconstructions:
     def test_unresolved_xi_quadrature_raises(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(XiQuadratureUnresolvedError):
-            reconstruct_fourier(basis, "folded", q_xi=6)
+            _reconstruct(basis, "folded", 6, fourier_weights)
 
     def test_nan_drifts_are_refused(self, ops):
         # NaN > tol is False; both drift guards must still refuse.
@@ -217,8 +213,8 @@ class TestReconstructions:
         # Halving the node count changes the answer beyond tolerance only
         # when the internal doubling check fires (and raises).
         basis = ops.basis(1.0, 64)
-        full = reconstruct_fourier(basis, "folded", q_xi=44)
-        half = reconstruct_fourier(basis, "folded", q_xi=22)
+        full = _reconstruct(basis, "folded", 44, fourier_weights)
+        half = _reconstruct(basis, "folded", 22, fourier_weights)
         drift = np.linalg.norm((full.entries - half.entries)[:32, :32])
         assert drift <= 1e-7
 
