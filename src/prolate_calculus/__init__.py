@@ -13,7 +13,6 @@ from .errors import (
 )
 from .legendre import (
     BandedSymMatrix,
-    CoeffVector,
     QuadRule,
     default_truncation,
     gauss_legendre_rule,
@@ -23,13 +22,11 @@ from .legendre import (
 from .prolate import (
     ProlateBasis,
     assemble_heun_matrix,
-    fourier_eigenvalue,
     pswf_eval,
     solve_prolate,
 )
 from .nystrom import NystromResult, nystrom_chi, nystrom_sinc_eigen
 from .ucalc import (
-    USeriesResult,
     boundary_ratios,
     u_operator_apply,
     u_series_scalar,

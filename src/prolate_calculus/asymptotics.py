@@ -32,12 +32,14 @@ from .transforms import OperatorMatrix, finite_fourier_direct
 from .ucalc import u_series_scalar
 
 SMALL_C_MAX = 0.2
-SMALL_K_MAX = 30
+# Largest Legendre block of the small-c expansion: its rational product sums
+# run to order n_dim - 1 <= 30.
+SMALL_N_MAX = 31
 # Gauss order of the rule that hermite_distance integrates on.
 HERMITE_QUAD = 400
 
 
-def small_c_diagonal_terms(n_dim: int, k_max: int):
+def small_c_diagonal_terms(n_dim: int):
     """Exact diagonal coefficients (A_m, B_m) of the two-term expansion.
 
     The expansion reads  diag_m = A_m - i c B_m  with
@@ -45,20 +47,24 @@ def small_c_diagonal_terms(n_dim: int, k_max: int):
         A_m = 2 sum_k  prod_k(m) / (k! (k+1)!)
         B_m = 2 sum_k  (k/(k+2)) prod_k(m) / (k! (k+1)!)
 
-    Sums are finite (terms vanish for k > m) and evaluated in rational
-    arithmetic, so A_0 = 2 and A_m = 0 for m >= 1 hold exactly.  The table
-    depends on no bandwidth; it is built once per process and shared, so
-    both arrays are read-only.
+    The order-k product vanishes on modes m < k, so the sums to order
+    n_dim - 1 are complete for every mode of the block.  They are evaluated
+    in rational arithmetic, so A_0 = 2 and A_m = 0 for m >= 1 hold exactly.
+    The table depends on no bandwidth; it is built once per process and
+    shared, so both arrays are read-only.
     """
-    return _small_c_terms(operator.index(n_dim), operator.index(k_max))
+    n_dim = operator.index(n_dim)
+    if n_dim > SMALL_N_MAX:
+        raise DomainError(f"small-c block capped at n_dim = {SMALL_N_MAX}")
+    return _small_c_terms(n_dim)
 
 
 @functools.lru_cache(maxsize=16)
-def _small_c_terms(n_dim: int, k_max: int):
+def _small_c_terms(n_dim: int):
     a = [Fraction(0)] * n_dim
     b = [Fraction(0)] * n_dim
     prod = [Fraction(1)] * n_dim
-    for k in range(0, k_max + 1):
+    for k in range(n_dim):
         if k > 0:
             for m in range(n_dim):
                 prod[m] *= Fraction(k * (k - 1) - m * (m + 1))
@@ -76,22 +82,14 @@ def _small_c_terms(n_dim: int, k_max: int):
     return a_terms, b_terms
 
 
-def small_c_operator(c: float, n_dim: int, k_max: int) -> OperatorMatrix:
+def small_c_operator(c: float, n_dim: int) -> OperatorMatrix:
     """Order-(c^0, c^1) truncation of the finite Fourier transform.
 
-    Diagonal in the Legendre basis; requires k_max >= n_dim - 1 so every
-    mode's (finite) product sum is complete -- a truncated sum for m > k_max
-    would carry enormous uncancelled terms instead of its exact zero.
+    Diagonal in the Legendre basis, on a block of at most 31 modes.
     """
     if c > SMALL_C_MAX:
         raise DomainError(f"small-c expansion restricted to c <= {SMALL_C_MAX}")
-    if k_max > SMALL_K_MAX:
-        raise DomainError(f"k_max capped at {SMALL_K_MAX}")
-    if k_max < n_dim - 1:
-        raise DomainError(
-            f"need k_max >= n_dim - 1 = {n_dim - 1} to complete the product sums"
-        )
-    a, b = small_c_diagonal_terms(n_dim, k_max)
+    a, b = small_c_diagonal_terms(n_dim)
     return OperatorMatrix(dim=n_dim, entries=np.diag(a - 1j * c * b))
 
 
@@ -159,12 +157,19 @@ def dilated_heun_hermite_defect(c: float, block: int, buffer: int = 8) -> float:
     return float(np.linalg.norm(defect[:block, :block]))
 
 
+def _mode_count(basis: ProlateBasis, n_max: int) -> int:
+    """n_max + 1, refused with IndexError unless modes 0..n_max are certified."""
+    if not 0 <= n_max < basis.n_certified:
+        raise IndexError(f"mode {n_max} not certified (need n < {basis.n_certified})")
+    return n_max + 1
+
+
 def oscillator_gaps(basis: ProlateBasis, n_max: int) -> np.ndarray:
     """|sqrt(c/2pi) lambda_n - 1| for n <= n_max, from ``basis.lambdas``.
 
     Every eigenvalue of the complete Fourier transform has modulus 1.
     """
-    count = basis._certified(n_max) + 1
+    count = _mode_count(basis, n_max)
     return np.abs(math.sqrt(basis.c / (2 * math.pi)) * basis.lambdas[:count] - 1.0)
 
 
@@ -173,9 +178,9 @@ def fourier_phase_errors(basis: ProlateBasis, n_max: int) -> np.ndarray:
 
     The quotients v^T F v are read off one direct F_c matrix on the basis's
     Legendre coefficients, so they carry the measured phase, not the i^n
-    that ``fourier_eigenvalue`` enforces.
+    that the eigenvalue i^n lambda_n carries by construction.
     """
-    count = basis._certified(n_max) + 1
+    count = _mode_count(basis, n_max)
     v = basis.psi_coeffs[:, :count]
     fourier = finite_fourier_direct(basis.c, basis.n_dim).entries
     quotients = np.einsum("in,in->n", v, fourier @ v)
@@ -200,35 +205,13 @@ def bessel_i0_series(z: float) -> float:
     return total
 
 
-def bessel_limit_check(c: float, eps_list, lambda_ref: float) -> list[dict]:
-    """Compare U(eps/c^2; lambda_ref) with I_0(sqrt(2 eps)).
-
-    The deviation is O(1/c) at fixed eps; the asymptotic column carries the
-    large-eps closed form exp(sqrt(2 eps)) / (sqrt(2 pi) (2 eps)^(1/4)).
-    """
-    rows = []
-    for eps in eps_list:
-        xi = eps / (c * c)
-        if not 0.0 <= xi < 2.0:
-            raise DomainError(f"eps = {eps} maps to xi = {xi} outside [0, 2)")
-        value = u_series_scalar(c, lambda_ref, xi, tol=1e-14).value
-        bessel = bessel_i0_series(math.sqrt(2.0 * eps))
-        asym = (
-            math.exp(math.sqrt(2.0 * eps))
-            / (math.sqrt(2.0 * math.pi) * (2.0 * eps) ** 0.25)
-            if eps > 0
-            else float("nan")
-        )
-        rows.append(
-            {
-                "eps": float(eps),
-                "series": value,
-                "bessel": bessel,
-                "deviation": abs(value - bessel),
-                "asymptotic": asym,
-            }
-        )
-    return rows
+def bessel_limit_check(c: float, eps: float, lambda_ref: float) -> float:
+    """Deviation |U(eps/c^2; lambda_ref) - I_0(sqrt(2 eps))|, O(1/c) at fixed eps."""
+    xi = eps / (c * c)
+    if not 0.0 <= xi < 2.0:
+        raise DomainError(f"eps = {eps} maps to xi = {xi} outside [0, 2)")
+    value = u_series_scalar(c, lambda_ref, xi, tol=1e-14)
+    return abs(value - bessel_i0_series(math.sqrt(2.0 * eps)))
 
 
 def wkb_value(c: float, lam: float, y: float) -> float:

@@ -12,7 +12,10 @@ Commands and the flags each one reads:
 
 ``--variant`` selects the full or folded xi integral of the fourier and sinc
 suites and of the two reconstructed operators; ``--seed`` draws the
-translation suite's test points.  Each check carries its own fixed tolerance.
+translation suite's test points, and only its report records it.  Each
+check carries its own fixed tolerance.  ``limits-small`` runs at c in
+[1e-6, 0.1] and ``limits-large`` at c >= 4; any other c is refused (exit 2)
+before any work.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """
@@ -77,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     flags(p_verify, "--c", "--n-trunc", "--variant", "--out", "--format", "--seed")
-    p_verify.add_argument("--suite", choices=SUITES, required=True)
+    p_verify.add_argument(
+        "--suite", choices=SUITES, required=True,
+        help="limits-small needs c in [1e-6, 0.1], limits-large c >= 4",
+    )
 
     p_export = sub.add_parser("export-operator", help="write an operator matrix")
     p_export.add_argument("which", choices=OPERATOR_NAMES)

@@ -30,11 +30,6 @@ class QuadRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f):
-        """Integrate a callable or an array of node samples."""
-        values = f(self.nodes) if callable(f) else np.asarray(f)
-        return values @ self.weights
-
 
 @dataclass(frozen=True)
 class BandedSymMatrix:
@@ -65,25 +60,6 @@ class BandedSymMatrix:
             out[k:] += b * v[:-k]
             out[:-k] += b * v[k:]
         return out
-
-
-@dataclass(frozen=True)
-class CoeffVector:
-    """A function on [-1,1] as orthonormal-Legendre coefficients."""
-
-    coeffs: np.ndarray
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.coeffs.shape[0]
-
-    def norm(self) -> float:
-        # Parseval: the L2 norm on [-1,1] equals the Euclidean coefficient norm.
-        return float(np.linalg.norm(self.coeffs))
-
-    def evaluate(self, x):
-        table = legendre_table(self.n_coeffs - 1, x)
-        return self.coeffs @ table
 
 
 def gauss_legendre_rule(order: int) -> QuadRule:

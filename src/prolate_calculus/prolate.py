@@ -12,7 +12,10 @@ eagerly from the eigenvectors: lambda_0 in closed form from F_c psi_0 at
 x = 0, the rest from the eigenvalue-ratio recurrence of Xiao, Rokhlin &
 Yarvin (Inverse Problems 17:805, 2001) and Osipov, Rokhlin & Xiao (Prolate
 Spheroidal Wave Functions of Order Zero, 2013).  No quadrature is involved,
-and each lambda_n carries a relative, not an absolute, accuracy.
+and each lambda_n carries a relative, not an absolute, accuracy.  Callers
+read them as the arrays ``basis.lambdas`` and ``basis.mus``, whose length
+N/2 refuses an uncertified mode with IndexError; the finite-Fourier
+eigenvalue of psi_n is ``(1j) ** n * basis.lambdas[n]``.
 """
 
 from __future__ import annotations
@@ -78,19 +81,6 @@ class ProlateBasis:
     @property
     def n_certified(self) -> int:
         return self.n_dim // 2
-
-    def _certified(self, n: int) -> int:
-        if not 0 <= n < self.n_certified:
-            raise IndexError(f"mode {n} not certified (need n < {self.n_certified})")
-        return n
-
-    def lam(self, n: int) -> float:
-        """Magnitude lambda_n of the finite-Fourier eigenvalue i^n lambda_n."""
-        return float(self.lambdas[self._certified(n)])
-
-    def mu(self, n: int) -> float:
-        """Sinc-kernel eigenvalue mu_n = c/(2 pi) lambda_n^2."""
-        return float(self.mus[self._certified(n)])
 
 
 def _legendre_at_zero(n_dim: int) -> np.ndarray:
@@ -204,11 +194,3 @@ def pswf_eval(basis: ProlateBasis, n: int, x):
     x = np.asarray(x, dtype=float)
     table = legendre_table(basis.n_dim - 1, x)
     return basis.psi_coeffs[:, n] @ table
-
-
-def fourier_eigenvalue(basis: ProlateBasis, n: int) -> complex:
-    """Eigenvalue i^n lambda_n of the finite Fourier transform on psi_n.
-
-    A complex view of the eagerly computed ``basis.lam(n)``; no quadrature.
-    """
-    return (1j) ** n * basis.lam(n)

@@ -75,14 +75,8 @@ def operator_from_dict(payload: dict) -> OperatorMatrix:
 
 
 def table_to_dict(columns: dict, params: dict) -> dict:
-    data = {}
-    for name, values in columns.items():
-        arr = np.asarray(values)
-        if np.iscomplexobj(arr):
-            data[name + "_re"] = [float(v) for v in arr.real]
-            data[name + "_im"] = [float(v) for v in arr.imag]
-        else:
-            data[name] = [_json_scalar(v) for v in arr]
+    """Table payload from real columns (name -> 1-D array)."""
+    data = {name: [_json_scalar(v) for v in values] for name, values in columns.items()}
     return {"schema": SCHEMA, "kind": "table", "params": dict(params), "data": data}
 
 
@@ -166,21 +160,14 @@ def operator_to_csv(op: OperatorMatrix, path) -> None:
 
 
 def table_to_csv(columns: dict, path) -> None:
-    split = {}
-    for name, values in columns.items():
-        arr = np.asarray(values)
-        if np.iscomplexobj(arr):
-            split[name + "_re"] = arr.real
-            split[name + "_im"] = arr.imag
-        else:
-            split[name] = arr
-    names = list(split)
-    length = len(next(iter(split.values())))
+    """One row per index of the real columns (name -> 1-D array)."""
+    names = list(columns)
+    length = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for i in range(length):
-            writer.writerow([_format_cell(split[n][i]) for n in names])
+            writer.writerow([_format_cell(columns[n][i]) for n in names])
 
 
 def report_to_csv(report, path) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
-from .legendre import CoeffVector, gauss_legendre_rule, legendre_table
+from .legendre import gauss_legendre_rule, legendre_table
 from .nystrom import sinc_kernel
 from .prolate import ProlateBasis
 from .ucalc import boundary_ratios
@@ -34,11 +34,6 @@ class OperatorMatrix:
 
     dim: int
     entries: np.ndarray
-
-    def apply(self, f: CoeffVector) -> CoeffVector:
-        if f.n_coeffs != self.dim:
-            raise DomainError("coefficient length does not match operator dim")
-        return CoeffVector(coeffs=self.entries @ f.coeffs)
 
 
 def _tensor_quadrature_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:

@@ -24,15 +24,16 @@ the series runs only where it is itself under test (translation and
 limits-large suites, and the tests).
 
 ``u_series_terms`` is the one scalar unrolling of the recurrence, in the
-scaled form t_k = xi^k U_k / k!; ``u_operator_matrix_series`` runs the same
-recurrence on the matrix of T.  No CLI route calls it and the package does
-not export it: the tests keep it as an independent reference for
-``u_operator_apply``.
+scaled form t_k = xi^k U_k / k!.  ``u_series_many`` sums it over an array of
+spectral points and returns the sums with their error bounds;
+``u_series_scalar`` returns the bare float at one point, and
+``u_operator_apply`` takes and returns a plain coefficient array.
+``u_operator_matrix_series`` runs the same recurrence on the matrix of T.
+No CLI route calls it and the package does not export it: the tests keep
+it as an independent reference for ``u_operator_apply``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import (
     RecurrenceOverflowError,
     SeriesStallError,
 )
-from .legendre import CoeffVector, legendre_table
+from .legendre import legendre_table
 from .prolate import ProlateBasis, assemble_heun_matrix
 
 K_MAX = 2000
@@ -54,22 +55,6 @@ _SERIES_TOL = 1e-13
 # actual epsilon, so platforms where longdouble == double just report larger
 # bounds instead of silently losing digits.
 SERIES_DTYPE = np.longdouble
-
-
-@dataclass(frozen=True)
-class USeriesResult:
-    """Converged partial sum of U(xi; lambda) with error bookkeeping.
-
-    ``tail_estimate`` bounds the dropped tail geometrically with ratio
-    |xi|/2; ``cancellation_bound`` is eps times the largest intermediate
-    term, the floor set by alternating-sum cancellation.
-    """
-
-    xi: float
-    value: float
-    terms_used: int
-    tail_estimate: float
-    cancellation_bound: float
 
 
 def u_series_terms(c: float, lambdas, xi: float, k_max: int):
@@ -105,6 +90,11 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     Stops once ``_RUN_LENGTH`` consecutive terms fall below tol times the
     running sum for every point; single-term smallness is unreliable because
     the decay ratio approaches 1 as |xi| -> 2.
+
+    Returns (values, terms_used, tail, cancellation): ``tail`` bounds the
+    dropped tail geometrically with ratio |xi|/2, and ``cancellation`` is
+    eps times the largest intermediate term, the floor set by
+    alternating-sum cancellation.
     """
     if not -2.0 < xi < 2.0:
         raise DomainError(f"xi = {xi} outside the open interval (-2, 2)")
@@ -146,16 +136,9 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     )
 
 
-def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12, k_max: int = K_MAX) -> USeriesResult:
+def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12) -> float:
     """U(xi; lambda) for a single spectral point; xi must lie in (-2, 2)."""
-    values, terms, tail, cancel = u_series_many(c, [lam], xi, tol=tol, k_max=k_max)
-    return USeriesResult(
-        xi=float(xi),
-        value=float(values[0]),
-        terms_used=terms,
-        tail_estimate=float(tail[0]),
-        cancellation_bound=float(cancel[0]),
-    )
+    return float(u_series_many(c, [lam], xi, tol=tol)[0][0])
 
 
 def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "spectral") -> np.ndarray:
@@ -194,19 +177,20 @@ def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
     return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * xi.ndim)
 
 
-def u_operator_apply(basis: ProlateBasis, xi: float, f: CoeffVector) -> CoeffVector:
-    """Apply U(xi; T), xi in [0, 2], to a coefficient vector by spectral scaling.
+def u_operator_apply(basis: ProlateBasis, xi: float, f: np.ndarray) -> np.ndarray:
+    """Apply U(xi; T), xi in [0, 2], to orthonormal-Legendre coefficients f.
 
-    Expands f in the prolate eigenbasis and multiplies mode n by its spectral
-    boundary ratio; linear in f, the identity at xi = 0.
+    f is a 1-D array of length N.  Expands f in the prolate eigenbasis and
+    multiplies mode n by its spectral boundary ratio; linear in f, the
+    identity at xi = 0.
     """
-    if f.n_coeffs != basis.n_dim:
+    if f.shape != (basis.n_dim,):
         raise DomainError("coefficient length does not match basis truncation")
     if xi == 0.0:
         # U(0; T) is the identity; skip the eigenbasis round-trip noise.
-        return CoeffVector(coeffs=f.coeffs.copy())
-    modal = basis.psi_coeffs.T @ f.coeffs
-    return CoeffVector(coeffs=basis.psi_coeffs @ (_spectral_ratios(basis, xi) * modal))
+        return f.copy()
+    modal = basis.psi_coeffs.T @ f
+    return basis.psi_coeffs @ (_spectral_ratios(basis, xi) * modal)
 
 
 def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.ndarray:

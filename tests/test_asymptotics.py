@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from prolate_calculus import (
     bessel_limit_check,
     dilated_pswf,
     finite_fourier_direct,
-    fourier_eigenvalue,
     fourier_phase_errors,
     gauss_legendre_rule,
     hermite_distance,
@@ -30,7 +30,7 @@ from prolate_calculus.asymptotics import (
 
 class TestSmallC:
     def test_order_zero_is_twice_rank_one(self):
-        op = small_c_operator(0.1, 24, 30)
+        op = small_c_operator(0.1, 24)
         real_part = op.entries.real
         assert real_part[0, 0] == 2.0
         mask = np.ones_like(real_part, dtype=bool)
@@ -39,7 +39,7 @@ class TestSmallC:
 
     def test_order_one_lives_on_mode_one(self):
         c = 0.1
-        op = small_c_operator(c, 24, 30)
+        op = small_c_operator(c, 24)
         imag_part = op.entries.imag
         # Forced by the full Taylor kernel: the c^1 term is +i c (2/3) on (1,1).
         assert abs(imag_part[1, 1] - 2 * c / 3) <= 1e-14
@@ -48,24 +48,42 @@ class TestSmallC:
         assert np.max(np.abs(imag_part[mask])) <= 1e-12
 
     def test_product_factors_annihilate_low_modes(self):
-        # The order-k product vanishes on modes m < k, so summing to k_max
-        # completes every mode m <= k_max exactly; higher modes stay truncated.
+        # The order-k product vanishes on modes m < k, so the sums to order
+        # n_dim - 1 complete every mode of the block exactly.
         for k in (1, 3, 7):
-            a_terms, _ = small_c_diagonal_terms(16, k)
+            a_terms, _ = small_c_diagonal_terms(k + 1)
             assert a_terms[0] == 2.0
             assert np.all(a_terms[1 : k + 1] == 0.0)
-            assert np.all(a_terms[k + 1 :] != 0.0)
+
+    def test_sums_past_the_block_add_nothing(self):
+        # Summing every mode of a 24-block to order 30, as the expansion once
+        # did, gives the same bits as stopping at order n_dim - 1 = 23.
+        a_ref, b_ref = [], []
+        for m in range(24):
+            a = b = Fraction(0)
+            prod = Fraction(1)
+            for k in range(31):
+                if k:
+                    prod *= k * (k - 1) - m * (m + 1)
+                term = 2 * prod / (math.factorial(k) * math.factorial(k + 1))
+                a += term
+                b += Fraction(k, k + 2) * term
+            a_ref.append(float(a))
+            b_ref.append(float(b))
+        a_terms, b_terms = small_c_diagonal_terms(24)
+        assert a_terms.tobytes() == np.array(a_ref).tobytes()
+        assert b_terms.tobytes() == np.array(b_ref).tobytes()
 
     def test_diagonal_terms_are_exact(self):
-        a_terms, b_terms = small_c_diagonal_terms(20, 30)
+        a_terms, b_terms = small_c_diagonal_terms(20)
         assert a_terms[0] == 2.0
         assert np.max(np.abs(a_terms[1:])) == 0.0
         assert abs(b_terms[1] + 2.0 / 3.0) <= 1e-15
 
     def test_diagonal_terms_are_built_once_and_read_only(self):
-        terms = small_c_diagonal_terms(24, 30)
-        assert small_c_diagonal_terms(24, 30) is terms
-        for cached, built in zip(terms, _small_c_terms.__wrapped__(24, 30)):
+        terms = small_c_diagonal_terms(24)
+        assert small_c_diagonal_terms(24) is terms
+        for cached, built in zip(terms, _small_c_terms.__wrapped__(24)):
             assert cached.tobytes() == built.tobytes()
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
@@ -74,33 +92,34 @@ class TestSmallC:
     def test_error_scales_quadratically(self, ops):
         errs = {}
         for c in (0.05, 0.1):
-            approx = small_c_operator(c, 24, 30)
+            approx = small_c_operator(c, 24)
             errs[c] = np.linalg.norm(approx.entries - ops.fourier(c, 24).entries)
         assert 0.17 <= errs[0.05] / errs[0.1] <= 0.33
 
     def test_entrywise_taylor_consistency(self, ops):
-        approx = small_c_operator(1e-3, 24, 30)
+        approx = small_c_operator(1e-3, 24)
         direct = ops.fourier(1e-3, 24)
         assert np.max(np.abs(approx.entries - direct.entries)) <= 5e-6
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            small_c_operator(0.5, 24, 30)
+            small_c_operator(0.5, 24)
+        small_c_operator(0.1, 31)
         with pytest.raises(DomainError):
-            small_c_operator(0.1, 24, 40)
-        with pytest.raises(DomainError):
-            small_c_operator(0.1, 40, 30)
+            small_c_operator(0.1, 32)
 
 
 class TestHermite:
     def test_exponential_phases(self, ops):
         # F_c carries the eigenphases i^n of the complete transform on
-        # Hermite functions: period 4 in n, fixing the Gaussian.
+        # Hermite functions: period 4 in n, fixing the Gaussian.  The phases
+        # are measured on the direct F_c matrix.
         basis = ops.basis(16.0, None)
-        phases = np.array([fourier_eigenvalue(basis, n) / basis.lam(n) for n in range(8)])
-        assert phases[0] == 1
-        assert phases[1] == 1j
-        np.testing.assert_array_equal(phases[:4], phases[4:])
+        fourier = ops.fourier(16.0, basis.n_dim).entries
+        v = basis.psi_coeffs[:, :8]
+        phases = np.einsum("in,in->n", v, fourier @ v) / basis.lambdas[:8]
+        np.testing.assert_allclose(phases[:2], [1, 1j], atol=1e-12)
+        np.testing.assert_allclose(phases[:4], phases[4:], atol=1e-12)
 
     def test_orthonormal_on_grid(self):
         half = math.sqrt(2 * 16) + 4.0
@@ -129,7 +148,7 @@ class TestDilation:
         half = math.sqrt(16.0)
         rule = gauss_legendre_rule(300)
         vals = dilated_pswf(basis, 0, half * rule.nodes)
-        norm = math.sqrt(half * rule.integrate(vals**2))
+        norm = math.sqrt(half * (vals**2 @ rule.weights))
         assert abs(norm - 1.0) <= 1e-6
 
 
@@ -151,7 +170,7 @@ class TestLargeCLimit:
     def test_oscillator_gaps_from_lambdas(self, ops):
         basis = ops.basis(8.0, None)
         gaps = oscillator_gaps(basis, 4)
-        expected = [abs(math.sqrt(8.0 / (2 * math.pi)) * basis.lam(n) - 1.0) for n in range(5)]
+        expected = [abs(math.sqrt(8.0 / (2 * math.pi)) * basis.lambdas[n] - 1.0) for n in range(5)]
         np.testing.assert_array_equal(gaps, expected)
 
     def test_phase_errors_from_direct_transform(self, ops):
@@ -161,7 +180,7 @@ class TestLargeCLimit:
             v = basis.psi_coeffs[:, n]
             quotient = v @ fourier @ v
             assert err <= 1e-12
-            assert abs(quotient - fourier_eigenvalue(basis, n)) <= 1e-12
+            assert abs(quotient - (1j) ** n * basis.lambdas[n]) <= 1e-12
 
     def test_helpers_refuse_uncertified_modes(self, ops):
         basis = ops.basis(4.0, 16)
@@ -171,7 +190,7 @@ class TestLargeCLimit:
 
     def test_second_routes_are_gone(self):
         import prolate_calculus
-        from prolate_calculus import asymptotics, errors, legendre, nystrom, prolate, ucalc
+        from prolate_calculus import asymptotics, errors, legendre, nystrom, prolate, transforms, ucalc
 
         for module, name in [
             (prolate, "fourier_rayleigh"),
@@ -194,10 +213,22 @@ class TestLargeCLimit:
             (legendre, "eval_legendre_orthonormal"),
             (legendre, "position_matrix"),
             (nystrom, "_interp_values"),
+            (prolate, "fourier_eigenvalue"),
+            (legendre, "CoeffVector"),
+            (ucalc, "USeriesResult"),
         ]:
             assert not hasattr(module, name)
             assert not hasattr(prolate_calculus, name)
-        assert not hasattr(legendre.CoeffVector, "to_grid")
+        # One array per spectral quantity: no accessor beside lambdas and mus,
+        # and no wrapper method beside the arrays a caller reads.
+        for cls, name in [
+            (prolate.ProlateBasis, "lam"),
+            (prolate.ProlateBasis, "mu"),
+            (prolate.ProlateBasis, "_certified"),
+            (legendre.QuadRule, "integrate"),
+            (transforms.OperatorMatrix, "apply"),
+        ]:
+            assert not hasattr(cls, name)
         # Test oracles and the pieces of the planned limits-large records
         # stay in their modules, off the package surface.
         for module, name in [
@@ -222,15 +253,15 @@ class TestBesselLimit:
 
     def test_eps_zero_both_sides_one(self, ops):
         basis = ops.basis(20.0, None)
-        rows = bessel_limit_check(20.0, [0.0], -basis.chi[0])
-        assert rows[0]["series"] == 1.0
-        assert rows[0]["bessel"] == 1.0
+        assert u_series_scalar(20.0, -basis.chi[0], 0.0) == 1.0
+        assert bessel_i0_series(0.0) == 1.0
+        assert bessel_limit_check(20.0, 0.0, -basis.chi[0]) == 0.0
 
     def test_deviation_shrinks_with_c(self):
         devs = {}
         for c in (10.0, 20.0, 40.0):
             basis = solve_prolate(c)
-            devs[c] = bessel_limit_check(c, [2.0], -basis.chi[0])[0]["deviation"]
+            devs[c] = bessel_limit_check(c, 2.0, -basis.chi[0])
         assert devs[40.0] < devs[20.0] < devs[10.0]
         # The O(1/c) law: doubling c about halves the deviation.
         assert abs(devs[20.0] / devs[10.0] - 0.5) <= 0.15
@@ -246,7 +277,7 @@ class TestBesselLimit:
     def test_eps_domain_guard(self, ops):
         basis = ops.basis(20.0, None)
         with pytest.raises(DomainError):
-            bessel_limit_check(20.0, [900.0], -basis.chi[0])
+            bessel_limit_check(20.0, 900.0, -basis.chi[0])
 
 
 class TestWkb:
@@ -254,7 +285,7 @@ class TestWkb:
         devs = {}
         for c in (10.0, 20.0):
             lam = -solve_prolate(c).chi[0]
-            series = u_series_scalar(c, lam, 0.5, tol=1e-14).value
+            series = u_series_scalar(c, lam, 0.5, tol=1e-14)
             devs[c] = abs(series - wkb_value(c, lam, -0.5)) / abs(series)
         assert abs(devs[20.0] / devs[10.0] - 0.5) <= 0.3
 
@@ -265,7 +296,7 @@ class TestWkb:
         basis = solve_prolate(c)
         lam = -basis.chi[0]
         y_star = -1.0 + eps / (c * c)
-        series = u_series_scalar(c, lam, y_star + 1.0, tol=1e-14).value
+        series = u_series_scalar(c, lam, y_star + 1.0, tol=1e-14)
         assert abs(series - wkb_value(c, lam, y_star)) / abs(series) <= 0.05
 
     def test_decaying_branch_absence(self):
@@ -278,7 +309,7 @@ class TestWkb:
         basis = solve_prolate(c)
         lam = -basis.chi[0]
         ys = [-0.85, -0.6, -0.4, -0.2]
-        series = np.array([u_series_scalar(c, lam, y + 1.0, tol=1e-14).value for y in ys])
+        series = np.array([u_series_scalar(c, lam, y + 1.0, tol=1e-14) for y in ys])
         a_coeff = 1.0 / math.sqrt(2 * math.pi * c)
 
         def fit(b):

@@ -199,6 +199,41 @@ def test_limits_reports_record_the_n_they_compute_on(argv, n_used, monkeypatch, 
     assert load_json(out)["params"]["N"] == n_used
 
 
+@pytest.mark.parametrize("c", ["0", "4e-7", "0.2", "1", "40"])
+def test_limits_small_refuses_a_c_outside_its_range(c, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("limits-small computed before refusing")
+
+    monkeypatch.setattr(verify, "small_c_diagonal_terms", no_work)
+    monkeypatch.setattr(verify, "finite_fourier_direct", no_work)
+    assert cli.main(["verify", "--suite", "limits-small", "--c", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[out-of-range]: limits-small runs at c in [1e-6, 0.1]")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("c", ["1e-6", "0.05", "0.1"])
+def test_limits_small_runs_at_the_c_it_is_given(c, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--suite", "limits-small", "--c", c, "--out", str(out)]) == 0
+    assert "suite limits-small: PASS" in capsys.readouterr().out
+    assert load_json(out)["params"] == {"c": float(c), "N": 24}
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_reports_record_the_seed_only_where_it_is_read(suite, tmp_path, capsys):
+    c = {"limits-small": "0.05", "limits-large": "4"}.get(suite, "1")
+    out = tmp_path / "r.json"
+    argv = ["verify", "--suite", suite, "--c", c, "--seed", "7", "--out", str(out)]
+    assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    params = load_json(out)["params"]
+    if suite == "translation":
+        assert params["seed"] == 7
+    else:
+        assert "seed" not in params
+
+
 @pytest.mark.parametrize("which", cli.OPERATOR_NAMES)
 def test_export_records_the_variant_only_where_it_is_read(which, tmp_path, capsys):
     out = tmp_path / "op.json"

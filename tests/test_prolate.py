@@ -8,7 +8,6 @@ from prolate_calculus import (
     ConventionViolationError,
     DomainError,
     assemble_heun_matrix,
-    fourier_eigenvalue,
     gauss_legendre_rule,
     pswf_eval,
     solve_prolate,
@@ -26,7 +25,7 @@ class TestHeunMatrix:
     def test_corner_entry_is_minus_c2_third(self):
         # Oracle: -c^2 * integral x^2 Pbar_0^2 = -c^2/3 by quadrature.
         rule = gauss_legendre_rule(8)
-        oracle = -rule.integrate(rule.nodes**2 * 0.5)
+        oracle = -((rule.nodes**2 * 0.5) @ rule.weights)
         mat = assemble_heun_matrix(1.0, 4)
         assert abs(mat.bands[0][0] - oracle) <= 1e-14
         assert abs(oracle + 1.0 / 3.0) <= 1e-15
@@ -73,8 +72,7 @@ class TestSolveProlate:
         basis = ops.basis(c, 64)
         oracle = ops.nystrom(c)
         for n in range(8):
-            fourier_eigenvalue(basis, n)
-            assert abs(basis.mu(n) - oracle.mu[n]) <= 1e-8
+            assert abs(basis.mus[n] - oracle.mu[n]) <= 1e-8
 
     def test_pswf_value_against_nystrom_eigenvector(self, ops):
         basis = ops.basis(1.0, 64)
@@ -121,39 +119,39 @@ class TestFourierEigenvalue:
     def test_mu_lambda_relation(self, ops):
         basis = ops.basis(1.0, 64)
         for n in range(8):
-            fourier_eigenvalue(basis, n)
-            assert abs(basis.mu(n) - 1.0 / (2 * math.pi) * basis.lam(n) ** 2) <= 1e-10
+            assert abs(basis.mus[n] - 1.0 / (2 * math.pi) * basis.lambdas[n] ** 2) <= 1e-10
 
     def test_lambda_positive_decreasing(self, ops):
         basis = ops.basis(2.0, 64)
         lams = []
         for n in range(8):
-            fourier_eigenvalue(basis, n)
-            lams.append(basis.lam(n))
+            lams.append(basis.lambdas[n])
         assert np.all(np.array(lams) > 0)
         assert np.all(np.diff(lams) < 0)
 
     def test_eigenvalue_phase(self, ops):
+        # i^n lambda_n, phase and magnitude, is the quotient <psi_n, F_c psi_n>.
         basis = ops.basis(1.0, 64)
         for n in range(4):
-            ev = fourier_eigenvalue(basis, n)
-            assert abs(ev / (1j) ** n - basis.lam(n)) <= 1e-14
+            q = _fourier_quotient(ops, basis, n)
+            assert abs(q - (1j) ** n * basis.lambdas[n]) <= 1e-14
 
     def test_small_c_limit_of_lambda0(self):
         basis = solve_prolate(1e-4, 64)
-        fourier_eigenvalue(basis, 0)
-        assert abs(basis.lam(0) - 2.0) <= 1e-5
+        assert abs(basis.lambdas[0] - 2.0) <= 1e-5
         # Independent double-quadrature oracle on numpy's rule.
         x, w = np.polynomial.legendre.leggauss(200)
         psi = pswf_eval(basis, 0, x)
         kernel = np.exp(1j * 1e-4 * np.outer(x, x))
         oracle = (w * psi) @ kernel @ (w * psi)
-        assert abs(basis.lam(0) - oracle.real) <= 1e-10
+        assert abs(basis.lambdas[0] - oracle.real) <= 1e-10
 
     def test_uncertified_mode_rejected(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(IndexError):
-            fourier_eigenvalue(basis, 32)
+            basis.lambdas[32]
+        with pytest.raises(IndexError):
+            basis.mus[32]
 
     def test_rayleigh_quotient_phase_structure(self, ops):
         basis = ops.basis(1.0, 64)
@@ -213,7 +211,7 @@ class TestEagerEigenvalues:
         basis = ops.basis(c, None)
         for n in range(basis.n_certified):
             rayleigh = ((-1j) ** n * _fourier_quotient(ops, basis, n)).real
-            assert abs(basis.lam(n) - rayleigh) <= 1e-14
+            assert abs(basis.lambdas[n] - rayleigh) <= 1e-14
 
     @pytest.mark.parametrize("c", [0.05, 1.0, 10.0, 20.0])
     def test_positive_and_mu_strictly_decreasing(self, ops, c):
@@ -239,13 +237,13 @@ class TestEagerEigenvalues:
                 math.sqrt(math.pi) * math.factorial(n) ** 2 * c**n
                 / (math.factorial(2 * n) * math.gamma(n + 1.5))
             )
-            assert abs(basis.lam(n) / law - 1) <= 0.1 * c * c
+            assert abs(basis.lambdas[n] / law - 1) <= 0.1 * c * c
 
     def test_tail_relative_accuracy_against_mpmath(self, ops):
         basis = ops.basis(10.0, None)
         oracle = _mp_parity_lambdas(10.0, basis.n_dim, (20, 31))
         for n, value in oracle.items():
-            assert abs(basis.lam(n) / float(value) - 1) <= 1e-10
+            assert abs(basis.lambdas[n] / float(value) - 1) <= 1e-10
 
     def test_agrees_with_banded_eigensolve(self):
         scipy_linalg = pytest.importorskip("scipy.linalg")

@@ -85,11 +85,6 @@ class TestOperatorRoundtrip:
 
 
 class TestTables:
-    def test_complex_columns_split(self):
-        payload = table_to_dict({"ev": np.array([1 + 2j, 3 - 4j])}, {"c": 1.0})
-        assert payload["data"]["ev_re"] == [1.0, 3.0]
-        assert payload["data"]["ev_im"] == [2.0, -4.0]
-
     def test_csv_header_and_values(self, tmp_path):
         path = tmp_path / "t.csv"
         table_to_csv({"n": np.array([0, 1]), "chi": np.array([0.25, 2.5])}, path)

@@ -1,5 +1,6 @@
-"""The package exports only names that the package itself runs, and
-accepts only the options some caller reads."""
+"""The package exports only names that the package itself runs, its
+classes define only methods the package itself calls, and it accepts only
+the options some caller reads."""
 
 import argparse
 import ast
@@ -10,9 +11,27 @@ from pathlib import Path
 import pytest
 
 import prolate_calculus
-from prolate_calculus import asymptotics, cli, legendre, prolate, transforms, verify
+from prolate_calculus import asymptotics, cli, legendre, prolate, transforms, ucalc, verify
 
 PACKAGE = Path(prolate_calculus.__file__).parent
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _loaded_names():
+    """Every name and attribute name the package's modules load.  Imports
+    are not loads, so ``__init__``'s re-exports add nothing."""
+    loaded = set()
+    for _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
 
 
 def test_every_export_is_loaded_outside_init():
@@ -23,17 +42,24 @@ def test_every_export_is_loaded_outside_init():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    loaded = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    unused = sorted(exported - loaded)
+    unused = sorted(exported - _loaded_names())
     assert not unused, f"exported but never loaded by the package: {unused}"
+
+
+def test_every_public_method_is_loaded_by_the_package():
+    # By name, as for the exports: a method or property counts as used when
+    # some module loads an attribute of that name.
+    defined = {
+        f"{module}:{cls.name}.{item.name}"
+        for module, tree in _modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+    loaded = _loaded_names()
+    unused = sorted(name for name in defined if name.rsplit(".", 1)[1] not in loaded)
+    assert not unused, f"public methods the package never calls: {unused}"
 
 
 # Each command's argument slots: its positionals by dest, its options by flag.
@@ -56,7 +82,9 @@ REMOVED_PARAMETERS = [
     (transforms.reconstruct_sinc, "q_xi"),
     (legendre.legendre_table, "extrapolate"),
     (prolate.pswf_eval, "extrapolate"),
-    (legendre.CoeffVector.evaluate, "extrapolate"),
+    (asymptotics.small_c_diagonal_terms, "k_max"),
+    (asymptotics.small_c_operator, "k_max"),
+    (ucalc.u_series_scalar, "k_max"),
     (asymptotics.wkb_value, "b_coeff"),
     (asymptotics.bessel_i0_series, "tol"),
 ]
