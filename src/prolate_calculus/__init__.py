@@ -35,6 +35,7 @@ from .transforms import (
     OperatorMatrix,
     commutator_report,
     finite_fourier_direct,
+    heun_operator,
     reconstruct_fourier,
     reconstruct_sinc,
     reflect,

@@ -44,6 +44,7 @@ from .serialize import (
 from .transforms import (
     OperatorMatrix,
     finite_fourier_direct,
+    heun_operator,
     reconstruct_fourier,
     reconstruct_sinc,
     sinc_kernel_direct,
@@ -162,8 +163,7 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
 def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
     n_dim = config.n_dim
     if which == "T":
-        dense = assemble_heun_matrix(config.c, n_dim).to_dense()
-        return OperatorMatrix(dim=n_dim, entries=dense.astype(complex))
+        return heun_operator(config.c, n_dim)
     if which == "Fc":
         return finite_fourier_direct(config.c, n_dim)
     if which == "Qc":

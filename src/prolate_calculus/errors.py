@@ -37,16 +37,6 @@ class ConventionViolationError(ProlateCalculusError, RuntimeError):
     kind = "convention-violation"
 
 
-class RecurrenceOverflowError(ProlateCalculusError, OverflowError):
-    """Polynomial recurrence overflowed before reaching the requested degree."""
-
-    kind = "recurrence-overflow"
-
-    def __init__(self, message: str, last_valid_k: int):
-        super().__init__(message)
-        self.last_valid_k = last_valid_k
-
-
 class SeriesStallError(ProlateCalculusError, RuntimeError):
     """Series summation did not converge within the term budget."""
 

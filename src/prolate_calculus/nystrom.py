@@ -65,17 +65,6 @@ def nystrom_sinc_eigen(c: float, n_nodes: int = DEFAULT_NODES, n_modes: int | No
     return NystromResult(c=c, rule=rule, mu=mu, psi_nodes=psi * np.where(edge >= 0, 1.0, -1.0))
 
 
-def nystrom_psi_value(result: NystromResult, n, x):
-    """Eigenfunction value anywhere in [-1,1] via the interpolation formula.
-
-    ``n`` is one mode index or an array of them; an array adds a trailing
-    mode axis to the result.
-    """
-    x = np.asarray(x, dtype=float)
-    k = sinc_kernel(result.c, x[..., None], result.rule.nodes)
-    return (k * result.rule.weights) @ result.psi_nodes[:, n] / result.mu[n]
-
-
 def nystrom_chi(result: NystromResult) -> np.ndarray:
     """chi_n for every mode, from the Rayleigh quotient of T on its Nystrom eigenvector.
 

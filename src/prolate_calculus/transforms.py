@@ -9,7 +9,7 @@ likewise.  Agreement of the two routes is the package's central check.
 
 Each xi rule costs one (modes x xi) table of spectral boundary ratios
 psi_n(-1 + xi) / psi_n(-1), built in one call; the mode integrals are then
-two matrix-vector products with the quadrature-weighted xi weights.
+matrix-vector products with the quadrature-weighted xi weights.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
 from .legendre import gauss_legendre_rule, legendre_table
 from .nystrom import sinc_kernel
-from .prolate import ProlateBasis
+from .prolate import ProlateBasis, assemble_heun_matrix
 from .ucalc import boundary_ratios
 
 _DRIFT_TOL = 1e-9
@@ -90,61 +90,52 @@ def reflect(n_dim: int) -> OperatorMatrix:
     )
 
 
+def heun_operator(c: float, n_dim: int) -> OperatorMatrix:
+    """The prolate operator T as a dense complex matrix on the Legendre basis."""
+    return OperatorMatrix(n_dim, assemble_heun_matrix(c, n_dim).to_dense().astype(complex))
+
+
 def _default_q_xi(c: float, n_dim: int) -> int:
     # Oscillation floor plus enough nodes to integrate the certified modes'
     # endpoint-ratio polynomials exactly.
     return max(math.ceil(16 + 4 * c), n_dim // 2 + 12)
 
 
-def fourier_weights(c: float, nodes: np.ndarray, variant: str):
-    """(weight_plus, weight_minus) of the Fourier reconstruction at xi nodes.
-
-    full:   exp(ic(1-xi)) on [0, 2], no reflected part
-    folded: exp(ic(1-xi)) plus R exp(-ic(1-xi)) on [0, 1]
-    """
+def _fourier_weights(c: float, nodes: np.ndarray):
+    """(weight_plus, weight_minus) of the Fourier reconstruction at xi nodes:
+    exp(ic(1-xi)) and, for the reflected part, exp(-ic(1-xi))."""
     phase = np.exp(1j * c * (1.0 - nodes))
-    if variant == "full":
-        return phase, None
     return phase, np.conj(phase)
 
 
-def sinc_weights(c: float, nodes: np.ndarray, variant: str):
-    """(weight_plus, weight_minus) of the sinc reconstruction at xi nodes.
-
-    full:   sin(c xi)/(pi xi) on [0, 2], no reflected part
-    folded: sin(c xi)/(pi xi) plus R sin(c(2-xi))/(pi(2-xi)) on [0, 1]
-
-    The weight takes its limit value c/pi at xi = 0.
-    """
+def _sinc_weights(c: float, nodes: np.ndarray):
+    """(weight_plus, weight_minus) of the sinc reconstruction at xi nodes:
+    sin(c xi)/(pi xi), with its limit c/pi at xi = 0, and, for the reflected
+    part, sin(c(2-xi))/(pi(2-xi))."""
     w_plus = (c / np.pi) * np.sinc((c / np.pi) * nodes) + 0j
-    if variant == "full":
-        return w_plus, None
     w_minus = (c / np.pi) * np.sinc((c / np.pi) * (2.0 - nodes)) + 0j
     return w_plus, w_minus
 
 
-def mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) -> np.ndarray:
+def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) -> np.ndarray:
     """Integrals int w(xi) ratio_n(xi) dxi for every mode, complex array.
 
     Uses a q_xi-node Gauss rule on [0, 1] (folded) or [0, 2] (full) and one
-    spectral ratio table for all its nodes.  weights_on(c, nodes, variant)
-    returns (weight_plus, weight_minus): weight_plus multiplies the identity
-    part and weight_minus, if not None, the reflected part (scaled per mode
-    by parity (-1)^n).
+    spectral ratio table for all its nodes.  weights_on(c, nodes) returns
+    both parts of the weight, (weight_plus, weight_minus).  full integrates
+    weight_plus alone over [0, 2]; folded adds the reflected part, weight_minus
+    scaled per mode by parity (-1)^n, over [0, 1].
     """
     if variant not in ("full", "folded"):
         raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
     rule = gauss_legendre_rule(q_xi)
-    if variant == "folded":
-        nodes = 0.5 * (rule.nodes + 1.0)  # [0, 1]
-        weights = 0.5 * rule.weights
-    else:
-        nodes = rule.nodes + 1.0  # [0, 2]
-        weights = rule.weights
-    w_plus, w_minus = weights_on(basis.c, nodes, variant)
+    half = 0.5 if variant == "folded" else 1.0  # xi in [0, 1] or [0, 2]
+    nodes = half * (rule.nodes + 1.0)
+    weights = half * rule.weights
+    w_plus, w_minus = weights_on(basis.c, nodes)
     ratios = boundary_ratios(basis, nodes, method="spectral")
     values = ratios @ (weights * w_plus)
-    if w_minus is not None:
+    if variant == "folded":
         parity = (-1.0) ** np.arange(basis.n_dim)
         values += parity * (ratios @ (weights * w_minus))
     return values
@@ -152,8 +143,8 @@ def mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) -> 
 
 def _reconstruct(basis, variant, q_xi, weights_on):
     """Shared mode-wise reconstruction driver with an xi-doubling drift check."""
-    coarse = mode_integrals(basis, weights_on, variant, q_xi)
-    fine = mode_integrals(basis, weights_on, variant, 2 * q_xi)
+    coarse = _mode_integrals(basis, weights_on, variant, q_xi)
+    fine = _mode_integrals(basis, weights_on, variant, 2 * q_xi)
     certified = basis.n_certified
     drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
     if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
@@ -171,7 +162,7 @@ def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> Operato
     folded: integral over xi in [0, 1] of
             (exp(ic(1-xi)) + R exp(-ic(1-xi))) U(xi; T)
     """
-    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), fourier_weights)
+    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), _fourier_weights)
 
 
 def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
@@ -181,7 +172,7 @@ def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMa
     folded: integral over [0, 1] of
             (sin(c xi)/(pi xi) + sin(c(2-xi))/(pi(2-xi)) R) U(xi; T)
     """
-    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), sinc_weights)
+    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), _sinc_weights)
 
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:

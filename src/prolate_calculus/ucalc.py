@@ -28,27 +28,25 @@ scaled form t_k = xi^k U_k / k!.  ``u_series_many`` sums it over an array of
 spectral points and returns the sums with their error bounds;
 ``u_series_scalar`` returns the bare float at one point, and
 ``u_operator_apply`` takes and returns a plain coefficient array.
-``u_operator_matrix_series`` runs the same recurrence on the matrix of T.
-No CLI route calls it and the package does not export it: the tests keep
-it as an independent reference for ``u_operator_apply``.
+
+The module sits below ``prolate``, whose ``ProlateBasis`` it names in
+annotations only, so ``prolate`` may call the series.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .errors import (
-    DomainError,
-    OutOfRangeError,
-    RecurrenceOverflowError,
-    SeriesStallError,
-)
+from .errors import DomainError, OutOfRangeError, SeriesStallError
 from .legendre import legendre_table
-from .prolate import ProlateBasis, assemble_heun_matrix
+
+if TYPE_CHECKING:
+    from .prolate import ProlateBasis
 
 K_MAX = 2000
 _RUN_LENGTH = 20  # consecutive small terms required before stopping
-_OVERFLOW_LIMIT = 1e300
 # Relative term size at which boundary_ratios' series path stops summing.
 _SERIES_TOL = 1e-13
 # Extended precision where available; the cancellation bound below uses the
@@ -192,39 +190,3 @@ def u_operator_apply(basis: ProlateBasis, xi: float, f: np.ndarray) -> np.ndarra
     modal = basis.psi_coeffs.T @ f
     return basis.psi_coeffs @ (_spectral_ratios(basis, xi) * modal)
 
-
-def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.ndarray:
-    """Literal matrix power series sum_k xi^k U_k(T) / k! on the Legendre basis.
-
-    Independent of the spectral path: the four-term recurrence is applied to
-    the banded matrix of T itself (in scaled form, so nothing overflows for
-    |xi| < 2).  Cross-validates u_operator_apply on the certified block.
-    """
-    if not -2.0 < xi < 2.0:
-        raise DomainError(f"xi = {xi} outside (-2, 2)")
-    if k_max > K_MAX:
-        raise DomainError(f"k_max capped at {K_MAX}")
-    dtype = SERIES_DTYPE
-    t_mat = assemble_heun_matrix(c, n_dim).to_dense().astype(dtype)
-    c2 = dtype(c) * dtype(c)
-    xi_d = dtype(xi)
-    eye = np.eye(n_dim, dtype=dtype)
-    s_m2 = np.zeros((n_dim, n_dim), dtype=dtype)
-    s_m1 = np.zeros((n_dim, n_dim), dtype=dtype)
-    s = eye.copy()
-    total = eye.copy()
-    for k in range(k_max):
-        nxt = (xi_d / (2 * dtype(k + 1) ** 2)) * (
-            t_mat @ s
-            + (c2 + dtype(k * (k + 1))) * s
-            - 2 * c2 * xi_d * s_m1
-            + c2 * xi_d * xi_d * s_m2
-        )
-        peak = float(np.max(np.abs(nxt)))
-        if not np.isfinite(peak) or peak > _OVERFLOW_LIMIT:
-            raise RecurrenceOverflowError(
-                f"matrix series term {k + 1} overflowed", last_valid_k=k
-            )
-        s_m2, s_m1, s = s_m1, s, nxt
-        total += s
-    return np.asarray(total, dtype=float)

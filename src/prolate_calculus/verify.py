@@ -27,26 +27,21 @@ from .asymptotics import (
 from .errors import DomainError, OutOfRangeError
 from .legendre import default_truncation
 from .nystrom import nystrom_sinc_eigen
-from .prolate import assemble_heun_matrix, solve_prolate
+from .prolate import solve_prolate
 from .transforms import (
-    OperatorMatrix,
     commutator_report,
     finite_fourier_direct,
-    fourier_weights,
-    mode_integrals,
+    heun_operator,
     reconstruct_fourier,
     reconstruct_sinc,
     reflect,
     sinc_kernel_direct,
-    sinc_weights,
 )
 from .ucalc import boundary_ratios, u_operator_apply, u_series_scalar
 
 # The translation, fourier and sinc suites check modes 0..8, which must be
 # certified (n < N // 2).
 _IDENTITY_MODES = 9
-# Gauss nodes of the xi rule behind the per-mode identity.
-_IDENTITY_Q_XI = 64
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
 
@@ -189,10 +184,10 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     ) / np.linalg.norm(direct.entries[:block, :block])
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
-    measured = mode_integrals(basis, fourier_weights, config.variant, _IDENTITY_Q_XI)
-    worst = max(
-        abs(measured[n] - (1j) ** n * basis.lambdas[n]) for n in range(_IDENTITY_MODES)
-    )
+    # <psi_n, R psi_n> on the reconstruction R is its xi integral on mode n.
+    n = np.arange(_IDENTITY_MODES)
+    psi = basis.psi_coeffs[:, n]
+    worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - (1j) ** n * basis.lambdas[n]))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
     other = reconstruct_fourier(basis, "full" if config.variant == "folded" else "folded")
@@ -215,8 +210,9 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     rel = np.linalg.norm((recon.entries - direct.entries)[:block, :block]) / reference
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
-    measured = mode_integrals(basis, sinc_weights, config.variant, _IDENTITY_Q_XI)
-    worst = max(abs(measured[n] - basis.mus[n]) for n in range(_IDENTITY_MODES))
+    mu = basis.mus[:_IDENTITY_MODES]
+    psi = basis.psi_coeffs[:, :_IDENTITY_MODES]
+    worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - mu))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
     fourier = finite_fourier_direct(config.c, n_dim)
@@ -226,7 +222,6 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     )
     rep.add("factorization (c/2pi) F*F = Q", fact, 1e-9)
 
-    mu = basis.mus[:_IDENTITY_MODES]
     rep.add("mu strictly decreasing", float(np.max(np.diff(mu))), 0.0)
     rep.add("mu inside (0, 1)", float(max(np.max(mu) - 1.0, -np.min(mu))), 0.0)
     return rep
@@ -267,9 +262,12 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
 
 
 def _suite_limits_large(config: RunConfig) -> VerificationReport:
-    if config.c < 4:
-        raise DomainError("limits-large requires c >= 4")
     c = config.c
+    if c < 4:
+        raise OutOfRangeError(
+            f"limits-large runs at c >= 4, got c = {c:g}; the suite compares the "
+            "large-c limits at bandwidths c/4, c/2 and c, so c/4 must be at least 1"
+        )
     c_list = [c / 4, c / 2, c]
     bases = {cc: solve_prolate(cc) for cc in c_list}
     rep = _report("limits-large", config, {"c_list": c_list, "N": bases[c].n_dim})
@@ -311,9 +309,7 @@ def _suite_commutation(config: RunConfig) -> VerificationReport:
     tol = 1e-8
     n_dim = config.n_dim
     block = n_dim // 2
-    t_op = OperatorMatrix(
-        dim=n_dim, entries=assemble_heun_matrix(config.c, n_dim).to_dense().astype(complex)
-    )
+    t_op = heun_operator(config.c, n_dim)
     fourier = finite_fourier_direct(config.c, n_dim)
     sinc = sinc_kernel_direct(config.c, n_dim)
     refl = reflect(n_dim)

@@ -190,7 +190,9 @@ class TestLargeCLimit:
 
     def test_second_routes_are_gone(self):
         import prolate_calculus
-        from prolate_calculus import asymptotics, errors, legendre, nystrom, prolate, transforms, ucalc
+        from prolate_calculus import (
+            asymptotics, errors, legendre, nystrom, prolate, transforms, ucalc, verify,
+        )
 
         for module, name in [
             (prolate, "fourier_rayleigh"),
@@ -216,6 +218,16 @@ class TestLargeCLimit:
             (prolate, "fourier_eigenvalue"),
             (legendre, "CoeffVector"),
             (ucalc, "USeriesResult"),
+            # Test oracles: no CLI path runs them, so they live in tests/.
+            (ucalc, "u_operator_matrix_series"),
+            (errors, "RecurrenceOverflowError"),
+            (nystrom, "nystrom_psi_value"),
+            # The per-mode identity reads the reconstruction it checks, so the
+            # xi integrals behind it are private to transforms.
+            (transforms, "mode_integrals"),
+            (transforms, "fourier_weights"),
+            (transforms, "sinc_weights"),
+            (verify, "_IDENTITY_Q_XI"),
         ]:
             assert not hasattr(module, name)
             assert not hasattr(prolate_calculus, name)
@@ -229,12 +241,9 @@ class TestLargeCLimit:
             (transforms.OperatorMatrix, "apply"),
         ]:
             assert not hasattr(cls, name)
-        # Test oracles and the pieces of the planned limits-large records
-        # stay in their modules, off the package surface.
+        # The pieces of the planned limits-large records stay in their
+        # module, off the package surface.
         for module, name in [
-            (ucalc, "u_operator_matrix_series"),
-            (errors, "RecurrenceOverflowError"),
-            (nystrom, "nystrom_psi_value"),
             (asymptotics, "dilated_heun_hermite_defect"),
             (asymptotics, "hermite_ladder_matrices"),
         ]:

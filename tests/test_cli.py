@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -152,6 +153,24 @@ class TestSuiteSmoke:
         assert cli.main(argv) == 0
         assert f"suite {suite}: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("variant", ["folded", "full"])
+    @pytest.mark.parametrize("suite", ["fourier", "sinc"])
+    def test_per_mode_identity_catches_a_wrong_eigenvalue(self, suite, variant, monkeypatch):
+        # lambda_3 off by 1e-6 relative, mu_3 recomputed from it: the
+        # reconstruction does not read lambda_n, so only this record moves.
+        real_solve = verify.solve_prolate
+
+        def wrong_lambda_3(c, n_dim=None):
+            basis = real_solve(c, n_dim)
+            lambdas = basis.lambdas.copy()
+            lambdas[3] *= 1 + 1e-6
+            return dataclasses.replace(basis, lambdas=lambdas, mus=c / (2 * np.pi) * lambdas**2)
+
+        monkeypatch.setattr(verify, "solve_prolate", wrong_lambda_3)
+        report = run_suite(suite, RunConfig(c=4.0, variant=variant))
+        failed = [r.name for r in report.records if not r.passed]
+        assert failed == ["per-mode scalar identity, n<=8"]
+
     def test_limits_small_passes(self, capsys):
         assert cli.main(["verify", "--suite", "limits-small", "--c", "0.05"]) == 0
         assert "suite limits-small: PASS" in capsys.readouterr().out
@@ -209,6 +228,21 @@ def test_limits_small_refuses_a_c_outside_its_range(c, monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "limits-small", "--c", c]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error[out-of-range]: limits-small runs at c in [1e-6, 0.1]")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("c", ["0", "3.99"])
+def test_limits_large_refuses_a_c_below_its_range(c, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("limits-large computed before refusing")
+
+    monkeypatch.setattr(verify, "solve_prolate", no_work)
+    assert cli.main(["verify", "--suite", "limits-large", "--c", c]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error[out-of-range]: limits-large runs at c >= 4, got c = {float(c):g}; the suite "
+        "compares the large-c limits at bandwidths c/4, c/2 and c, so c/4 must be at least 1\n"
+    )
     assert captured.out == ""
 
 

@@ -13,7 +13,18 @@ from prolate_calculus import (
     solve_prolate,
 )
 from prolate_calculus import prolate
-from prolate_calculus.nystrom import nystrom_chi, nystrom_psi_value
+from prolate_calculus.nystrom import nystrom_chi, sinc_kernel
+
+
+def nystrom_psi_value(result, n, x):
+    """Eigenfunction value anywhere in [-1,1] via the interpolation formula.
+
+    ``n`` is one mode index or an array of them; an array adds a trailing
+    mode axis to the result.
+    """
+    x = np.asarray(x, dtype=float)
+    k = sinc_kernel(result.c, x[..., None], result.rule.nodes)
+    return (k * result.rule.weights) @ result.psi_nodes[:, n] / result.mu[n]
 
 
 class TestHeunMatrix:

@@ -1,10 +1,12 @@
 """The package exports only names that the package itself runs, its
-classes define only methods the package itself calls, and it accepts only
-the options some caller reads."""
+classes define only methods the package itself calls, it accepts only the
+options some caller reads, and its modules import each other without a
+cycle."""
 
 import argparse
 import ast
 import dataclasses
+import graphlib
 import inspect
 from pathlib import Path
 
@@ -32,6 +34,31 @@ def _loaded_names():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     return loaded
+
+
+def _package_imports(tree):
+    """Package modules that a module imports when it runs: its relative
+    imports, less those under ``if TYPE_CHECKING:``."""
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING")
+        for inner in ast.walk(node)
+    }
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only:
+            assert node.level == 1, ast.unparse(node)
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    return imported
+
+
+def test_module_imports_form_layers():
+    graph = {name[:-3]: _package_imports(tree) for name, tree in _modules()}
+    # The translation series sits below prolate, so prolate may call it.
+    assert graph["ucalc"] == {"errors", "legendre"}
+    assert set().union(*graph.values()) <= set(graph)
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
 
 
 def test_every_export_is_loaded_outside_init():
@@ -85,6 +112,8 @@ REMOVED_PARAMETERS = [
     (asymptotics.small_c_diagonal_terms, "k_max"),
     (asymptotics.small_c_operator, "k_max"),
     (ucalc.u_series_scalar, "k_max"),
+    (transforms._fourier_weights, "variant"),
+    (transforms._sinc_weights, "variant"),
     (asymptotics.wkb_value, "b_coeff"),
     (asymptotics.bessel_i0_series, "tol"),
 ]

@@ -8,24 +8,18 @@ from prolate_calculus import (
     OperatorMatrix,
     QuadratureUnresolvedError,
     XiQuadratureUnresolvedError,
-    assemble_heun_matrix,
     commutator_report,
     finite_fourier_direct,
     gauss_legendre_rule,
+    heun_operator,
     reconstruct_fourier,
     reconstruct_sinc,
     reflect,
     sinc_kernel_direct,
     solve_prolate,
 )
-from prolate_calculus.transforms import _reconstruct, _resolved_matrix, fourier_weights
+from prolate_calculus.transforms import _fourier_weights, _reconstruct, _resolved_matrix
 from prolate_calculus.ucalc import boundary_ratios
-
-
-def t_operator(c, n_dim):
-    return OperatorMatrix(
-        dim=n_dim, entries=assemble_heun_matrix(c, n_dim).to_dense().astype(complex)
-    )
 
 
 class TestFourierDirect:
@@ -193,7 +187,7 @@ class TestReconstructions:
     def test_unresolved_xi_quadrature_raises(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(XiQuadratureUnresolvedError):
-            _reconstruct(basis, "folded", 6, fourier_weights)
+            _reconstruct(basis, "folded", 6, _fourier_weights)
 
     def test_nan_drifts_are_refused(self, ops):
         # NaN > tol is False; both drift guards must still refuse.
@@ -202,15 +196,15 @@ class TestReconstructions:
         with pytest.raises(XiQuadratureUnresolvedError):
             _reconstruct(
                 ops.basis(1.0, 64), "folded", 16,
-                lambda c, nodes, variant: (np.full(nodes.shape, np.nan + 0j), None),
+                lambda c, nodes: (np.full(nodes.shape, np.nan + 0j),) * 2,
             )
 
     def test_graceful_degradation(self, ops):
         # Halving the node count changes the answer beyond tolerance only
         # when the internal doubling check fires (and raises).
         basis = ops.basis(1.0, 64)
-        full = _reconstruct(basis, "folded", 44, fourier_weights)
-        half = _reconstruct(basis, "folded", 22, fourier_weights)
+        full = _reconstruct(basis, "folded", 44, _fourier_weights)
+        half = _reconstruct(basis, "folded", 22, _fourier_weights)
         drift = np.linalg.norm((full.entries - half.entries)[:32, :32])
         assert drift <= 1e-7
 
@@ -223,25 +217,25 @@ class TestReconstructions:
 class TestCommutators:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
     def test_heun_commutes_with_both_transforms(self, ops, c):
-        t_op = t_operator(c, 64)
+        t_op = heun_operator(c, 64)
         assert commutator_report(t_op, ops.fourier(c, 64), 32) <= 1e-8
         assert commutator_report(t_op, ops.sinc(c, 64), 32) <= 1e-8
 
     def test_reflection_commutes_with_heun(self):
-        t_op = t_operator(2.0, 64)
+        t_op = heun_operator(2.0, 64)
         assert commutator_report(reflect(64), t_op, 32) <= 1e-12
 
     def test_commutator_detects_noncommuting_pair(self):
         # Position multiplication does not commute with T.
         from prolate_calculus.legendre import position_offdiag
 
-        t_op = t_operator(2.0, 64)
+        t_op = heun_operator(2.0, 64)
         a = position_offdiag(63)
         x_op = OperatorMatrix(64, (np.diag(a, 1) + np.diag(a, -1)).astype(complex))
         assert commutator_report(t_op, x_op, 32) > 1e-3
 
     def test_block_validation(self, ops):
-        t_op = t_operator(1.0, 64)
+        t_op = heun_operator(1.0, 64)
         with pytest.raises(DomainError):
             commutator_report(t_op, ops.fourier(1.0, 64), 0)
 

@@ -14,8 +14,58 @@ from prolate_calculus import (
     u_operator_apply,
     u_series_scalar,
 )
-from prolate_calculus.errors import RecurrenceOverflowError
-from prolate_calculus.ucalc import u_operator_matrix_series, u_series_many, u_series_terms
+from prolate_calculus import assemble_heun_matrix
+from prolate_calculus.errors import ProlateCalculusError
+from prolate_calculus.ucalc import K_MAX, SERIES_DTYPE, u_series_many, u_series_terms
+
+_OVERFLOW_LIMIT = 1e300
+
+
+class RecurrenceOverflowError(ProlateCalculusError, OverflowError):
+    """Polynomial recurrence overflowed before reaching the requested degree."""
+
+    kind = "recurrence-overflow"
+
+    def __init__(self, message: str, last_valid_k: int):
+        super().__init__(message)
+        self.last_valid_k = last_valid_k
+
+
+def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.ndarray:
+    """Literal matrix power series sum_k xi^k U_k(T) / k! on the Legendre basis.
+
+    Independent of the spectral path: the four-term recurrence is applied to
+    the banded matrix of T itself (in scaled form, so nothing overflows for
+    |xi| < 2).  Cross-validates u_operator_apply on the certified block.
+    """
+    if not -2.0 < xi < 2.0:
+        raise DomainError(f"xi = {xi} outside (-2, 2)")
+    if k_max > K_MAX:
+        raise DomainError(f"k_max capped at {K_MAX}")
+    dtype = SERIES_DTYPE
+    t_mat = assemble_heun_matrix(c, n_dim).to_dense().astype(dtype)
+    c2 = dtype(c) * dtype(c)
+    xi_d = dtype(xi)
+    eye = np.eye(n_dim, dtype=dtype)
+    s_m2 = np.zeros((n_dim, n_dim), dtype=dtype)
+    s_m1 = np.zeros((n_dim, n_dim), dtype=dtype)
+    s = eye.copy()
+    total = eye.copy()
+    for k in range(k_max):
+        nxt = (xi_d / (2 * dtype(k + 1) ** 2)) * (
+            t_mat @ s
+            + (c2 + dtype(k * (k + 1))) * s
+            - 2 * c2 * xi_d * s_m1
+            + c2 * xi_d * xi_d * s_m2
+        )
+        peak = float(np.max(np.abs(nxt)))
+        if not np.isfinite(peak) or peak > _OVERFLOW_LIMIT:
+            raise RecurrenceOverflowError(
+                f"matrix series term {k + 1} overflowed", last_valid_k=k
+            )
+        s_m2, s_m1, s = s_m1, s, nxt
+        total += s
+    return np.asarray(total, dtype=float)
 
 
 class TestUPolyTable:
