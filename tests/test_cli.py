@@ -300,6 +300,41 @@ def test_translation_linearity_is_relative_to_the_result():
     assert record.passed
 
 
+_BESSEL = "|U(eps/c^2) - I0(sqrt(2 eps))| at eps=2"
+_WKB = "WKB matching consistency at eps=30"
+# Values of the records that sum the translation series, exactly as each
+# record holds them (repr round-trips a float64).  A change to the series or
+# its callers that moves one bit fails here.  Recorded on x86-64 with numpy
+# 2.4 and its bundled OpenBLAS; another LAPACK build may move the last bits.
+_SERIES_CHECK_VALUES = {
+    ("translation", 4.0): {
+        "series-vs-spectral ratio, n<=8, 10 random xi": 1.865174681370263e-14,
+        "linearity of U(xi;T), relative to max|U f|": 2.3914529881697647e-16,
+        "identity at xi = 0": 0.0,
+    },
+    ("translation", 10.0): {
+        "series-vs-spectral ratio, n<=8, 10 random xi": 4.622506821760908e-10,
+        "linearity of U(xi;T), relative to max|U f|": 1.0034365172092194e-15,
+        "identity at xi = 0": 0.0,
+    },
+    ("translation", 15.0): {
+        "series-vs-spectral ratio, n<=8, 10 random xi": 6.6716165747493505e-06,
+        "linearity of U(xi;T), relative to max|U f|": 1.339563509263481e-16,
+        "identity at xi = 0": 0.0,
+    },
+    ("limits-large", 10.0): {_BESSEL: 0.1531171755856069, _WKB: 0.0009896568372241095},
+    ("limits-large", 17.0): {_BESSEL: 0.09146145381876147, _WKB: 0.018177485101639534},
+}
+
+
+@pytest.mark.parametrize("suite, c", sorted(_SERIES_CHECK_VALUES))
+def test_series_check_values_are_pinned(suite, c):
+    report = run_suite(suite, RunConfig(c=c, seed=1234))
+    expected = _SERIES_CHECK_VALUES[suite, c]
+    values = {r.name: r.value for r in report.records if r.name in expected}
+    assert values == expected
+
+
 class TestPswfCommand:
     def test_writes_table_and_passes(self, tmp_path):
         out = tmp_path / "pswf.json"

@@ -16,7 +16,14 @@ from prolate_calculus import (
 )
 from prolate_calculus import assemble_heun_matrix
 from prolate_calculus.errors import ProlateCalculusError
-from prolate_calculus.ucalc import K_MAX, SERIES_DTYPE, u_series_many, u_series_terms
+from prolate_calculus.ucalc import (
+    _BLOCK,
+    _RUN_LENGTH,
+    K_MAX,
+    SERIES_DTYPE,
+    u_series_many,
+    u_series_terms,
+)
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -68,12 +75,133 @@ def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.
     return np.asarray(total, dtype=float)
 
 
+def reference_series_terms(c, lambdas, xi, k_max):
+    """Term-by-term generator of t_k = xi^k U_k(lambda) / k!, k = 0..k_max."""
+    dtype = SERIES_DTYPE
+    lam = np.asarray(lambdas, dtype=dtype).ravel()
+    xi = dtype(xi)
+    c2 = dtype(c) * dtype(c)
+    t_m2 = np.zeros_like(lam)
+    t_m1 = np.zeros_like(lam)
+    t = np.ones_like(lam)
+    yield t
+    for k in range(k_max):
+        nxt = (xi / (2 * dtype(k + 1) ** 2)) * (
+            (lam + c2 + dtype(k * (k + 1))) * t - 2 * c2 * xi * t_m1 + c2 * xi * xi * t_m2
+        )
+        t_m2, t_m1, t = t_m1, t, nxt
+        yield t
+
+
+def reference_series_many(c, lambdas, xi, tol=1e-12, k_max=K_MAX):
+    """The stop rule of u_series_many applied one term at a time.
+
+    The blocked production code must agree with it bit for bit: same sums,
+    terms_used, tail and cancellation bounds, and the same stall.
+    """
+    lam = np.asarray(lambdas, dtype=float).ravel()
+    eps = float(np.finfo(SERIES_DTYPE).eps)
+    ratio = abs(xi) / 2.0
+    total = np.zeros(lam.size, dtype=SERIES_DTYPE)
+    max_term = np.zeros(lam.size, dtype=SERIES_DTYPE)
+    run = np.zeros(lam.size, dtype=int)
+    for k, term in enumerate(reference_series_terms(c, lam, xi, k_max)):
+        total += term
+        np.maximum(max_term, np.abs(term), out=max_term)
+        small = np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)
+        run = np.where(small, run + 1, 0)
+        if np.all(run >= _RUN_LENGTH):
+            tail = np.abs(term) * ratio / (1.0 - ratio)
+            return (
+                np.asarray(total, dtype=float),
+                k + 1,
+                np.asarray(tail, dtype=float),
+                np.asarray(max_term * eps, dtype=float),
+            )
+    raise SeriesStallError(
+        f"series did not converge within {k_max} terms at xi={xi}",
+        worst_index=int(np.argmin(run)),
+    )
+
+
+def assert_same_series(c, lambdas, xi, tol, k_max=K_MAX):
+    """u_series_many and the reference give identical bits, or the same stall."""
+    try:
+        expected = reference_series_many(c, lambdas, xi, tol, k_max)
+    except SeriesStallError as ref_err:
+        with pytest.raises(SeriesStallError) as err:
+            u_series_many(c, lambdas, xi, tol=tol, k_max=k_max)
+        assert err.value.worst_index == ref_err.worst_index
+        assert str(err.value) == str(ref_err)
+        return None
+    values, terms_used, tail, cancel = u_series_many(c, lambdas, xi, tol=tol, k_max=k_max)
+    assert terms_used == expected[1]
+    for got, want in zip((values, tail, cancel), (expected[0], expected[2], expected[3])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return terms_used
+
+
+def block_rows(c, lambdas, xi, k_max):
+    """The terms t_0..t_{k_max} from u_series_terms' blocks, one row each."""
+    return np.concatenate(list(u_series_terms(c, lambdas, xi, k_max)))
+
+
+class TestBlockedSeries:
+    """u_series_many against the term-by-term reference, bit for bit."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, 4.0, 10.0, 15.0, 20.0, 30.0])
+    @pytest.mark.parametrize("xi", [-1.2, -0.3, 1e-3, 0.05, 0.37, 0.8, 1.21, 1.5, 1.9])
+    def test_bit_equal_to_reference(self, ops, c, xi):
+        lam = -ops.basis(c).chi
+        for tol in (1e-6, 1e-12, 1e-13, 1e-14):
+            for lambdas in (lam, lam[3:4], lam[:0]):
+                assert_same_series(c, lambdas, xi, tol)
+
+    def test_terms_match_the_reference_generator(self):
+        lam = [-31.5, -2.0, 0.0, 14.25]
+        for k_max in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            rows = block_rows(4.0, lam, 1.3, k_max)
+            expected = np.array(list(reference_series_terms(4.0, lam, 1.3, k_max)))
+            assert rows.dtype == SERIES_DTYPE
+            assert np.array_equal(rows, expected)
+
+    def test_blocks_have_the_stated_shape(self):
+        shapes = [b.shape for b in u_series_terms(1.0, [-1.0, -2.0], 0.5, 2 * _BLOCK + 4)]
+        assert shapes == [(_BLOCK, 2), (_BLOCK, 2), (5, 2)]
+
+    def test_stops_on_and_around_block_edges(self):
+        # The stop row, terms_used - 1, is the last row of a block (offset 0),
+        # the first row of the next (offset 1) or the row before the last.
+        wanted = {0, 1, _BLOCK - 1}
+        found = set()
+        for xi in np.linspace(0.3, 1.8, 151):
+            terms_used = assert_same_series(1.0, [-2.5, 7.0], float(xi), 1e-12)
+            if terms_used > _BLOCK and terms_used % _BLOCK in wanted:
+                found.add(terms_used % _BLOCK)
+                if found == wanted:
+                    break
+        assert found == wanted
+
+    def test_k_max_caps_the_terms_exactly(self):
+        c, lam, xi, tol = 1.0, [-2.5, 7.0], 1.2, 1e-12
+        terms_used = assert_same_series(c, lam, xi, tol)
+        assert terms_used % _BLOCK not in (0, 1)
+        # k_max + 1 terms are allowed: enough at k_max = terms_used - 1.
+        assert assert_same_series(c, lam, xi, tol, k_max=terms_used - 1) == terms_used
+        assert assert_same_series(c, lam, xi, tol, k_max=terms_used - 2) is None
+
+    @pytest.mark.parametrize("k_max", [0, 1, 45, _BLOCK + 1, 399])
+    def test_stall_after_exactly_k_max_plus_one_terms(self, k_max):
+        assert len(block_rows(1.0, [-2.0], 1.99, k_max)) == k_max + 1
+        assert_same_series(1.0, [-2.0], 1.99, 1e-13, k_max=k_max)
+
+
 class TestUPolyTable:
     """U_k values read off the scaled series terms: at xi = 1, t_k = U_k / k!."""
 
     @staticmethod
     def terms(c, lambdas, k_max):
-        return np.array(list(u_series_terms(c, lambdas, 1.0, k_max)))
+        return block_rows(c, lambdas, 1.0, k_max)
 
     def test_degree_zero_row_is_one(self):
         np.testing.assert_array_equal(self.terms(1.7, [-3.0, 0.0, 5.0], 6)[0], 1.0)
@@ -116,8 +244,17 @@ class TestUSeriesScalar:
             u_series_scalar(1.0, -1.0, 0.5, tol=0.0)
 
     def test_series_stall_near_open_endpoint(self):
-        with pytest.raises(SeriesStallError):
+        with pytest.raises(SeriesStallError) as err:
             u_series_many(1.0, [-2.0], 1.99, tol=1e-13, k_max=400)
+        assert err.value.worst_index == 0
+
+    @pytest.mark.parametrize("lambdas, worst", [([-2.5, -2.0], 0), ([-2.0, -2.5], 1)])
+    def test_stall_names_the_mode_that_did_not_converge(self, lambdas, worst):
+        # At c = 0, lambda = -2 is the Legendre case: the series stops after
+        # U_1, so only lambda = -2.5 keeps the run from reaching its length.
+        with pytest.raises(SeriesStallError) as err:
+            u_series_many(0.0, lambdas, 1.99, tol=1e-13, k_max=400)
+        assert err.value.worst_index == worst
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6])
     def test_c_zero_equals_legendre_translation(self, m):
@@ -145,7 +282,7 @@ class TestUSeriesScalar:
         # |xi^k U_k / k!|^(1/k) stays below |xi|/2 + 0.05 for k in [100, 300].
         basis = ops.basis(1.0, 64)
         lam = -basis.chi[0]
-        terms = [float(abs(t[0])) for t in u_series_terms(1.0, [lam], 1.5, 300)]
+        terms = [float(abs(t[0])) for t in block_rows(1.0, [lam], 1.5, 300)]
         roots = [terms[k] ** (1.0 / k) for k in range(100, 301)]
         assert max(roots) <= 1.5 / 2 + 0.05
 
