@@ -94,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
         "nystrom",
         help="write oracle fixtures for mu_n, chi_n",
         description="Write mu_n and chi_n from the Nystrom discretization of the sinc "
-        "kernel. chi_n is a Rayleigh quotient of T on the Nystrom eigenvectors, which "
-        "are ill-conditioned where the mu_n cluster: at c = 20, n = 0, 1 it is 1.7e-3 "
-        "off the spectral chi.",
+        "kernel, one parity block at a time. chi_n is a Rayleigh quotient of T on the "
+        "Nystrom eigenvectors, which mix same-parity modes whose mu_n agree to rounding: "
+        "at c = 20 chi_0 is 4.3e-7 off the spectral chi, at c = 30 about 2e2.",
     )
     flags(p_ny, "--c", "--out", "--format")
     p_ny.add_argument("--n-modes", type=int, default=9)

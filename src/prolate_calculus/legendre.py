@@ -105,6 +105,20 @@ def _build_rule(order: int) -> QuadRule:
     return QuadRule(order=order, nodes=x, weights=w)
 
 
+def half_rule(rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes y >= 0 of a Gauss rule and their weights v, the centre weight
+    halved when the order is odd.
+
+    The full rule's sum of an even f is then 2 sum v f(y), and a kernel
+    sum over the full rule folds onto y through K(x, t) +/- K(x, -t).
+    """
+    y = rule.nodes[rule.order // 2 :]
+    v = rule.weights[rule.order // 2 :].copy()
+    if rule.order % 2:
+        v[0] *= 0.5
+    return y, v
+
+
 def _legendre_value_and_derivative(n: int, x: np.ndarray):
     """(P_n(x), P_n'(x)) by the classical three-term recurrence."""
     p_prev = np.ones_like(x)

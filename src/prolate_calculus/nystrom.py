@@ -2,9 +2,12 @@
 
 Independent cross-check for the Legendre-basis spectral path: the integral
 operator is collocated on a large Gauss-Legendre grid and the symmetrized
-kernel matrix is diagonalized directly.  Nothing here touches the banded
-eigensolve of the differential operator; chi values come from a Rayleigh
-quotient on the Nystrom eigenvectors.
+kernel matrix is diagonalized directly, one parity block at a time.  Nothing
+here touches the banded eigensolve of the differential operator; chi values
+come from a Rayleigh quotient on the Nystrom eigenvectors.
+
+The parity blocks keep modes of opposite parity apart; ``nystrom_chi`` states
+what the mixing of same-parity modes still costs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .legendre import QuadRule, gauss_legendre_rule, legendre_table
+from .legendre import QuadRule, gauss_legendre_rule, half_rule, legendre_table
 from .prolate import assemble_heun_matrix
 
 DEFAULT_NODES = 400
@@ -31,7 +34,8 @@ class NystromResult:
 
     ``psi_nodes[:, n]`` are node values of the n-th eigenfunction, normalized
     to unit L2 norm under the rule weights with sign fixed by a positive value
-    at x = 1.
+    at x = 1.  Each column has exact parity: ``psi_nodes[::-1, n]`` equals
+    ``(-1)**n * psi_nodes[:, n]``.
     """
 
     c: float
@@ -45,20 +49,35 @@ class NystromResult:
 
 
 def nystrom_sinc_eigen(c: float, n_nodes: int = DEFAULT_NODES, n_modes: int | None = None) -> NystromResult:
-    """Diagonalize the sinc kernel collocated on ``n_nodes`` Gauss points."""
+    """Diagonalize the sinc kernel collocated on ``n_nodes`` Gauss points.
+
+    The kernel commutes with x -> -x, so the symmetrized matrix splits into
+    an even and an odd block on the nodes y >= 0, with kernels
+    K(y, y) + K(y, -y) and K(y, y) - K(y, -y); the odd block leaves out the
+    centre node, where odd functions vanish.  The k-th even eigenpair is mode
+    2k and the k-th odd one mode 2k + 1, and each eigenvector is unfolded to
+    all nodes with exact parity (-1)^n.
+    """
     if c <= 0:
         raise DomainError("Nystrom discretization needs c > 0")
     if n_modes is None:
         n_modes = min(n_nodes, 32)
     rule = gauss_legendre_rule(n_nodes)
-    kernel = sinc_kernel(c, rule.nodes[:, None], rule.nodes[None, :])
-    sw = np.sqrt(rule.weights)
-    sym = sw[:, None] * kernel * sw[None, :]
-    sym = 0.5 * (sym + sym.T)
-    w, h = np.linalg.eigh(sym)
-    order = np.argsort(w)[::-1][:n_modes]
-    mu = w[order]
-    psi = h[:, order] / sw[:, None]
+    y, v = half_rule(rule)
+    k_plus = sinc_kernel(c, y[:, None], y[None, :])
+    k_minus = sinc_kernel(c, y[:, None], -y[None, :])
+    mu = np.empty(n_modes)
+    psi = np.zeros((n_nodes, n_modes))
+    for start, fold in ((0, k_plus + k_minus), (1, k_plus - k_minus)):
+        skip = start * (n_nodes % 2)  # the odd block leaves out y = 0
+        sv = np.sqrt(v[skip:])
+        sym = sv[:, None] * fold[skip:, skip:] * sv[None, :]
+        w, h = np.linalg.eigh(0.5 * (sym + sym.T))
+        order = np.argsort(w)[::-1][: mu[start::2].size]
+        mu[start::2] = w[order]
+        # A unit vector on the half grid is sqrt(2) too long on the full one.
+        psi[n_nodes - h.shape[0] :, start::2] = h[:, order] / np.sqrt(2.0 * v[skip:, None])
+        psi[: n_nodes // 2, start::2] = (-1.0) ** start * psi[::-1, start::2][: n_nodes // 2]
     # psi_n(1) = (K psi_n)(1) / mu_n; its sign is read without the division,
     # because a mode past the numerical rank has mu_n = 0.
     edge = ((sinc_kernel(c, 1.0, rule.nodes) * rule.weights) @ psi) * np.sign(mu)
@@ -72,10 +91,13 @@ def nystrom_chi(result: NystromResult) -> np.ndarray:
     coefficients by quadrature (exact at this grid size for the relevant
     degrees), then contracted with the banded matrix of T.
 
-    The quotient is only as good as the eigenvector, and the eigenvector is
-    ill-conditioned where the mu_n cluster or fall to rounding: eigh mixes
-    modes whose mu agree to the last bit.  At c = 20, where mu_0 and mu_1
-    both round to 1, chi_0 and chi_1 are 1.7e-3 off the spectral chi.
+    The quotient is only as good as the eigenvector.  Each eigenvector comes
+    from its own parity block, so modes of opposite parity do not mix;
+    within a block eigh mixes modes whose mu agree to rounding, and a mode
+    whose mu_n is near rounding is off by about eps / mu_n.  Against the
+    spectral chi (400 nodes, n <= 8): at most 6e-14 at c = 5, 8, 12 and 16;
+    4.3e-7 at c = 20, where mu_0 - mu_2 = 1.5e-12; about 2e2 at c = 30; and
+    1.4e-2 for mode 8 at c = 2, where mu_8 = 2.8e-14.
     """
     n_legendre = min(result.rule.order // 2, 160)
     table = legendre_table(n_legendre - 1, result.rule.nodes)

@@ -1,7 +1,8 @@
 """Finite Fourier and sinc-kernel operators, direct and reconstructed.
 
 Direct versions collocate the defining integral kernels with tensor
-Gauss-Legendre quadrature in the orthonormal Legendre basis.  Reconstructed
+Gauss-Legendre quadrature in the orthonormal Legendre basis, folded by parity
+onto the nodes y >= 0, so entries of mixed parity are exactly 0.  Reconstructed
 versions assemble the same operators as weighted integrals of the boundary
 translation family over xi: the Fourier weight is ``exp(ic(1-xi))`` on [0,2]
 (or its reflected fold onto [0,1]) and the sinc weight is ``sin(c xi)/(pi xi)``
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
-from .legendre import gauss_legendre_rule, legendre_table
+from .legendre import gauss_legendre_rule, half_rule, legendre_table
 from .nystrom import sinc_kernel
 from .prolate import ProlateBasis, assemble_heun_matrix
 from .ucalc import boundary_ratios
@@ -37,11 +38,25 @@ class OperatorMatrix:
 
 
 def _tensor_quadrature_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
-    """Entries <Pbar_m, K Pbar_n> with K applied by q_order-point quadrature."""
-    rule = gauss_legendre_rule(q_order)
-    k = kernel(rule.nodes[:, None], rule.nodes[None, :])
-    pw = legendre_table(n_dim - 1, rule.nodes) * rule.weights
-    return pw @ k @ pw.T
+    """Entries <Pbar_m, K Pbar_n> with K applied by q_order-point quadrature.
+
+    The kernel must satisfy K(-x, -t) = K(x, t), so the operator commutes
+    with x -> -x.  The sum is folded onto the rule's nodes y >= 0: the
+    even-even block is 2 A_e (K(y, y) + K(y, -y)) A_e^T and the odd-odd block
+    2 A_o (K(y, y) - K(y, -y)) A_o^T, with A the weighted Legendre rows of
+    that parity.  Entries with m + n odd are exactly 0.
+    """
+    y, v = half_rule(gauss_legendre_rule(q_order))
+    k_plus = kernel(y[:, None], y[None, :])
+    k_minus = kernel(y[:, None], -y[None, :])
+    pw = legendre_table(n_dim - 1, y) * v
+    even, odd = pw[0::2], pw[1::2]
+    block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
+    block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
+    entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
+    entries[0::2, 0::2] = block_even
+    entries[1::2, 1::2] = block_odd
+    return entries
 
 
 def _resolved_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
@@ -66,8 +81,8 @@ def _q_order(c: float, n_dim: int) -> int:
 def finite_fourier_direct(c: float, n_dim: int) -> OperatorMatrix:
     """Matrix of phi -> integral exp(icxt) phi(t) dt by tensor quadrature.
 
-    Entries with m+n even are purely real and with m+n odd purely imaginary
-    (cos/sin parity of the kernel).
+    Entries with m+n odd are exactly 0; the even-even block is real and the
+    odd-odd block purely imaginary (the cos and sin parts of the kernel).
     """
     entries = _resolved_matrix(
         lambda x, t: np.exp(1j * c * x * t), n_dim, _q_order(c, n_dim)

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -333,6 +334,23 @@ def test_series_check_values_are_pinned(suite, c):
     expected = _SERIES_CHECK_VALUES[suite, c]
     values = {r.name: r.value for r in report.records if r.name in expected}
     assert values == expected
+
+
+def test_limits_large_report_does_not_depend_on_blas_threads(tmp_path):
+    # The Nystrom record "1 - mu_0(c/2)" comes from two half-size eigh's;
+    # a full 400 x 400 eigh moved its last bits with the OpenBLAS thread
+    # count.  On a one-core machine both runs use one thread.
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"limits-large-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "prolate_calculus.cli", "verify", "--suite", "limits-large",
+             "--c", "10", "--out", str(out)],
+            capture_output=True, text=True, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 class TestPswfCommand:

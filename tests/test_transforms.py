@@ -12,14 +12,78 @@ from prolate_calculus import (
     finite_fourier_direct,
     gauss_legendre_rule,
     heun_operator,
+    legendre_table,
     reconstruct_fourier,
     reconstruct_sinc,
     reflect,
     sinc_kernel_direct,
     solve_prolate,
 )
-from prolate_calculus.transforms import _fourier_weights, _reconstruct, _resolved_matrix
+from prolate_calculus.nystrom import sinc_kernel
+from prolate_calculus.transforms import (
+    _fourier_weights,
+    _q_order,
+    _reconstruct,
+    _resolved_matrix,
+    _tensor_quadrature_matrix,
+)
 from prolate_calculus.ucalc import boundary_ratios
+
+
+def full_grid_matrix(kernel, n_dim, q_order):
+    """Oracle: the tensor quadrature unfolded, with the whole q x q kernel
+    between the weighted Legendre tables on all nodes."""
+    rule = gauss_legendre_rule(q_order)
+    k = kernel(rule.nodes[:, None], rule.nodes[None, :])
+    pw = legendre_table(n_dim - 1, rule.nodes) * rule.weights
+    return pw @ k @ pw.T
+
+
+def _kernels(c):
+    return {
+        "Fc": lambda x, t: np.exp(1j * c * x * t),
+        "Qc": lambda x, t: sinc_kernel(c, x, t),
+    }
+
+
+class TestFoldedQuadrature:
+    @pytest.mark.parametrize("extra", [0, 1], ids=["q", "q+1"])
+    @pytest.mark.parametrize("n_dim", [10, 64, 101])
+    @pytest.mark.parametrize("c", [0.5, 3.0, 7.5, 12.0, 19.0, 30.0])
+    def test_matches_the_full_grid(self, c, n_dim, extra):
+        q_order = _q_order(c, n_dim) + extra
+        for kernel in _kernels(c).values():
+            oracle = full_grid_matrix(kernel, n_dim, q_order)
+            folded = _tensor_quadrature_matrix(kernel, n_dim, q_order)
+            assert np.max(np.abs(folded - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["q", "q+1"])
+    @pytest.mark.parametrize("c", [0.5, 4.0, 12.0, 30.0])
+    def test_parity_blocks_are_exact(self, c, extra):
+        # Mixed-parity entries are exactly 0, the even-even block of F_c is
+        # real and its odd-odd block imaginary, and R commutes with both
+        # operators exactly.  The rules of order q and q+1 give an odd order
+        # and an even one; the direct operators use 2q.
+        n_dim = 40
+        q_order = _q_order(c, n_dim) + extra
+        m, n = np.meshgrid(np.arange(n_dim), np.arange(n_dim), indexing="ij")
+        mixed = (m + n) % 2 == 1
+        even = (m % 2 == 0) & (n % 2 == 0)
+        odd = (m % 2 == 1) & (n % 2 == 1)
+        refl = reflect(n_dim).entries
+        matrices = {name: _tensor_quadrature_matrix(kernel, n_dim, q_order)
+                    for name, kernel in _kernels(c).items()}
+        matrices["Fc direct"] = finite_fourier_direct(c, n_dim).entries
+        matrices["Qc direct"] = sinc_kernel_direct(c, n_dim).entries
+        for name, entries in matrices.items():
+            entries = entries.astype(complex)
+            assert np.all(entries[mixed] == 0), name
+            assert np.array_equal(refl @ entries @ refl, entries), name
+            if name.startswith("Fc"):
+                assert np.all(entries[even].imag == 0), name
+                assert np.all(entries[odd].real == 0), name
+            else:
+                assert np.all(entries.imag == 0), name
 
 
 class TestFourierDirect:
