@@ -1,21 +1,24 @@
 """Command-line front end.
 
-Commands and the flags each one reads:
-  pswf             eigenvalue/endpoint table for the prolate basis
+Commands, the flags each one reads, and the c where it passes (measured at
+the default truncation):
+  pswf             eigenvalue/endpoint table for the prolate basis, c <= 20
                    --c --n-trunc --out --format
-  verify           run one named verification suite
+  verify           run one suite: translation c <= 12, fourier c <= 18, sinc c <= 18,
+                   commutation c <= 40 (largest c measured); limits-small runs at c
+                   in [1e-6, 0.1], limits-large at c >= 4 and passes at no c
                    --suite --c --n-trunc --variant --seed --out --format
   export-operator  write an operator matrix artifact
                    WHICH --c --n-trunc --variant --out --format
-  nystrom          regenerate the independent oracle fixtures for mu_n, chi_n
-                   --c --n-modes --n-nodes --out --format
+  nystrom          write the independent oracle's mu_n, chi_n for n <= 8, c <= 340
+                   --c --out --format
 
+Past its range a run FAILs or is refused (exit 2) today (ROADMAP items 3 and 4);
+limits-small, limits-large and nystrom refuse any other c before any work.
 ``--variant`` selects the full or folded xi integral of the fourier and sinc
-suites and of the two reconstructed operators; ``--seed`` draws the
-translation suite's test points, and only its report records it.  Each
-check carries its own fixed tolerance.  ``limits-small`` runs at c in
-[1e-6, 0.1] and ``limits-large`` at c >= 4; any other c is refused (exit 2)
-before any work.
+suites and of the two reconstructed operators; ``--seed`` draws the translation
+suite's test points, and only its report records it.  Each check carries its
+own fixed tolerance.  A flag left out takes its ``RunConfig`` default.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
 
-from .errors import DomainError, ProlateCalculusError
+from .errors import OutOfRangeError, ProlateCalculusError
 from .legendre import default_truncation
-from .nystrom import nystrom_chi, nystrom_sinc_eigen
+from .nystrom import DEFAULT_NODES, MAX_C, nystrom_chi, nystrom_sinc_eigen
 from .prolate import solve_prolate, assemble_heun_matrix
 from .serialize import (
     dump_json,
@@ -55,16 +59,17 @@ OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
 
 _FLAGS = {
-    "--c": dict(type=float, default=1.0, help="bandwidth parameter"),
-    "--n-trunc": dict(type=int, default=0, help="basis size (0 = auto)"),
-    "--variant": dict(choices=("full", "folded"), default="folded"),
-    "--out": dict(default=None, help="output file path"),
-    "--format": dict(dest="fmt", choices=("json", "csv"), default="json"),
-    "--seed": dict(type=int, default=1234),
+    "--c": dict(type=float, help="bandwidth parameter"),
+    "--n-trunc": dict(type=int, help="basis size (0 = auto)"),
+    "--variant": dict(choices=("full", "folded")),
+    "--out": dict(help="output file path"),
+    "--format": dict(dest="fmt", choices=("json", "csv")),
+    "--seed": dict(type=int),
 }
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prolate-calculus",
@@ -74,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def flags(p, *names):
         for name in names:
-            p.add_argument(name, **_FLAGS[name])
+            p.add_argument(name, default=argparse.SUPPRESS, **_FLAGS[name])
 
     p_pswf = sub.add_parser("pswf", help="write the eigenvalue table")
     flags(p_pswf, "--c", "--n-trunc", "--out", "--format")
@@ -83,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags(p_verify, "--c", "--n-trunc", "--variant", "--out", "--format", "--seed")
     p_verify.add_argument(
         "--suite", choices=SUITES, required=True,
-        help="limits-small needs c in [1e-6, 0.1], limits-large c >= 4",
+        help="passes (measured) at translation c <= 12, fourier c <= 18, sinc c <= 18, commutation "
+        "c <= 40; limits-small runs at c in [1e-6, 0.1], limits-large at c >= 4 (passes at no c)",
     )
 
     p_export = sub.add_parser("export-operator", help="write an operator matrix")
@@ -93,14 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ny = sub.add_parser(
         "nystrom",
         help="write oracle fixtures for mu_n, chi_n",
-        description="Write mu_n and chi_n from the Nystrom discretization of the sinc "
-        "kernel, one parity block at a time. chi_n is a Rayleigh quotient of T on the "
-        "Nystrom eigenvectors, which mix same-parity modes whose mu_n agree to rounding: "
-        "at c = 20 chi_0 is 4.3e-7 off the spectral chi, at c = 30 about 2e2.",
+        description=f"Write mu_n and chi_n, n <= 8, from the Nystrom discretization of the sinc "
+        f"kernel on {DEFAULT_NODES} Gauss nodes. Runs at c <= {MAX_C:g}, refusing a larger c: mu_n "
+        "is within 1e-13 of the spectral mu_n up to c = 368 (1.2e-12 at 370). chi_n mixes "
+        "same-parity modes whose mu_n agree to rounding: chi_0 is 4.3e-7 off at c = 20, 2e2 at 30.",
     )
     flags(p_ny, "--c", "--out", "--format")
-    p_ny.add_argument("--n-modes", type=int, default=9)
-    p_ny.add_argument("--n-nodes", type=int, default=400)
     return parser
 
 
@@ -120,9 +124,8 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
         "psi_plus1": basis.endpoint_plus[:n_rows],
         "psi_minus1": basis.endpoint_minus[:n_rows],
     }
-    report = VerificationReport(
-        suite="pswf", params={"c": config.c, "N": basis.n_dim}, records=[]
-    )
+    params = {"c": config.c, "N": basis.n_dim}
+    report = VerificationReport(suite="pswf", params=params)
     matrix = assemble_heun_matrix(config.c, basis.n_dim)
     worst = 0.0
     for n in range(n_rows):
@@ -152,7 +155,6 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
     report.add("lambda_n > 0, n < N/2", float(np.min(lam)), 0.0, direction="ge")
     report.add("mu strictly decreasing", float(np.max(np.diff(mu))), 0.0)
     if config.out:
-        params = {"c": config.c, "N": basis.n_dim}
         if config.fmt == "json":
             dump_json(table_to_dict(columns, params), config.out)
         else:
@@ -181,8 +183,6 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
 
 
 def cmd_export_operator(config: RunConfig, which: str) -> None:
-    if not config.out:
-        raise ProlateCalculusError("export-operator requires --out")
     op = build_operator(config, which)
     params = {"c": config.c, "N": config.n_dim, "which": which}
     if which in RECONSTRUCTED:
@@ -193,15 +193,13 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
         operator_to_csv(op, config.out)
 
 
-def cmd_nystrom(config: RunConfig, n_modes: int, n_nodes: int) -> None:
-    # nystrom_chi projects onto n_nodes // 2 Legendre degrees and needs >= 4.
-    if n_nodes < 8 or not 1 <= n_modes <= n_nodes:
-        raise DomainError(f"need 1 <= n_modes <= n_nodes and n_nodes >= 8, got {n_modes}, {n_nodes}")
-    if not config.out:
-        raise ProlateCalculusError("nystrom requires --out")
-    result = nystrom_sinc_eigen(config.c, n_nodes=n_nodes, n_modes=n_modes)
-    columns = {"n": np.arange(n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
-    params = {"c": config.c, "nodes": n_nodes, "oracle": "nystrom"}
+def cmd_nystrom(config: RunConfig) -> None:
+    if config.c > MAX_C:
+        raise OutOfRangeError(f"nystrom runs at c <= {MAX_C:g}, got c = {config.c:g}; its "
+                              f"{DEFAULT_NODES}-node grid loses digits of mu_n past c = 370")
+    result = nystrom_sinc_eigen(config.c, n_modes=9)  # modes 0..8, which every suite checks
+    columns = {"n": np.arange(result.n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
+    params = {"c": config.c, "nodes": result.rule.order, "oracle": "nystrom"}
     if config.fmt == "json":
         dump_json(table_to_dict(columns, params), config.out)
     else:
@@ -209,10 +207,11 @@ def cmd_nystrom(config: RunConfig, n_modes: int, n_nodes: int) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+        if args.command in ("export-operator", "nystrom") and not config.out:
+            raise ProlateCalculusError(f"{args.command} requires --out")
         if args.command == "pswf":
             report = cmd_pswf(config)
         elif args.command == "verify":
@@ -227,11 +226,9 @@ def main(argv=None) -> int:
             print(f"wrote {args.which} (c={config.c}, N={config.n_dim}) to {config.out}")
             return 0
         elif args.command == "nystrom":
-            cmd_nystrom(config, args.n_modes, args.n_nodes)
+            cmd_nystrom(config)
             print(f"wrote nystrom fixtures (c={config.c}) to {config.out}")
             return 0
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
     except ProlateCalculusError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
         return 2

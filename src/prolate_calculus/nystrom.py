@@ -7,7 +7,9 @@ here touches the banded eigensolve of the differential operator; chi values
 come from a Rayleigh quotient on the Nystrom eigenvectors.
 
 The parity blocks keep modes of opposite parity apart; ``nystrom_chi`` states
-what the mixing of same-parity modes still costs.
+what the mixing of same-parity modes still costs.  The CLI runs the 400-node
+default grid at c <= ``MAX_C`` = 340: |mu_n - ``solve_prolate(c).mus[n]``|, n <= 8,
+is at most 9e-14 up to c = 368, then 1.2e-12 at c = 370 and 1.4e-7 at 380.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .legendre import QuadRule, gauss_legendre_rule, half_rule, legendre_table
 from .prolate import assemble_heun_matrix
 
 DEFAULT_NODES = 400
+MAX_C = 340.0
 
 
 def sinc_kernel(c: float, x, t):

@@ -1,0 +1,79 @@
+"""Print a digest of what ``prolate_calculus.cli.main`` does on a fixed grid of argvs.
+
+One line per argv: the exit code, then the sha256 of stdout (with the wall
+time of a suite's summary line stripped), of stderr and of the file the run
+wrote ("-" when it wrote none), then the argv.  The output path is replaced
+by ``OUT`` before hashing, so two checkouts give equal lines exactly when
+they behave the same.  Run it against each checkout and diff the outputs:
+
+    PYTHONPATH=<checkout>/src python tests/argv_digest.py > digest.txt
+
+Pytest does not collect this file.  Every argv runs in this one process, in
+the order printed, so repeated runs also cover the cached quadrature rules.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+from prolate_calculus import cli
+
+C_GRID = ("0.5", "4", "10", "12", "20")
+OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
+FORMATS = ("json", "csv")
+_WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
+
+
+def argv_grid():
+    """139 argvs, each written with ``--out``, ``--format`` json unless given."""
+    for c in C_GRID:
+        for which in OPERATORS:
+            for variant in ("folded", "full"):
+                for fmt in FORMATS:
+                    yield ("export-operator", which, "--c", c, "--variant", variant, "--format", fmt)
+        for command in ("pswf", "nystrom"):
+            for fmt in FORMATS:
+                yield (command, "--c", c, "--format", fmt)
+        for suite in ("translation", "commutation", "limits-large"):
+            yield ("verify", "--suite", suite, "--c", c)
+    for c in ("0.01", "0.1"):
+        yield ("verify", "--suite", "limits-small", "--c", c)
+    yield ("verify", "--suite", "fourier", "--n-trunc", "10")
+    yield ("verify", "--suite", "translation", "--c", "25", "--n-trunc", "30")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digest(argv, work: Path) -> str:
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    out = work / f"out.{fmt}"
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # usage errors
+            code = exc.code
+    texts = [s.getvalue().replace(str(out), "OUT") for s in (stdout, stderr)]
+    texts[0] = _WALL_TIME.sub(r"\1<wall>)", texts[0])
+    written = _sha(out.read_bytes()) if out.exists() else "-"
+    return " ".join([str(code), *(_sha(t.encode()) for t in texts), written, *argv])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in argv_grid():
+            print(digest(argv, Path(tmp)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 """End-to-end CLI checks, through subprocess and in process, including artifact round-trips."""
 
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prolate_calculus import RunConfig, cli, run_suite, verify
+from prolate_calculus import RunConfig, cli, run_suite, solve_prolate, verify
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import _build_rule
+from prolate_calculus.nystrom import MAX_C
 from prolate_calculus.serialize import load_json, operator_from_dict
 from prolate_calculus.verify import SUITES, VerificationReport
 
@@ -73,11 +75,11 @@ class TestExitCodes:
             ("verify", "--suite", "translation", "--c", "1", "--n-trunc", "4"),
             ("verify", "--suite", "translation", "--c", "1", "--n-trunc", "8"),
             ("verify", "--suite", "translation", "--c", "1", "--n-trunc", "12"),
-            ("nystrom", "--n-modes", "500", "--n-nodes", "400", "--out", "unused.json"),
-            ("nystrom", "--n-nodes", "1", "--out", "unused.json"),
-            ("nystrom", "--n-nodes", "7", "--n-modes", "7", "--out", "unused.json"),
-            ("nystrom", "--n-modes", "-1", "--out", "unused.csv", "--format", "csv"),
-            ("nystrom", "--n-modes", "0", "--out", "unused.json"),
+            ("nystrom", "--c", "0", "--out", "unused.json"),
+            ("nystrom", "--c", "-1", "--out", "unused.json"),
+            ("nystrom", "--c", "nan", "--out", "unused.json"),
+            ("nystrom", "--c", "1e300", "--out", "unused.csv", "--format", "csv"),
+            ("nystrom", "--c", "400", "--out", "unused.json"),
         ],
     )
     def test_invalid_input_exits_two(self, argv, capsys):
@@ -133,10 +135,50 @@ class TestExitCodes:
         assert captured.err == f"error[error]: {argv[0]} requires --out\n"
         assert captured.out == ""
 
-    def test_smallest_sizes_nystrom_accepts(self, tmp_path):
+    def test_default_nystrom_writes_modes_0_to_8(self, tmp_path):
         out = tmp_path / "ny.json"
-        assert cli.main(["nystrom", "--n-nodes", "8", "--n-modes", "8", "--out", str(out)]) == 0
-        assert load_json(out)["data"]["n"] == list(range(8))
+        assert cli.main(["nystrom", "--out", str(out)]) == 0
+        payload = load_json(out)
+        assert payload["params"] == {"c": 1.0, "nodes": 400, "oracle": "nystrom"}
+        assert payload["data"]["n"] == list(range(9))
+
+    def test_nystrom_refuses_a_c_above_its_grid_before_any_work(self, monkeypatch, capsys, tmp_path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("nystrom_sinc_eigen ran above the limit")
+
+        monkeypatch.setattr(cli, "nystrom_sinc_eigen", no_work)
+        out = tmp_path / "ny.json"
+        c = repr(float(np.nextafter(MAX_C, np.inf)))
+        assert cli.main(["nystrom", "--c", c, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error[out-of-range]: nystrom runs at c <= {MAX_C:g}, got c = ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_nystrom_at_its_limit_matches_the_spectral_mu(self, tmp_path, capsys):
+        out = tmp_path / "ny.json"
+        assert cli.main(["nystrom", "--c", repr(MAX_C), "--out", str(out)]) == 0
+        capsys.readouterr()
+        mu = np.array(load_json(out)["data"]["mu"])
+        assert mu.shape == (9,)
+        assert np.max(np.abs(mu - solve_prolate(MAX_C).mus[:9])) <= 1e-12
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # Only the top-level parser adds subparsers, once per build.
+    real = argparse.ArgumentParser.add_subparsers
+    built = []
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["verify", "--suite", "commutation", "--c", "1"]) == 0
+    capsys.readouterr()
+    assert built == ["prolate-calculus"]
 
 
 def test_cli_import_loads_no_scipy():
@@ -533,21 +575,11 @@ def test_pswf_fuzz_exits_with_a_verdict_or_a_refusal(c, n_trunc, fmt, write, tmp
     _assert_outcome(*_main_in_process(argv), out, fmt)
 
 
-@st.composite
-def _nystrom_sizes(draw):
-    n_nodes = draw(st.integers(8, 200))
-    return n_nodes, draw(st.integers(1, n_nodes))
-
-
 @settings(_FUZZ, max_examples=40)
-@given(c=_C, sizes=_nystrom_sizes(), fmt=_FORMATS)
-# Modes past the kernel's numerical rank, some with mu_n = 0 exactly.
-@example(c=35.45642296794748, sizes=(158, 95), fmt="json")
-def test_nystrom_fuzz_exits_with_a_table_or_a_refusal(c, sizes, fmt, tmp_path):
-    n_nodes, n_modes = sizes
+@given(c=st.one_of(_C, st.floats(300.0, 400.0)), fmt=_FORMATS)
+def test_nystrom_fuzz_exits_with_a_table_or_a_refusal(c, fmt, tmp_path):
     out = _out_path(tmp_path, "ny", fmt, True)
-    argv = ["nystrom", "--c", repr(c), "--n-nodes", str(n_nodes), "--n-modes", str(n_modes),
-            "--format", fmt, "--out", str(out)]
+    argv = ["nystrom", "--c", repr(c), "--format", fmt, "--out", str(out)]
     _assert_outcome(*_main_in_process(argv), out, fmt)
 
 
@@ -621,7 +653,7 @@ class TestVerifyArtifacts:
         (("export-operator", "Qc", "--c", "3", "--n-trunc", "24", "--format", "csv"), ".csv"),
         (("export-operator", "Fc-reconstructed", "--c", "3", "--n-trunc", "24"), ".json"),
         (("export-operator", "Fc-reconstructed", "--c", "3", "--n-trunc", "24", "--format", "csv"), ".csv"),
-        (("nystrom", "--c", "3", "--n-nodes", "96"), ".json"),
+        (("nystrom", "--c", "3"), ".json"),
         (("verify", "--suite", "limits-small", "--c", "0.05"), ".json"),
         (("verify", "--suite", "limits-large", "--c", "8"), ".json"),
         (("verify", "--suite", "commutation", "--c", "3"), ".json"),
