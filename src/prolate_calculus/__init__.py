@@ -38,14 +38,12 @@ from .transforms import (
     heun_operator,
     reconstruct_fourier,
     reconstruct_sinc,
-    reflect,
     sinc_kernel_direct,
 )
 from .asymptotics import (
     bessel_i0_series,
     bessel_limit_check,
     dilated_pswf,
-    fourier_phase_errors,
     hermite_distance,
     oscillator_gaps,
     small_c_operator,

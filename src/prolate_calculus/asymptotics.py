@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .legendre import gauss_legendre_rule
 from .prolate import ProlateBasis, pswf_eval
-from .transforms import OperatorMatrix, finite_fourier_direct
+from .transforms import OperatorMatrix
 from .ucalc import u_series_scalar
 
 SMALL_C_MAX = 0.2
@@ -171,21 +171,6 @@ def oscillator_gaps(basis: ProlateBasis, n_max: int) -> np.ndarray:
     """
     count = _mode_count(basis, n_max)
     return np.abs(math.sqrt(basis.c / (2 * math.pi)) * basis.lambdas[:count] - 1.0)
-
-
-def fourier_phase_errors(basis: ProlateBasis, n_max: int) -> np.ndarray:
-    """Wrapped |arg <psi_n, F_c psi_n> - pi n/2| for n <= n_max.
-
-    The quotients v^T F v are read off one direct F_c matrix on the basis's
-    Legendre coefficients, so they carry the measured phase, not the i^n
-    that the eigenvalue i^n lambda_n carries by construction.
-    """
-    count = _mode_count(basis, n_max)
-    v = basis.psi_coeffs[:, :count]
-    fourier = finite_fourier_direct(basis.c, basis.n_dim).entries
-    quotients = np.einsum("in,in->n", v, fourier @ v)
-    phase = np.angle(quotients) - math.pi * np.arange(count) / 2
-    return np.abs((phase + math.pi) % (2 * math.pi) - math.pi)
 
 
 def bessel_i0_series(z: float) -> float:

@@ -98,13 +98,6 @@ def sinc_kernel_direct(c: float, n_dim: int) -> OperatorMatrix:
     return OperatorMatrix(dim=n_dim, entries=entries)
 
 
-def reflect(n_dim: int) -> OperatorMatrix:
-    """Reflection x -> -x; diagonal (-1)^n on the Legendre basis."""
-    return OperatorMatrix(
-        dim=n_dim, entries=np.diag((-1.0 + 0j) ** np.arange(n_dim))
-    )
-
-
 def heun_operator(c: float, n_dim: int) -> OperatorMatrix:
     """The prolate operator T as a dense complex matrix on the Legendre basis."""
     return OperatorMatrix(n_dim, assemble_heun_matrix(c, n_dim).to_dense().astype(complex))

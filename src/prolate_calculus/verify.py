@@ -1,9 +1,8 @@
 """Named verification suites behind the CLI.
 
 Each suite builds the objects it needs from a RunConfig, measures a list of
-checks and returns a VerificationReport.  Checks compare a measured value
-against a tolerance with an explicit direction, so the JSON artifact is
-self-describing.
+checks and returns a VerificationReport.  Each check passes when its measured
+value is at most its tolerance, so the JSON artifact is self-describing.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import numpy as np
 
 from .asymptotics import (
     bessel_limit_check,
-    fourier_phase_errors,
     hermite_distance,
     oscillator_gaps,
-    small_c_diagonal_terms,
     small_c_operator,
     wkb_value,
 )
@@ -34,13 +31,12 @@ from .transforms import (
     heun_operator,
     reconstruct_fourier,
     reconstruct_sinc,
-    reflect,
     sinc_kernel_direct,
 )
 from .ucalc import boundary_ratios, u_operator_apply, u_series_scalar
 
 # The translation, fourier and sinc suites check modes 0..8, which must be
-# certified (n < N // 2).
+# certified (n < N // 2); the nystrom table writes the same modes.
 _IDENTITY_MODES = 9
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
@@ -77,16 +73,14 @@ class CheckRecord:
     name: str
     value: float
     tol: float
-    direction: str = "le"  # measured <= tol ("le") or >= tol ("ge")
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.tol if self.direction == "le" else self.value >= self.tol
+        return self.value <= self.tol
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"
-        rel = "<=" if self.direction == "le" else ">="
-        return f"[{mark}] {self.name}: {self.value:.6e} {rel} {self.tol:.6e}"
+        return f"[{mark}] {self.name}: {self.value:.6e} <= {self.tol:.6e}"
 
 
 @dataclass
@@ -100,10 +94,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def add(self, name, value, tol, direction="le"):
-        self.records.append(
-            CheckRecord(name=name, value=float(value), tol=float(tol), direction=direction)
-        )
+    def add(self, name, value, tol):
+        self.records.append(CheckRecord(name=name, value=float(value), tol=float(tol)))
 
     def summary_lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
@@ -154,9 +146,6 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
         np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)),
         1e-13,
     )
-
-    ident = u_operator_apply(basis, 0.0, f)
-    rep.add("identity at xi = 0", np.max(np.abs(ident - f)), 0.0)
     return rep
 
 
@@ -237,12 +226,6 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
     n_dim = 24
     rep = _report("limits-small", config, {"N": n_dim})
 
-    a_terms, b_terms = small_c_diagonal_terms(n_dim)
-    rank_one = abs(a_terms[0] - 2.0) + float(np.max(np.abs(a_terms[1:])))
-    rep.add("order-c^0 equals 2 x rank-one projector", rank_one, 1e-12)
-    off_mode = abs(b_terms[0]) + float(np.max(np.abs(b_terms[2:])))
-    rep.add("order-c^1 supported on mode 1 only", off_mode, 1e-12)
-
     errs = {}
     for cc in (c / 2, c):
         approx = small_c_operator(cc, n_dim)
@@ -250,14 +233,6 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
         errs[cc] = np.linalg.norm(approx.entries - direct.entries)
     ratio = errs[c / 2] / errs[c]
     rep.add("error ratio at c/2 vs c (target 1/4)", abs(ratio - 0.25), 0.08)
-
-    approx = small_c_operator(1e-3, n_dim)
-    direct = finite_fourier_direct(1e-3, n_dim)
-    rep.add(
-        "entrywise Taylor consistency at c = 1e-3",
-        float(np.max(np.abs(approx.entries - direct.entries))),
-        5e-6,
-    )
     return rep
 
 
@@ -276,8 +251,6 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
     rep.add("sqrt(c/2pi) lambda_n -> 1 monotonically, n<=4", worst_gap, 0.0)
 
     basis = bases[c]
-    phase = np.max(fourier_phase_errors(basis, 4))
-    rep.add("phase of <psi_n, F psi_n> vs pi n/2, n<=4", phase, 0.05)
     dist_here = hermite_distance(basis, 0)
     rep.add("hermite distance of dilated mode 0", dist_here, 0.05)
     rep.add(
@@ -312,10 +285,8 @@ def _suite_commutation(config: RunConfig) -> VerificationReport:
     t_op = heun_operator(config.c, n_dim)
     fourier = finite_fourier_direct(config.c, n_dim)
     sinc = sinc_kernel_direct(config.c, n_dim)
-    refl = reflect(n_dim)
     rep.add("[T, F_c] relative commutator", commutator_report(t_op, fourier, block), tol)
     rep.add("[T, Q_c] relative commutator", commutator_report(t_op, sinc, block), tol)
-    rep.add("[R, T] relative commutator", commutator_report(refl, t_op, block), 1e-12)
     return rep
 
 

@@ -4,7 +4,10 @@ One line per argv: the exit code, then the sha256 of stdout (with the wall
 time of a suite's summary line stripped), of stderr and of the file the run
 wrote ("-" when it wrote none), then the argv.  The output path is replaced
 by ``OUT`` before hashing, so two checkouts give equal lines exactly when
-they behave the same.  Run it against each checkout and diff the outputs:
+they behave the same.  Below each line come the run's check records: for a
+written JSON report, one line per check as ``name repr(value) tol passed``;
+otherwise the check lines the run printed.  Run it against each checkout and
+diff the outputs:
 
     PYTHONPATH=<checkout>/src python tests/argv_digest.py > digest.txt
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -31,7 +35,7 @@ _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """139 argvs, each written with ``--out``, ``--format`` json unless given."""
+    """159 argvs, each written with ``--out``, ``--format`` json unless given."""
     for c in C_GRID:
         for which in OPERATORS:
             for variant in ("folded", "full"):
@@ -42,6 +46,9 @@ def argv_grid():
                 yield (command, "--c", c, "--format", fmt)
         for suite in ("translation", "commutation", "limits-large"):
             yield ("verify", "--suite", suite, "--c", c)
+        for suite in ("fourier", "sinc"):
+            for variant in ("folded", "full"):
+                yield ("verify", "--suite", suite, "--c", c, "--variant", variant)
     for c in ("0.01", "0.1"):
         yield ("verify", "--suite", "limits-small", "--c", c)
     yield ("verify", "--suite", "fourier", "--n-trunc", "10")
@@ -65,7 +72,19 @@ def digest(argv, work: Path) -> str:
     texts = [s.getvalue().replace(str(out), "OUT") for s in (stdout, stderr)]
     texts[0] = _WALL_TIME.sub(r"\1<wall>)", texts[0])
     written = _sha(out.read_bytes()) if out.exists() else "-"
-    return " ".join([str(code), *(_sha(t.encode()) for t in texts), written, *argv])
+    lines = [" ".join([str(code), *(_sha(t.encode()) for t in texts), written, *argv])]
+    return "\n".join(lines + [f"  {record}" for record in _records(out, fmt, texts[0])])
+
+
+def _records(out: Path, fmt: str, stdout: str) -> list[str]:
+    if fmt == "json" and out.exists():
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        if payload["kind"] == "report":
+            return [
+                f"{check['name']} {check['value']!r} {check['tol']!r} {check['passed']}"
+                for check in payload["data"]["checks"]
+            ]
+    return [line.strip() for line in stdout.splitlines() if line.startswith("  [")]
 
 
 def main() -> int:

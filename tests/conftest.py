@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prolate_calculus import (
+    OperatorMatrix,
     finite_fourier_direct,
     nystrom_sinc_eigen,
     reconstruct_fourier,
@@ -58,3 +59,9 @@ def ops() -> OpCache:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def reflect():
+    """R: x -> -x as an operator builder; diagonal (-1)^n on the Legendre basis."""
+    return lambda n_dim: OperatorMatrix(n_dim, np.diag((-1.0 + 0j) ** np.arange(n_dim)))

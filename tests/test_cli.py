@@ -224,7 +224,7 @@ class TestSuiteSmoke:
         out = tmp_path / "large.json"
         assert cli.main(["verify", "--suite", "limits-large", "--c", "8", "--out", str(out)]) in (0, 1)
         checks = load_json(out)["data"]["checks"]
-        assert len(checks) >= 6
+        assert len(checks) >= 5
         assert all(math.isfinite(check["value"]) for check in checks)
 
 
@@ -266,7 +266,7 @@ def test_limits_small_refuses_a_c_outside_its_range(c, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("limits-small computed before refusing")
 
-    monkeypatch.setattr(verify, "small_c_diagonal_terms", no_work)
+    monkeypatch.setattr(verify, "small_c_operator", no_work)
     monkeypatch.setattr(verify, "finite_fourier_direct", no_work)
     assert cli.main(["verify", "--suite", "limits-small", "--c", c]) == 2
     captured = capsys.readouterr()
@@ -353,17 +353,14 @@ _SERIES_CHECK_VALUES = {
     ("translation", 4.0): {
         "series-vs-spectral ratio, n<=8, 10 random xi": 1.865174681370263e-14,
         "linearity of U(xi;T), relative to max|U f|": 2.3914529881697647e-16,
-        "identity at xi = 0": 0.0,
     },
     ("translation", 10.0): {
         "series-vs-spectral ratio, n<=8, 10 random xi": 4.622506821760908e-10,
         "linearity of U(xi;T), relative to max|U f|": 1.0034365172092194e-15,
-        "identity at xi = 0": 0.0,
     },
     ("translation", 15.0): {
         "series-vs-spectral ratio, n<=8, 10 random xi": 6.6716165747493505e-06,
         "linearity of U(xi;T), relative to max|U f|": 1.339563509263481e-16,
-        "identity at xi = 0": 0.0,
     },
     ("limits-large", 10.0): {_BESSEL: 0.1531171755856069, _WKB: 0.0009896568372241095},
     ("limits-large", 17.0): {_BESSEL: 0.09146145381876147, _WKB: 0.018177485101639534},
@@ -420,6 +417,29 @@ class TestPswfCommand:
         chi_col = header.index("chi")
         chi = [float(line.split(",")[chi_col]) for line in lines[1:6]]
         np.testing.assert_allclose(chi, [0, 2, 6, 12, 20], atol=1e-12)
+
+    @pytest.mark.parametrize("c, passed", [(20.0, True), (22.0, False)])
+    def test_conditioning_is_the_largest_inverse_endpoint(self, c, passed):
+        report = cli.cmd_pswf(RunConfig(c=c))
+        (record,) = [r for r in report.records if r.name.startswith("conditioning")]
+        basis = solve_prolate(c)
+        assert record.value == 1.0 / np.min(np.abs(basis.endpoint_minus[: basis.n_certified]))
+        assert record.passed is passed
+
+    def test_conditioning_reads_inf_where_an_endpoint_is_zero(self):
+        # Some psi_n(-1) is exactly 0 at c = 40.  Warnings are errors here,
+        # so the record is computed without a numpy division warning.
+        basis = solve_prolate(40.0)
+        assert np.min(np.abs(basis.endpoint_minus[: basis.n_certified])) == 0
+        report = cli.cmd_pswf(RunConfig(c=40.0))
+        (record,) = [r for r in report.records if r.name.startswith("conditioning")]
+        assert record.value == math.inf
+        assert not record.passed
+
+    def test_summary_reports_the_run_time(self):
+        report = cli.cmd_pswf(RunConfig(c=4.0))
+        assert report.wall_time_s > 0
+        assert all(" <= " in line for line in report.summary_lines()[1:])
 
     def test_mu_column_matches_nystrom_fixture(self, tmp_path):
         table_out = tmp_path / "pswf.json"

@@ -15,6 +15,9 @@ from prolate_calculus import (
 from prolate_calculus import prolate
 from prolate_calculus.nystrom import nystrom_chi, sinc_kernel
 
+# The bandwidths of the CLI's exit-code contract, and c = 0.
+CONTRACT_C = (0.0, 0.5, 4.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0, 22.0, 25.0, 30.0, 40.0)
+
 
 def nystrom_psi_value(result, n, x):
     """Eigenfunction value anywhere in [-1,1] via the interpolation formula.
@@ -91,10 +94,12 @@ class TestSolveProlate:
         assert abs(pswf_eval(basis, 0, 0.0) - oracle) <= 1e-7
 
     def test_parity_of_coefficients(self, ops):
-        basis = ops.basis(1.0, 64)
-        for n in range(32):
-            off = basis.psi_coeffs[(np.arange(64) + n) % 2 == 1, n]
-            assert np.max(np.abs(off)) <= 1e-12
+        # The parity-block eigensolve writes exact zeros off parity.
+        for c in CONTRACT_C:
+            basis = ops.basis(c, None)
+            degrees = np.arange(basis.n_dim)
+            for n in range(basis.n_dim):
+                assert np.all(basis.psi_coeffs[(degrees + n) % 2 == 1, n] == 0), (c, n)
 
     def test_pointwise_parity(self, ops, rng):
         basis = ops.basis(1.0, 64)
@@ -128,9 +133,9 @@ class TestSolveProlate:
 
 class TestFourierEigenvalue:
     def test_mu_lambda_relation(self, ops):
-        basis = ops.basis(1.0, 64)
-        for n in range(8):
-            assert abs(basis.mus[n] - 1.0 / (2 * math.pi) * basis.lambdas[n] ** 2) <= 1e-10
+        for c in CONTRACT_C:
+            basis = ops.basis(c, None)
+            assert np.array_equal(basis.mus, c / (2 * np.pi) * basis.lambdas**2), c
 
     def test_lambda_positive_decreasing(self, ops):
         basis = ops.basis(2.0, 64)
@@ -142,10 +147,11 @@ class TestFourierEigenvalue:
 
     def test_eigenvalue_phase(self, ops):
         # i^n lambda_n, phase and magnitude, is the quotient <psi_n, F_c psi_n>.
-        basis = ops.basis(1.0, 64)
-        for n in range(4):
-            q = _fourier_quotient(ops, basis, n)
-            assert abs(q - (1j) ** n * basis.lambdas[n]) <= 1e-14
+        for c, n_dim, tol in ((1.0, 64, 1e-14), (16.0, None, 1e-12)):
+            basis = ops.basis(c, n_dim)
+            for n in range(5):
+                q = _fourier_quotient(ops, basis, n)
+                assert abs(q - (1j) ** n * basis.lambdas[n]) <= tol, (c, n)
 
     def test_small_c_limit_of_lambda0(self):
         basis = solve_prolate(1e-4, 64)

@@ -117,6 +117,7 @@ REMOVED_PARAMETERS = [
     (transforms._sinc_weights, "variant"),
     (asymptotics.wkb_value, "b_coeff"),
     (asymptotics.bessel_i0_series, "tol"),
+    (verify.VerificationReport.add, "direction"),
 ]
 
 
@@ -156,6 +157,8 @@ def test_removed_parameters_are_gone():
     for fn, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
     assert "tol" not in {f.name for f in dataclasses.fields(verify.RunConfig)}
+    # Every check passes when its value is at most its tolerance.
+    assert [f.name for f in dataclasses.fields(verify.CheckRecord)] == ["name", "value", "tol"]
 
 
 @pytest.mark.parametrize("command, flag", REMOVED_FLAGS)

@@ -15,7 +15,6 @@ from prolate_calculus import (
     legendre_table,
     reconstruct_fourier,
     reconstruct_sinc,
-    reflect,
     sinc_kernel_direct,
     solve_prolate,
 )
@@ -59,7 +58,7 @@ class TestFoldedQuadrature:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["q", "q+1"])
     @pytest.mark.parametrize("c", [0.5, 4.0, 12.0, 30.0])
-    def test_parity_blocks_are_exact(self, c, extra):
+    def test_parity_blocks_are_exact(self, c, extra, reflect):
         # Mixed-parity entries are exactly 0, the even-even block of F_c is
         # real and its odd-odd block imaginary, and R commutes with both
         # operators exactly.  The rules of order q and q+1 give an odd order
@@ -156,18 +155,14 @@ class TestSincDirect:
 
 
 class TestReflect:
-    def test_involution(self):
-        r = reflect(16).entries
-        assert np.array_equal(r @ r, np.eye(16, dtype=complex))
-
-    def test_reflects_eigenmodes(self, ops):
+    def test_reflects_eigenmodes(self, ops, reflect):
         basis = ops.basis(1.0, 64)
         r = reflect(64).entries
         for n in range(6):
             v = basis.psi_coeffs[:, n].astype(complex)
             assert np.max(np.abs(r @ v - (-1.0) ** n * v)) <= 1e-12
 
-    def test_reflection_identities_for_fourier(self, ops):
+    def test_reflection_identities_for_fourier(self, ops, reflect):
         # Flipping both variables leaves the kernel alone (R F R = F);
         # conjugating it flips one variable (conj F = R F).
         fourier = ops.fourier(1.0, 32).entries
@@ -285,7 +280,7 @@ class TestCommutators:
         assert commutator_report(t_op, ops.fourier(c, 64), 32) <= 1e-8
         assert commutator_report(t_op, ops.sinc(c, 64), 32) <= 1e-8
 
-    def test_reflection_commutes_with_heun(self):
+    def test_reflection_commutes_with_heun(self, reflect):
         t_op = heun_operator(2.0, 64)
         assert commutator_report(reflect(64), t_op, 32) <= 1e-12
 

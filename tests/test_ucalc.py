@@ -10,7 +10,6 @@ from prolate_calculus import (
     SeriesStallError,
     boundary_ratios,
     pswf_eval,
-    reflect,
     u_operator_apply,
     u_series_scalar,
 )
@@ -407,7 +406,7 @@ class TestUOperatorApply:
         scale = pswf_eval(basis, 2, -0.6) / basis.endpoint_minus[2]
         assert np.max(np.abs(out - scale * f)) <= 1e-10
 
-    def test_reflection_via_spectral_path(self, ops, rng):
+    def test_reflection_via_spectral_path(self, ops, rng, reflect):
         basis = ops.basis(1.0, 64)
         f = rng.standard_normal(64)
         out = u_operator_apply(basis, 2.0, f)
