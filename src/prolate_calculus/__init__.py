@@ -26,11 +26,7 @@ from .prolate import (
     solve_prolate,
 )
 from .nystrom import NystromResult, nystrom_chi, nystrom_sinc_eigen
-from .ucalc import (
-    boundary_ratios,
-    u_operator_apply,
-    u_series_scalar,
-)
+from .ucalc import boundary_ratios, u_series_scalar
 from .transforms import (
     OperatorMatrix,
     commutator_report,

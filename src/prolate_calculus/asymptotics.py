@@ -133,30 +133,6 @@ def hermite_distance(basis: ProlateBasis, n: int) -> float:
     return float(math.sqrt(np.abs(weights @ diff**2)))
 
 
-def hermite_ladder_matrices(m_count: int):
-    """(X, D) position and derivative matrices in the Hermite-function basis."""
-    k = np.sqrt(np.arange(1, m_count) / 2.0)
-    x_mat = np.diag(k, 1) + np.diag(k, -1)
-    d_mat = np.diag(k, 1) - np.diag(k, -1)
-    return x_mat, d_mat
-
-
-def dilated_heun_hermite_defect(c: float, block: int, buffer: int = 8) -> float:
-    """|| dilated-T / (2c) - diag(-(n + 1/2)) ||_F on a leading Hermite block.
-
-    The dilated operator is c (d^2 - x^2) - (x^2 d^2 + 2 x d); the second
-    group is c-independent, so the defect decays like 1/c.
-    """
-    m = block + buffer
-    x_mat, d_mat = hermite_ladder_matrices(m)
-    osc = d_mat @ d_mat - x_mat @ x_mat
-    rest = x_mat @ x_mat @ d_mat @ d_mat + 2.0 * x_mat @ d_mat
-    t_tilde = c * osc - rest
-    target = np.diag(-(np.arange(m) + 0.5))
-    defect = t_tilde / (2.0 * c) - target
-    return float(np.linalg.norm(defect[:block, :block]))
-
-
 def _mode_count(basis: ProlateBasis, n_max: int) -> int:
     """n_max + 1, refused with IndexError unless modes 0..n_max are certified."""
     if not 0 <= n_max < basis.n_certified:

@@ -14,7 +14,9 @@ the default truncation):
                    --c --out --format
 
 Past its range a run FAILs or is refused (exit 2) today (ROADMAP items 3 and 4);
-limits-small, limits-large and nystrom refuse any other c before any work.
+limits-small, limits-large and nystrom refuse any other c before any work.  A
+run whose largest dense array would pass ``MAX_ARRAY_BYTES`` is refused (exit 2)
+before any work too.
 ``--variant`` selects the full or folded xi integral of the fourier and sinc
 suites and of the two reconstructed operators; ``--seed`` draws the translation
 suite's test points, and only its report records it.  Each check carries its
@@ -49,6 +51,7 @@ from .serialize import (
 )
 from .transforms import (
     OperatorMatrix,
+    _q_order,
     finite_fourier_direct,
     heun_operator,
     reconstruct_fourier,
@@ -59,6 +62,11 @@ from .verify import _IDENTITY_MODES, SUITES, RunConfig, VerificationReport, run_
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
+# Largest dense array one run may allocate.  256 MiB holds the N x N
+# eigenvectors up to N = 5792 (c = 2876 at the default N) and the direct
+# operators' complex kernels up to q = 4096 (c = 1349), far past every range
+# the commands state; a run predicted to need more is refused before any work.
+MAX_ARRAY_BYTES = 2**28
 
 _FLAGS = {
     "--c": dict(type=float, help="bandwidth parameter"),
@@ -114,6 +122,33 @@ def config_from_args(args) -> RunConfig:
     return RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
 
 
+def _enlarged_dim(config: RunConfig) -> int:
+    """Size of the internal basis a reconstructed operator is assembled on."""
+    return max(config.n_dim + 24, default_truncation(config.c))
+
+
+def _largest_array_bytes(job: str, config: RunConfig) -> int:
+    """Bytes of the largest dense array that ``job`` (a command, a suite or an
+    exported operator) allocates: the N x N float64 eigenvectors of T, a
+    complex N x N operator, or the direct operators' complex q x q kernels on
+    the nodes y >= 0 of their fine rule, q = N + ceil(c) + 8.  limits-large
+    solves at the default N of c; a reconstructed export on its enlarged
+    basis.  nystrom and limits-small work at fixed sizes under 1 MiB.
+    """
+    c, n = config.c, config.n_dim
+    if job in ("nystrom", "limits-small"):
+        return 0
+    if job == "limits-large":
+        return 8 * default_truncation(c) ** 2
+    if job in RECONSTRUCTED:
+        return 16 * _enlarged_dim(config) ** 2
+    if job in ("pswf", "translation"):
+        return 8 * n * n
+    if job == "T":
+        return 16 * n * n
+    return 16 * _q_order(c, n) ** 2  # Fc, Qc and the fourier, sinc, commutation suites
+
+
 def cmd_pswf(config: RunConfig) -> VerificationReport:
     """Table of n, chi_n, lambda_n, mu_n, psi_n(+-1) plus basis invariants."""
     start = time.perf_counter()
@@ -164,7 +199,7 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
         raise ProlateCalculusError(f"unknown operator {which!r}")
     # Reconstructions are assembled on an enlarged internal basis and cut
     # back, so every exported entry is converged (mode tails are not).
-    basis = solve_prolate(config.c, max(n_dim + 24, default_truncation(config.c)))
+    basis = solve_prolate(config.c, _enlarged_dim(config))
     if which == "Fc-reconstructed":
         full = reconstruct_fourier(basis, config.variant)
     else:
@@ -202,6 +237,13 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         if args.command in ("export-operator", "nystrom") and not config.out:
             raise ProlateCalculusError(f"{args.command} requires --out")
+        job = vars(args).get("suite") or vars(args).get("which") or args.command
+        predicted = _largest_array_bytes(job, config)
+        if predicted > MAX_ARRAY_BYTES:
+            raise OutOfRangeError(
+                f"{job} at c = {config.c:g} would allocate a {predicted / 2**30:.3g} GiB "
+                f"array, past the {MAX_ARRAY_BYTES / 2**20:g} MiB limit"
+            )
         if args.command == "pswf":
             report = cmd_pswf(config)
         elif args.command == "verify":

@@ -16,20 +16,19 @@ endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 
 Two independent paths to the boundary ratio are kept deliberately, and
 ``boundary_ratios`` takes exactly these two: "series" sums the power series
-for one xi in (-2, 2), "spectral" goes through the eigenbasis for a scalar xi
-or a whole xi-grid in (0, 2].  Their agreement is the sharpest numerical test
-of the translation property.  The spectral (modes x xi) table is what the
-F_c / Q_c reconstructions integrate and what ``u_operator_apply`` scales by;
-the series runs only where it is itself under test (translation and
-limits-large suites, and the tests).
+for one xi in (-2, 2) over the certified modes n < N/2, "spectral" goes
+through the eigenbasis for a scalar xi or a whole xi-grid in (0, 2] and
+returns all N modes.  Their agreement is the sharpest numerical test of the
+translation property.  The spectral (modes x xi) table is what the F_c / Q_c
+reconstructions integrate, every mode of it; the series runs only where it
+is itself under test (translation and limits-large suites, and the tests).
 
 ``u_series_terms`` is the one unrolling of the recurrence, in the scaled
 form t_k = xi^k U_k / k!; it produces the terms in blocks of ``_BLOCK`` rows.
 ``u_series_many`` sums them over an array of spectral points, applying its
 stop rule to a whole block at a time with the same result, bit for bit, as
 a term-by-term loop, and returns the sums with their error bounds;
-``u_series_scalar`` returns the bare float at one point, and
-``u_operator_apply`` takes and returns a plain coefficient array.
+``u_series_scalar`` returns the bare float at one point.
 
 The module sits below ``prolate``, whose ``ProlateBasis`` it names in
 annotations only, so ``prolate`` may call the series.
@@ -178,14 +177,16 @@ def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12) -> floa
 
 
 def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "spectral") -> np.ndarray:
-    """Per-mode factors psi_n(-1 + xi) / psi_n(-1) for all modes of the basis.
+    """Per-mode factors psi_n(-1 + xi) / psi_n(-1).
 
-    "spectral" takes a scalar or 1-D xi in (0, 2] and returns shape
-    (n_modes,) + shape(xi) from one Legendre table and one matrix product;
-    it raises OutOfRangeError where some psi_n(-1) rounds to 0 (c = 40).
-    "series" sums U(xi; lambda) at lambda = -chi_n for one scalar xi in
-    (-2, 2); high modes (|lambda| ~ N^2) lose it to cancellation.  Any other
-    method raises DomainError.
+    "spectral" takes a scalar or 1-D xi in (0, 2] and returns all N modes,
+    shape (n_dim,) + shape(xi), from one Legendre table and one matrix
+    product; it raises OutOfRangeError where some psi_n(-1) rounds to 0
+    (c = 40).  "series" sums U(xi; lambda) at lambda = -chi_n for one scalar
+    xi in (-2, 2) over the certified modes only, shape (n_certified,) like
+    ``basis.lambdas``: the modes n >= N/2 have uncertified chi_n and lose
+    the series to cancellation, and the slowest mode sets the stop term of
+    all.  Any other method raises DomainError.
     """
     if method == "spectral":
         return _spectral_ratios(basis, xi)
@@ -193,7 +194,7 @@ def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "
         raise DomainError(f"unknown method {method!r}; choose 'series' or 'spectral'")
     if np.ndim(xi) != 0:
         raise DomainError("the series path takes one scalar xi")
-    return u_series_many(basis.c, -basis.chi, xi, tol=_SERIES_TOL)[0]
+    return u_series_many(basis.c, -basis.chi[: basis.n_certified], xi, tol=_SERIES_TOL)[0]
 
 
 def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
@@ -211,20 +212,4 @@ def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
         )
     table = legendre_table(basis.n_dim - 1, -1.0 + xi)
     return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * xi.ndim)
-
-
-def u_operator_apply(basis: ProlateBasis, xi: float, f: np.ndarray) -> np.ndarray:
-    """Apply U(xi; T), xi in [0, 2], to orthonormal-Legendre coefficients f.
-
-    f is a 1-D array of length N.  Expands f in the prolate eigenbasis and
-    multiplies mode n by its spectral boundary ratio; linear in f, the
-    identity at xi = 0.
-    """
-    if f.shape != (basis.n_dim,):
-        raise DomainError("coefficient length does not match basis truncation")
-    if xi == 0.0:
-        # U(0; T) is the identity; skip the eigenbasis round-trip noise.
-        return f.copy()
-    modal = basis.psi_coeffs.T @ f
-    return basis.psi_coeffs @ (_spectral_ratios(basis, xi) * modal)
 

@@ -33,10 +33,12 @@ from .transforms import (
     reconstruct_sinc,
     sinc_kernel_direct,
 )
-from .ucalc import boundary_ratios, u_operator_apply, u_series_scalar
+from .ucalc import boundary_ratios, u_series_scalar
 
 # The translation, fourier and sinc suites check modes 0..8, which must be
-# certified (n < N // 2); the nystrom table writes the same modes.
+# certified (n < N // 2); the nystrom table writes the same modes.  The
+# translation suite cuts both ratio routes to them: the series returns the
+# N/2 certified modes and the spectral route all N.
 _IDENTITY_MODES = 9
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
@@ -129,23 +131,10 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
     xis = rng.uniform(0.05, 1.5, size=10)
     worst = 0.0
     for xi in xis:
-        series = boundary_ratios(basis, float(xi), method="series")
-        spectral = boundary_ratios(basis, float(xi), method="spectral")
-        worst = max(worst, float(np.max(np.abs(series - spectral)[:_IDENTITY_MODES])))
+        series = boundary_ratios(basis, float(xi), method="series")[:_IDENTITY_MODES]
+        spectral = boundary_ratios(basis, float(xi), method="spectral")[:_IDENTITY_MODES]
+        worst = max(worst, float(np.max(np.abs(series - spectral))))
     rep.add("series-vs-spectral ratio, n<=8, 10 random xi", worst, tol)
-
-    f = rng.standard_normal(basis.n_dim)
-    g = rng.standard_normal(basis.n_dim)
-    alpha, beta = rng.standard_normal(2)
-    xi = float(rng.uniform(0.1, 1.5))
-    lhs = u_operator_apply(basis, xi, alpha * f + beta * g)
-    rhs = alpha * u_operator_apply(basis, xi, f) + beta * u_operator_apply(basis, xi, g)
-    # Relative to the result, which grows like 1/|psi_n(-1)|.
-    rep.add(
-        "linearity of U(xi;T), relative to max|U f|",
-        np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)),
-        1e-13,
-    )
     return rep
 
 

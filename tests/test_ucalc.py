@@ -10,7 +10,6 @@ from prolate_calculus import (
     SeriesStallError,
     boundary_ratios,
     pswf_eval,
-    u_operator_apply,
     u_series_scalar,
 )
 from prolate_calculus import assemble_heun_matrix
@@ -18,11 +17,13 @@ from prolate_calculus.errors import ProlateCalculusError
 from prolate_calculus.ucalc import (
     _BLOCK,
     _RUN_LENGTH,
+    _SERIES_TOL,
     K_MAX,
     SERIES_DTYPE,
     u_series_many,
     u_series_terms,
 )
+from prolate_calculus.verify import _IDENTITY_MODES
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -42,7 +43,7 @@ def u_operator_matrix_series(c: float, n_dim: int, xi: float, k_max: int) -> np.
 
     Independent of the spectral path: the four-term recurrence is applied to
     the banded matrix of T itself (in scaled form, so nothing overflows for
-    |xi| < 2).  Cross-validates u_operator_apply on the certified block.
+    |xi| < 2).  Cross-validates the spectral path on the certified block.
     """
     if not -2.0 < xi < 2.0:
         raise DomainError(f"xi = {xi} outside (-2, 2)")
@@ -138,6 +139,12 @@ def assert_same_series(c, lambdas, xi, tol, k_max=K_MAX):
     for got, want in zip((values, tail, cancel), (expected[0], expected[2], expected[3])):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     return terms_used
+
+
+def u_apply(basis, xi, f):
+    """U(xi; T) f on orthonormal-Legendre coefficients: mode n of f scaled by
+    its spectral boundary ratio."""
+    return basis.psi_coeffs @ (boundary_ratios(basis, xi) * (basis.psi_coeffs.T @ f))
 
 
 def block_rows(c, lambdas, xi, k_max):
@@ -321,6 +328,24 @@ class TestBoundaryRatios:
         spectral = boundary_ratios(basis, 0.8, method="spectral")
         assert np.max(np.abs(series[:9] - spectral[:9])) <= 1e-10
 
+    @pytest.mark.parametrize("c", [0.0, 0.5, 4.0, 10.0, 15.0, 20.0, 25.0])
+    @pytest.mark.parametrize("xi", [0.05, 0.8, 1.5, 1.95])
+    def test_series_sums_the_certified_modes_only(self, ops, c, xi):
+        # Dropping the modes n >= N/2 stops the sum earlier, at the slowest
+        # certified mode.  Each mode then moves by at most its own tail and
+        # cancellation bounds, and the modes the translation suite reads do
+        # not move a bit on this grid (modes 19, 25 and 26 do at c = 25,
+        # xi = 1.5).
+        basis = ops.basis(c)
+        m = basis.n_certified
+        series = boundary_ratios(basis, xi, method="series")
+        assert series.shape == (m,) == basis.lambdas.shape
+        values, _, tail, cancel = u_series_many(c, -basis.chi[:m], xi, tol=_SERIES_TOL)
+        assert np.array_equal(series, values)
+        all_modes = u_series_many(c, -basis.chi, xi, tol=_SERIES_TOL)[0]
+        assert np.array_equal(series[:_IDENTITY_MODES], all_modes[:_IDENTITY_MODES])
+        assert np.all(np.abs(series - all_modes[:m]) <= tail + cancel)
+
     def test_spectral_reflects_at_xi_two(self, ops):
         basis = ops.basis(1.0, 64)
         ratios = boundary_ratios(basis, 2.0, method="spectral")
@@ -341,8 +366,6 @@ class TestBoundaryRatios:
         for knob in ("tol", "guard"):
             with pytest.raises(TypeError):
                 boundary_ratios(basis, 0.8, method="series", **{knob: 1e-12})
-        with pytest.raises(TypeError):
-            u_operator_apply(basis, 0.5, np.ones(64), method="series")
         assert not hasattr(prolate_calculus, "pswf_eval_ratio")
 
     def test_array_matches_stacked_scalar_calls(self, ops):
@@ -383,54 +406,52 @@ class TestBoundaryRatios:
 
 
 class TestUOperatorApply:
-    def test_identity_at_xi_zero(self, ops, rng):
+    """U(xi; T) as an operator, built from the boundary ratios in one line."""
+
+    def test_identity_at_xi_zero(self, ops):
         basis = ops.basis(1.0, 64)
-        f = rng.standard_normal(64)
-        out = u_operator_apply(basis, 0.0, f)
-        assert np.array_equal(out, f)
+        ratios = boundary_ratios(basis, 0.0, method="series")
+        assert np.array_equal(ratios, np.ones(basis.n_certified))
 
     def test_linearity(self, ops, rng):
         basis = ops.basis(1.0, 64)
         f = rng.standard_normal(64)
         g = rng.standard_normal(64)
         a, b = 0.7, -1.3
-        lhs = u_operator_apply(basis, 0.9, a * f + b * g)
-        rhs = a * u_operator_apply(basis, 0.9, f) + b * u_operator_apply(basis, 0.9, g)
+        lhs = u_apply(basis, 0.9, a * f + b * g)
+        rhs = a * u_apply(basis, 0.9, f) + b * u_apply(basis, 0.9, g)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_eigenmode_scaling(self, ops):
         # U(0.4; T) psi_2 = (psi_2(-0.6)/psi_2(-1)) psi_2.
         basis = ops.basis(1.0, 64)
         f = basis.psi_coeffs[:, 2].astype(float)
-        out = u_operator_apply(basis, 0.4, f)
+        out = u_apply(basis, 0.4, f)
         scale = pswf_eval(basis, 2, -0.6) / basis.endpoint_minus[2]
         assert np.max(np.abs(out - scale * f)) <= 1e-10
 
     def test_reflection_via_spectral_path(self, ops, rng, reflect):
         basis = ops.basis(1.0, 64)
         f = rng.standard_normal(64)
-        out = u_operator_apply(basis, 2.0, f)
+        out = u_apply(basis, 2.0, f)
         mirrored = reflect(64).entries @ f
         assert np.max(np.abs(out - mirrored.real)) <= 1e-9
 
     def test_scales_by_the_spectral_ratios(self, ops, rng):
+        # Mode n of U(0.9; T) f is mode n of f times the ratio, which the
+        # series gives independently on the checked modes.
         basis = ops.basis(1.0, 64)
         f = rng.standard_normal(64)
-        out = u_operator_apply(basis, 0.9, f)
-        factors = boundary_ratios(basis, 0.9, method="spectral")
-        expected = basis.psi_coeffs @ (factors * (basis.psi_coeffs.T @ f))
-        assert np.array_equal(out, expected)
+        n = slice(_IDENTITY_MODES)
+        out = (basis.psi_coeffs.T @ u_apply(basis, 0.9, f))[n]
+        series = boundary_ratios(basis, 0.9, method="series")[n]
+        assert np.max(np.abs(out - series * (basis.psi_coeffs.T @ f)[n])) <= 1e-10
 
     @pytest.mark.parametrize("xi", [-0.5, 2.0 + 1e-9])
     def test_rejects_xi_outside_closed_interval(self, ops, xi):
         basis = ops.basis(1.0, 64)
         with pytest.raises(DomainError):
-            u_operator_apply(basis, xi, np.ones(64))
-
-    def test_dim_mismatch(self, ops):
-        basis = ops.basis(1.0, 64)
-        with pytest.raises(DomainError):
-            u_operator_apply(basis, 0.5, np.ones(8))
+            u_apply(basis, xi, np.ones(64))
 
 
 class TestMatrixSeries:
