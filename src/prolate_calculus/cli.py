@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
 from .legendre import default_truncation
-from .nystrom import DEFAULT_NODES, MAX_C, nystrom_chi, nystrom_sinc_eigen
+from .nystrom import MAX_C, MAX_NODES, RITZ_BUFFER, nystrom_chi, nystrom_sinc_eigen
 from .prolate import solve_prolate, assemble_heun_matrix
 from .serialize import (
     dump_json,
@@ -110,9 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
         "nystrom",
         help="write oracle fixtures for mu_n, chi_n",
         description=f"Write mu_n and chi_n, n <= 8, from the Nystrom discretization of the sinc "
-        f"kernel on {DEFAULT_NODES} Gauss nodes. Runs at c <= {MAX_C:g}, refusing a larger c: mu_n "
-        "is within 1e-13 of the spectral mu_n up to c = 368 (1.2e-12 at 370). chi_n mixes "
-        "same-parity modes whose mu_n agree to rounding: chi_0 is 4.3e-7 off at c = 20, 2e2 at 30.",
+        f"kernel on min({MAX_NODES}, 2 N) Gauss nodes, N the default truncation of c: 128 at "
+        f"c <= 12, {MAX_NODES} from c = 80. Runs at c <= {MAX_C:g}, refusing a larger c. mu_n is "
+        "within 5e-15 of the spectral mu_n up to c = 80 and 4.2e-14 up to 340 (1.2e-12 at 370). "
+        "chi_n comes from a Rayleigh-Ritz step of T on the leading 2 ceil(c/pi) + "
+        f"{RITZ_BUFFER} Nystrom eigenvectors: within 1.3e-13 of the spectral chi_n at c in "
+        "[4, 20], 1.4e-12 up to 80, 2.5e-11 up to 340. Where mu_n nears rounding chi_n is off: "
+        "chi_8 by 5e-10 at c = 3 and 8e-4 at c = 2.",
     )
     flags(p_ny, "--c", "--out", "--format")
     return parser
@@ -133,7 +137,8 @@ def _largest_array_bytes(job: str, config: RunConfig) -> int:
     complex N x N operator, or the direct operators' complex q x q kernels on
     the nodes y >= 0 of their fine rule, q = N + ceil(c) + 8.  limits-large
     solves at the default N of c; a reconstructed export on its enlarged
-    basis.  nystrom and limits-small work at fixed sizes under 1 MiB.
+    basis.  nystrom works on at most ``MAX_NODES`` = 400 nodes (two 200 x 200
+    parity blocks) and limits-small at a fixed size, both under 1 MiB.
     """
     c, n = config.c, config.n_dim
     if job in ("nystrom", "limits-small"):
@@ -221,7 +226,7 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
 def cmd_nystrom(config: RunConfig) -> None:
     if config.c > MAX_C:
         raise OutOfRangeError(f"nystrom runs at c <= {MAX_C:g}, got c = {config.c:g}; its "
-                              f"{DEFAULT_NODES}-node grid loses digits of mu_n past c = 370")
+                              f"{MAX_NODES}-node grid loses digits of mu_n past c = 370")
     result = nystrom_sinc_eigen(config.c, n_modes=_IDENTITY_MODES)
     columns = {"n": np.arange(result.n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
     params = {"c": config.c, "nodes": result.rule.order, "oracle": "nystrom"}

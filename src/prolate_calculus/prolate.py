@@ -54,6 +54,14 @@ def assemble_heun_matrix(c: float, n_dim: int) -> BandedSymMatrix:
     return BandedSymMatrix(dim=n_dim, half_bandwidth=2, bands=bands)
 
 
+def parity_block(bands: np.ndarray, parity: int) -> np.ndarray:
+    """Dense tridiagonal block of T's banded matrix on the Legendre degrees of
+    one parity: multiplication by x^2 moves the degree by 0 or 2."""
+    diag = bands[0, parity::2]
+    off = bands[2, parity::2][: diag.size - 1]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class ProlateBasis:
     """Truncated eigendecomposition of T at bandwidth c, with its eigenvalues.
@@ -148,11 +156,8 @@ def solve_prolate(c: float, n_dim: int | None = None) -> ProlateBasis:
     chi = np.empty(n_dim)
     v = np.zeros((n_dim, n_dim), order="F")  # column-major: each psi_n is contiguous
     for parity in (0, 1):
-        diag = bands[0, parity::2]
-        off = bands[2, parity::2][: diag.size - 1]
-        block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         try:
-            w, h = np.linalg.eigh(block)
+            w, h = np.linalg.eigh(parity_block(bands, parity))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
             raise SpectralFailureError(f"parity-block eigensolve failed: {exc}") from exc
         # Block eigenvalues are -chi; ascending chi reverses LAPACK's order.

@@ -6,8 +6,11 @@ wrote ("-" when it wrote none), then the argv.  The output path is replaced
 by ``OUT`` before hashing, so two checkouts give equal lines exactly when
 they behave the same.  Below each line come the run's check records: for a
 written JSON report, one line per check as ``name repr(value) tol passed``;
-otherwise the check lines the run printed.  Run it against each checkout and
-diff the outputs:
+otherwise the check lines the run printed.  Below a ``nystrom`` line come
+max|mu - spectral mu| and max|chi - spectral chi| over the written rows
+(n <= 8), against ``solve_prolate(c)``, so a diff that moves a table's bytes
+also shows whether its values moved toward the spectral ones.  Run it against
+each checkout and diff the outputs:
 
     PYTHONPATH=<checkout>/src python tests/argv_digest.py > digest.txt
 
@@ -18,6 +21,7 @@ the order printed, so repeated runs also cover the cached quadrature rules.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -26,7 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from prolate_calculus import cli
+import numpy as np
+
+from prolate_calculus import cli, solve_prolate
 
 C_GRID = ("0.5", "4", "10", "12", "20")
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
@@ -73,7 +79,26 @@ def digest(argv, work: Path) -> str:
     texts[0] = _WALL_TIME.sub(r"\1<wall>)", texts[0])
     written = _sha(out.read_bytes()) if out.exists() else "-"
     lines = [" ".join([str(code), *(_sha(t.encode()) for t in texts), written, *argv])]
-    return "\n".join(lines + [f"  {record}" for record in _records(out, fmt, texts[0])])
+    records = _records(out, fmt, texts[0])
+    if argv[0] == "nystrom" and out.exists():
+        records += _spectral_distances(out, fmt, float(argv[argv.index("--c") + 1]))
+    return "\n".join(lines + [f"  {record}" for record in records])
+
+
+def _spectral_distances(out: Path, fmt: str, c: float) -> list[str]:
+    if fmt == "json":
+        data = json.loads(out.read_text(encoding="utf-8"))["data"]
+    else:
+        with out.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        data = dict(zip(rows[0], zip(*rows[1:])))
+    basis = solve_prolate(c)
+    lines = []
+    for name, spectral in (("mu", basis.mus), ("chi", basis.chi)):
+        values = np.array(data[name], dtype=float)
+        distance = float(np.max(np.abs(values - spectral[: values.size])))
+        lines.append(f"max|{name} - spectral {name}|, n<={values.size - 1} {distance!r}")
+    return lines
 
 
 def _records(out: Path, fmt: str, stdout: str) -> list[str]:

@@ -139,7 +139,7 @@ class TestExitCodes:
         out = tmp_path / "ny.json"
         assert cli.main(["nystrom", "--out", str(out)]) == 0
         payload = load_json(out)
-        assert payload["params"] == {"c": 1.0, "nodes": 400, "oracle": "nystrom"}
+        assert payload["params"] == {"c": 1.0, "nodes": 128, "oracle": "nystrom"}
         assert payload["data"]["n"] == list(range(9))
 
     def test_nystrom_refuses_a_c_above_its_grid_before_any_work(self, monkeypatch, capsys, tmp_path):
@@ -405,6 +405,22 @@ def test_limits_large_report_does_not_depend_on_blas_threads(tmp_path):
             capture_output=True, text=True, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS=threads),
         )
         assert proc.returncode in (0, 1), proc.stderr
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("c", ["10", "20"])
+def test_nystrom_table_does_not_depend_on_blas_threads(c, tmp_path):
+    # The table comes from two parity-block eigh's, a QR and a small eigh of
+    # T per block; none may move a written bit with the OpenBLAS thread count.
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"nystrom-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "prolate_calculus.cli", "nystrom", "--c", c, "--out", str(out)],
+            capture_output=True, text=True, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
         digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
     assert len(digests) == 1
 
