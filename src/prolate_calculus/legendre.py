@@ -54,9 +54,12 @@ class BandedSymMatrix:
         return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.bands[0] * v
+        """A v for a vector of length dim, or A V for a (dim, m) array of
+        columns; each column of A V equals, bit for bit, A applied to it alone."""
+        bands = self.bands.reshape(self.bands.shape + (1,) * (np.ndim(v) - 1))
+        out = bands[0] * v
         for k in range(1, self.half_bandwidth + 1):
-            b = self.bands[k, : self.dim - k]
+            b = bands[k, : self.dim - k]
             out[k:] += b * v[:-k]
             out[:-k] += b * v[k:]
         return out
@@ -132,19 +135,40 @@ def _legendre_value_and_derivative(n: int, x: np.ndarray):
 def legendre_table(n_max: int, x) -> np.ndarray:
     """Table of orthonormal Legendre values, shape (n_max+1,) + shape(x).
 
-    Points with |x| > 1 (beyond a 1e-14 rounding margin) are refused.
+    Points with |x| > 1 (beyond a 1e-14 rounding margin) are refused.  The
+    three-term recurrence costs one pass over the degrees whatever the size
+    of x, so callers evaluate every point they need in one call.  A scalar x
+    runs the recurrence on Python floats and an array x writes each row in
+    place; both are the same IEEE operations in the same order, so a value
+    does not depend on the shape it was asked in.
     """
     x = np.asarray(x, dtype=float)
+    norms = np.sqrt((2 * np.arange(n_max + 1) + 1) / 2.0)
+    if x.ndim == 0:
+        t = float(x)
+        if abs(t) > 1.0 + 1e-14:
+            raise DomainError("evaluation point outside [-1, 1]")
+        values = [1.0, t][: n_max + 1]
+        for n in range(2, n_max + 1):
+            values.append(((2 * n - 1) * t * values[n - 1] - (n - 1) * values[n - 2]) / n)
+        return np.multiply(values, norms)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise DomainError("evaluation point outside [-1, 1]")
     table = np.empty((n_max + 1,) + x.shape)
     table[0] = 1.0
     if n_max >= 1:
         table[1] = x
-    for n in range(2, n_max + 1):
-        table[n] = ((2 * n - 1) * x * table[n - 1] - (n - 1) * table[n - 2]) / n
-    norms = np.sqrt((2 * np.arange(n_max + 1) + 1) / 2.0)
-    return table * norms.reshape((-1,) + (1,) * x.ndim)
+    # Row n of slope holds (2n - 1) x, the recurrence's first product.
+    slope = np.multiply.outer(2.0 * np.arange(n_max + 1) - 1.0, x)
+    scratch = np.empty(x.shape)
+    rows = list(table)
+    for n, (row, prev, prev2, s) in enumerate(zip(rows[2:], rows[1:], rows, slope[2:]), 2):
+        np.multiply(s, prev, out=row)
+        np.multiply(n - 1, prev2, out=scratch)
+        np.subtract(row, scratch, out=row)
+        np.divide(row, n, out=row)
+    table *= norms.reshape((-1,) + (1,) * x.ndim)
+    return table
 
 
 def position_offdiag(n_terms: int) -> np.ndarray:

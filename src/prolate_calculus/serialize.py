@@ -21,9 +21,13 @@ The byte layout of every written file is frozen:
   (``nan``, ``inf``, ``-inf`` for non-finite values, ``-0`` for -0.0).
 
 The operator body is written from the array: ``operator_to_dict`` keeps it
-as a (dim², 2) float array, and ``dump_json`` and ``operator_to_csv`` format
-it a block of rows at a time with one ``%`` template per block, never entry
-by entry.  The bytes are those of the layout above.
+as a (dim², 2) float array of (re, im) pairs, and ``dump_json`` and
+``operator_to_csv`` format it a block of ``_BLOCK_ROWS`` pairs at a time,
+with one ``%`` template per block, so the temporary strings stay bounded.
+Within a block only the nonzero values are formatted one by one (``repr``
+or ``%.17g``); most entries of an operator are exact zeros (mixed parity,
+and off T's band), and each block formats 0.0 and -0.0 once.  The bytes
+are those of the layout above.
 """
 
 from __future__ import annotations
@@ -44,16 +48,21 @@ _BLOCK_ROWS = 512
 
 
 def operator_to_dict(op: OperatorMatrix, params: dict) -> dict:
-    flat = op.entries.ravel()
-    pairs = np.empty((flat.size, 2))
-    pairs[:, 0] = flat.real
-    pairs[:, 1] = flat.imag
     return {
         "schema": SCHEMA,
         "kind": "operator",
         "params": dict(params, dim=op.dim),
-        "data": pairs,
+        "data": _entry_pairs(op),
     }
+
+
+def _entry_pairs(op: OperatorMatrix) -> np.ndarray:
+    """The (re, im) pairs of the entries, row-major, as a (dim², 2) float array."""
+    flat = op.entries.ravel()
+    pairs = np.empty((flat.size, 2))
+    pairs[:, 0] = flat.real
+    pairs[:, 1] = flat.imag
+    return pairs
 
 
 def operator_from_dict(payload: dict) -> OperatorMatrix:
@@ -123,7 +132,11 @@ def dump_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"data": [')
         if pairs.size:
-            blocks = _formatted_rows(pairs, "  [\n   %r,\n   %r\n  ]", ",\n")
+            template = "  [\n   %s,\n   %s\n  ]"
+            blocks = (
+                (",\n" if start else "") + ",\n".join([template] * (len(cells) // 2)) % tuple(cells)
+                for start, cells in _formatted_values(pairs, repr)
+            )
             if not np.isfinite(pairs).all():
                 # repr gives nan, inf, -inf; json writes NaN, Infinity, -Infinity.
                 blocks = (b.replace("nan", "NaN").replace("inf", "Infinity") for b in blocks)
@@ -133,13 +146,20 @@ def dump_json(payload: dict, path) -> None:
         fh.write("]" + tail)
 
 
-def _formatted_rows(rows: np.ndarray, template: str, sep: str = ""):
-    """Text of ``template % row`` for each row of a 2-D float array, rows
-    joined by ``sep``, in blocks of ``_BLOCK_ROWS`` rows with one ``%`` each."""
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        text = sep.join([template] * len(block)) % tuple(block.ravel().tolist())
-        yield sep + text if start else text
+def _formatted_values(pairs: np.ndarray, fmt):
+    """(start, text) for each block of ``_BLOCK_ROWS`` rows of a (n, 2) float
+    array, from row ``start`` on: ``text`` lists ``fmt(v)`` for the block's
+    values in row-major order, with each exact zero formatted once per sign."""
+    zero, negative_zero = fmt(0.0), fmt(-0.0)
+    for start in range(0, len(pairs), _BLOCK_ROWS):
+        values = pairs[start : start + _BLOCK_ROWS].ravel()
+        text = [zero] * values.size
+        for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
+            text[i] = negative_zero
+        nonzero = np.flatnonzero(values)  # NaN counts as nonzero
+        for i, value in zip(nonzero.tolist(), map(fmt, values[nonzero].tolist())):
+            text[i] = value
+        yield start, text
 
 
 def load_json(path) -> dict:
@@ -149,14 +169,18 @@ def load_json(path) -> dict:
 def operator_to_csv(op: OperatorMatrix, path) -> None:
     # The rows csv.writer would write: indices and %.17g floats never need
     # quoting, and its line end is \r\n.
-    rows = np.empty((op.dim, op.dim, 4))
-    rows[..., 0] = np.arange(op.dim)[:, None]
-    rows[..., 1] = np.arange(op.dim)[None, :]
-    rows[..., 2] = op.entries.real
-    rows[..., 3] = op.entries.imag
+    pairs = _entry_pairs(op)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("row,col,re,im\r\n")
-        fh.writelines(_formatted_rows(rows.reshape(-1, 4), f"%d,%d,{_CSV_FMT},{_CSV_FMT}\r\n"))
+        for start, text in _formatted_values(pairs, _CSV_FMT.__mod__):
+            n = len(text) // 2
+            rows, cols = np.divmod(np.arange(start, start + n), op.dim)
+            cells = [None] * (4 * n)
+            cells[0::4] = rows.tolist()
+            cells[1::4] = cols.tolist()
+            cells[2::4] = text[0::2]
+            cells[3::4] = text[1::2]
+            fh.write("%d,%d,%s,%s\r\n" * n % tuple(cells))
 
 
 def table_to_csv(columns: dict, path) -> None:

@@ -8,9 +8,16 @@ translation family over xi: the Fourier weight is ``exp(ic(1-xi))`` on [0,2]
 (or its reflected fold onto [0,1]) and the sinc weight is ``sin(c xi)/(pi xi)``
 likewise.  Agreement of the two routes is the package's central check.
 
-Each xi rule costs one (modes x xi) table of spectral boundary ratios
-psi_n(-1 + xi) / psi_n(-1), built in one call; the mode integrals are then
-matrix-vector products with the quadrature-weighted xi weights.
+Both routes check their own quadrature by doubling its order, and each
+check runs one Legendre recurrence over the nodes of both of its rules.  A
+direct operator evaluates its kernel on each rule's nodes y >= 0, with the
+weighted Legendre rows sliced from one table.  A reconstruction makes one
+``boundary_ratios`` call for its two xi rules, which returns one (modes x
+xi) table of spectral boundary ratios psi_n(-1 + xi) / psi_n(-1) per rule;
+the mode integrals are then matrix-vector products with the
+quadrature-weighted xi weights, one per rule.  Every product keeps the
+operands it had when each rule built its own table, so the entries are the
+same bits.
 """
 
 from __future__ import annotations
@@ -37,32 +44,50 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
-def _tensor_quadrature_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
-    """Entries <Pbar_m, K Pbar_n> with K applied by q_order-point quadrature.
+def _tensor_quadrature_matrix(kernel, n_dim: int, q_orders, conjugate_fold: bool = False) -> list:
+    """Entries <Pbar_m, K Pbar_n> with K applied by q-point quadrature, one
+    matrix for each order q in q_orders, from one Legendre table over the
+    nodes of all the rules.
 
     The kernel must satisfy K(-x, -t) = K(x, t), so the operator commutes
     with x -> -x.  The sum is folded onto the rule's nodes y >= 0: the
     even-even block is 2 A_e (K(y, y) + K(y, -y)) A_e^T and the odd-odd block
     2 A_o (K(y, y) - K(y, -y)) A_o^T, with A the weighted Legendre rows of
     that parity.  Entries with m + n odd are exactly 0.
+
+    With conjugate_fold, K(y, -y') is taken as the conjugate of K(y, y')
+    instead of a second evaluation; that is exact for K = exp(icyy').  Its
+    argument at -y' is the negated one, because a sign change rounds to
+    nothing, and the complex exp is even in its cosine and odd in its sine.
+    The two arrays differ only where y y' = 0: there the evaluation gives
+    the imaginary part +0.0 and the conjugate -0.0.  Both folds add or
+    subtract that zero to K(y, y')'s own 0.0, which gives +0.0 either way,
+    so the blocks are the same bits as with two evaluations.
     """
-    y, v = half_rule(gauss_legendre_rule(q_order))
-    k_plus = kernel(y[:, None], y[None, :])
-    k_minus = kernel(y[:, None], -y[None, :])
-    pw = legendre_table(n_dim - 1, y) * v
-    even, odd = pw[0::2], pw[1::2]
-    block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
-    block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
-    entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
-    entries[0::2, 0::2] = block_even
-    entries[1::2, 1::2] = block_odd
-    return entries
+    halves = [half_rule(gauss_legendre_rule(q)) for q in q_orders]
+    table = legendre_table(n_dim - 1, np.concatenate([y for y, _ in halves]))
+    matrices = []
+    end = 0
+    for y, v in halves:
+        pw = table[:, end : end + y.size] * v
+        end += y.size
+        k_plus = kernel(y[:, None], y[None, :])
+        k_minus = k_plus.conj() if conjugate_fold else kernel(y[:, None], -y[None, :])
+        even, odd = pw[0::2], pw[1::2]
+        block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
+        block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
+        entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
+        entries[0::2, 0::2] = block_even
+        entries[1::2, 1::2] = block_odd
+        matrices.append(entries)
+    return matrices
 
 
-def _resolved_matrix(kernel, n_dim: int, q_order: int) -> np.ndarray:
+def _resolved_matrix(kernel, n_dim: int, q_order: int, conjugate_fold: bool = False) -> np.ndarray:
     """Tensor quadrature with an under-resolution check by order doubling."""
-    coarse = _tensor_quadrature_matrix(kernel, n_dim, q_order)
-    fine = _tensor_quadrature_matrix(kernel, n_dim, 2 * q_order)
+    coarse, fine = _tensor_quadrature_matrix(
+        kernel, n_dim, (q_order, 2 * q_order), conjugate_fold
+    )
     drift = float(np.max(np.abs(fine - coarse)))
     if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
         raise QuadratureUnresolvedError(
@@ -85,7 +110,7 @@ def finite_fourier_direct(c: float, n_dim: int) -> OperatorMatrix:
     odd-odd block purely imaginary (the cos and sin parts of the kernel).
     """
     entries = _resolved_matrix(
-        lambda x, t: np.exp(1j * c * x * t), n_dim, _q_order(c, n_dim)
+        lambda x, t: np.exp(1j * c * x * t), n_dim, _q_order(c, n_dim), conjugate_fold=True
     )
     return OperatorMatrix(dim=n_dim, entries=entries)
 
@@ -125,23 +150,16 @@ def _sinc_weights(c: float, nodes: np.ndarray):
     return w_plus, w_minus
 
 
-def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) -> np.ndarray:
+def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weights, ratios) -> np.ndarray:
     """Integrals int w(xi) ratio_n(xi) dxi for every mode, complex array.
 
-    Uses a q_xi-node Gauss rule on [0, 1] (folded) or [0, 2] (full) and one
-    spectral ratio table for all its nodes.  weights_on(c, nodes) returns
-    both parts of the weight, (weight_plus, weight_minus).  full integrates
-    weight_plus alone over [0, 2]; folded adds the reflected part, weight_minus
-    scaled per mode by parity (-1)^n, over [0, 1].
+    ``ratios`` is the spectral ratio table at the xi rule's nodes, on [0, 1]
+    (folded) or [0, 2] (full).  weights_on(c, nodes) returns both parts of
+    the weight, (weight_plus, weight_minus).  full integrates weight_plus
+    alone over [0, 2]; folded adds the reflected part, weight_minus scaled
+    per mode by parity (-1)^n, over [0, 1].
     """
-    if variant not in ("full", "folded"):
-        raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
-    rule = gauss_legendre_rule(q_xi)
-    half = 0.5 if variant == "folded" else 1.0  # xi in [0, 1] or [0, 2]
-    nodes = half * (rule.nodes + 1.0)
-    weights = half * rule.weights
     w_plus, w_minus = weights_on(basis.c, nodes)
-    ratios = boundary_ratios(basis, nodes, method="spectral")
     values = ratios @ (weights * w_plus)
     if variant == "folded":
         parity = (-1.0) ** np.arange(basis.n_dim)
@@ -150,9 +168,18 @@ def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, q_xi: int) ->
 
 
 def _reconstruct(basis, variant, q_xi, weights_on):
-    """Shared mode-wise reconstruction driver with an xi-doubling drift check."""
-    coarse = _mode_integrals(basis, weights_on, variant, q_xi)
-    fine = _mode_integrals(basis, weights_on, variant, 2 * q_xi)
+    """Mode-wise reconstruction shared by F_c and Q_c, with an xi-doubling drift check:
+    the rules of q_xi and 2 q_xi nodes get their ratio tables from one call."""
+    if variant not in ("full", "folded"):
+        raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
+    half = 0.5 if variant == "folded" else 1.0  # xi in [0, 1] or [0, 2]
+    rules = [gauss_legendre_rule(q) for q in (q_xi, 2 * q_xi)]
+    nodes = tuple(half * (rule.nodes + 1.0) for rule in rules)
+    tables = boundary_ratios(basis, nodes, method="spectral")
+    coarse, fine = (
+        _mode_integrals(basis, weights_on, variant, x, half * rule.weights, table)
+        for x, rule, table in zip(nodes, rules, tables)
+    )
     certified = basis.n_certified
     drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
     if not drift <= _DRIFT_TOL:  # also refuses a NaN drift

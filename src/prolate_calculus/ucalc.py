@@ -17,7 +17,8 @@ endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 Two independent paths to the boundary ratio are kept deliberately, and
 ``boundary_ratios`` takes exactly these two: "series" sums the power series
 for one xi in (-2, 2) over the certified modes n < N/2, "spectral" goes
-through the eigenbasis for a scalar xi or a whole xi-grid in (0, 2] and
+through the eigenbasis for a scalar xi, a whole xi-grid in (0, 2] or a
+tuple of grids (the rules of a drift check, from one Legendre table) and
 returns all N modes.  Their agreement is the sharpest numerical test of the
 translation property.  The spectral (modes x xi) table is what the F_c / Q_c
 reconstructions integrate, every mode of it; the series runs only where it
@@ -176,12 +177,15 @@ def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12) -> floa
     return float(u_series_many(c, [lam], xi, tol=tol)[0][0])
 
 
-def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "spectral") -> np.ndarray:
+def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray | tuple, method: str = "spectral"):
     """Per-mode factors psi_n(-1 + xi) / psi_n(-1).
 
     "spectral" takes a scalar or 1-D xi in (0, 2] and returns all N modes,
     shape (n_dim,) + shape(xi), from one Legendre table and one matrix
-    product; it raises OutOfRangeError where some psi_n(-1) rounds to 0
+    product.  A tuple of 1-D xi arrays, one per xi rule, gives a tuple of
+    such tables, from one Legendre table over all their nodes and one matrix
+    product per rule; each table equals, bit for bit, the one its rule gets
+    alone.  The path raises OutOfRangeError where some psi_n(-1) rounds to 0
     (c = 40).  "series" sums U(xi; lambda) at lambda = -chi_n for one scalar
     xi in (-2, 2) over the certified modes only, shape (n_certified,) like
     ``basis.lambdas``: the modes n >= N/2 have uncertified chi_n and lose
@@ -197,12 +201,19 @@ def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "
     return u_series_many(basis.c, -basis.chi[: basis.n_certified], xi, tol=_SERIES_TOL)[0]
 
 
-def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
-    """psi_n(-1 + xi) / psi_n(-1), shape (n_modes,) + shape(xi), xi in (0, 2]."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim > 1:
-        raise DomainError(f"xi must be a scalar or a 1-D array, got {xi.ndim} dims")
-    if not np.all((xi > 0.0) & (xi <= 2.0)):
+def _spectral_ratios(basis: ProlateBasis, xi):
+    """psi_n(-1 + xi) / psi_n(-1), shape (n_modes,) + shape(xi), xi in (0, 2];
+    a tuple of such tables for a tuple of 1-D xi arrays."""
+    if isinstance(xi, tuple):
+        rules = [np.asarray(nodes, dtype=float) for nodes in xi]
+        if not rules or any(nodes.ndim != 1 for nodes in rules):
+            raise DomainError("a tuple of xi rules must hold one or more 1-D arrays")
+        points = np.concatenate(rules)
+    else:
+        points = np.asarray(xi, dtype=float)
+        if points.ndim > 1:
+            raise DomainError(f"xi must be a scalar or a 1-D array, got {points.ndim} dims")
+    if not np.all((points > 0.0) & (points <= 2.0)):
         raise DomainError("spectral ratio path needs every xi in (0, 2]")
     if not np.all(basis.endpoint_minus):
         n = int(np.argmin(np.abs(basis.endpoint_minus)))
@@ -210,6 +221,11 @@ def _spectral_ratios(basis: ProlateBasis, xi: float | np.ndarray) -> np.ndarray:
             f"psi_{n}(-1) rounds to 0 at c = {basis.c:g}; the spectral ratios "
             "psi_n(-1 + xi) / psi_n(-1) are not representable"
         )
-    table = legendre_table(basis.n_dim - 1, -1.0 + xi)
-    return (basis.psi_coeffs.T @ table) / basis.endpoint_minus.reshape((-1,) + (1,) * xi.ndim)
-
+    table = legendre_table(basis.n_dim - 1, -1.0 + points)
+    scale = basis.endpoint_minus.reshape((-1,) + (1,) * points.ndim)
+    if not isinstance(xi, tuple):
+        return (basis.psi_coeffs.T @ table) / scale
+    # One product per rule, on a column slice of the table: a product over
+    # all the columns at once is not always the same bits as the rule's own.
+    splits = np.cumsum([nodes.size for nodes in rules])[:-1]
+    return tuple((basis.psi_coeffs.T @ part) / scale for part in np.split(table, splits, axis=1))

@@ -34,14 +34,17 @@ import numpy as np
 
 from prolate_calculus import cli, solve_prolate
 
-C_GRID = ("0.5", "4", "10", "12", "20")
+# N = default_truncation(c) is 64 up to c = 12, then 65 at 12.3, 71 at 15.5 and
+# 80 at 20: odd parity blocks and fractional c, like the benchmark's draws.
+C_GRID = ("0.5", "4", "10", "12", "12.3", "15.5", "20")
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 FORMATS = ("json", "csv")
 _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """159 argvs, each written with ``--out``, ``--format`` json unless given."""
+    """221 argvs (31 per value of C_GRID, and 4 more), each written with
+    ``--out``, ``--format`` json unless given."""
     for c in C_GRID:
         for which in OPERATORS:
             for variant in ("folded", "full"):

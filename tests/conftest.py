@@ -65,3 +65,23 @@ def rng():
 def reflect():
     """R: x -> -x as an operator builder; diagonal (-1)^n on the Legendre basis."""
     return lambda n_dim: OperatorMatrix(n_dim, np.diag((-1.0 + 0j) ** np.arange(n_dim)))
+
+
+@pytest.fixture(scope="session")
+def legendre_recurrence():
+    """The orthonormal Legendre table by whole-array arithmetic, one new array
+    per degree: the bit-for-bit reference of ``legendre_table``'s scalar and
+    in-place paths."""
+
+    def table(n_max, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty((n_max + 1,) + x.shape)
+        out[0] = 1.0
+        if n_max >= 1:
+            out[1] = x
+        for n in range(2, n_max + 1):
+            out[n] = ((2 * n - 1) * x * out[n - 1] - (n - 1) * out[n - 2]) / n
+        norms = np.sqrt((2 * np.arange(n_max + 1) + 1) / 2.0)
+        return out * norms.reshape((-1,) + (1,) * x.ndim)
+
+    return table

@@ -125,6 +125,25 @@ class TestOrthonormalLegendre:
         with pytest.raises(DomainError):
             legendre_table(4, np.array([1.2]))
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 63, 160])
+    def test_every_path_is_the_recurrence_bit_for_bit(self, n_max, legendre_recurrence):
+        # A scalar runs on Python floats, an array row by row in place; both
+        # must give the bits of the whole-array recurrence, so a value does
+        # not depend on the shape it was asked in.
+        points = [1.0, -1.0, 0.0, -0.0, 0.5, -0.3, 1e-300, 1.0 + 5e-15]
+        points += np.random.default_rng(63).uniform(-1.0, 1.0, 40).tolist()
+        for x in points:
+            expected = legendre_recurrence(n_max, x)
+            for got in (legendre_table(n_max, x), legendre_table(n_max, np.float64(x))):
+                assert got.shape == (n_max + 1,)
+                assert got.tobytes() == expected.tobytes(), x
+            one = legendre_table(n_max, np.array([x]))
+            assert one.shape == (n_max + 1, 1)
+            assert one.tobytes() == legendre_recurrence(n_max, np.array([x])).tobytes(), x
+            assert one[:, 0].tobytes() == expected.tobytes(), x
+        grid = np.array(points).reshape(6, 8)
+        assert legendre_table(n_max, grid).tobytes() == legendre_recurrence(n_max, grid).tobytes()
+
     @pytest.mark.parametrize("n_dim", [8, 24])
     def test_gram_matrix_is_identity(self, n_dim):
         rule = gauss_legendre_rule(n_dim + 2)
@@ -167,6 +186,24 @@ class TestPositionMatrix:
         e0 = np.zeros(8)
         e0[0] = 1.0
         assert abs(e0 @ squared @ e0 - 1.0 / 3.0) <= 1e-12
+
+
+class TestBandedMatvec:
+    def test_columns_at_once_equal_each_column_alone(self):
+        rng = np.random.default_rng(5)
+        dim = 40
+        bands = rng.standard_normal((3, dim))
+        bands[1, -1:] = 0.0
+        bands[2, -2:] = 0.0
+        matrix = BandedSymMatrix(dim=dim, half_bandwidth=2, bands=bands)
+        # A column slice of a wider array, as a table of eigenvectors gives it.
+        columns = rng.standard_normal((dim, 9))[:, :6]
+        together = matrix.matvec(columns)
+        assert together.shape == (dim, 6)
+        for j in range(6):
+            alone = matrix.matvec(columns[:, j])
+            assert together[:, j].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(together, matrix.to_dense() @ columns, atol=1e-12)
 
 
 class TestLegendreOperator:

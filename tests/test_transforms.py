@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,12 +19,17 @@ from prolate_calculus import (
     sinc_kernel_direct,
     solve_prolate,
 )
+import prolate_calculus.transforms
+import prolate_calculus.ucalc
+from prolate_calculus.legendre import default_truncation, half_rule
 from prolate_calculus.nystrom import sinc_kernel
 from prolate_calculus.transforms import (
+    _default_q_xi,
     _fourier_weights,
     _q_order,
     _reconstruct,
     _resolved_matrix,
+    _sinc_weights,
     _tensor_quadrature_matrix,
 )
 from prolate_calculus.ucalc import boundary_ratios
@@ -39,9 +45,10 @@ def full_grid_matrix(kernel, n_dim, q_order):
 
 
 def _kernels(c):
+    """Name -> (kernel, conjugate_fold) as the direct operators pass them."""
     return {
-        "Fc": lambda x, t: np.exp(1j * c * x * t),
-        "Qc": lambda x, t: sinc_kernel(c, x, t),
+        "Fc": (lambda x, t: np.exp(1j * c * x * t), True),
+        "Qc": (lambda x, t: sinc_kernel(c, x, t), False),
     }
 
 
@@ -50,11 +57,14 @@ class TestFoldedQuadrature:
     @pytest.mark.parametrize("n_dim", [10, 64, 101])
     @pytest.mark.parametrize("c", [0.5, 3.0, 7.5, 12.0, 19.0, 30.0])
     def test_matches_the_full_grid(self, c, n_dim, extra):
+        # Both rules of a drift check come from one call, as in _resolved_matrix.
         q_order = _q_order(c, n_dim) + extra
-        for kernel in _kernels(c).values():
-            oracle = full_grid_matrix(kernel, n_dim, q_order)
-            folded = _tensor_quadrature_matrix(kernel, n_dim, q_order)
-            assert np.max(np.abs(folded - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        orders = (q_order, 2 * q_order)
+        for kernel, conjugate_fold in _kernels(c).values():
+            matrices = _tensor_quadrature_matrix(kernel, n_dim, orders, conjugate_fold)
+            for order, folded in zip(orders, matrices, strict=True):
+                oracle = full_grid_matrix(kernel, n_dim, order)
+                assert np.max(np.abs(folded - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["q", "q+1"])
     @pytest.mark.parametrize("c", [0.5, 4.0, 12.0, 30.0])
@@ -70,8 +80,8 @@ class TestFoldedQuadrature:
         even = (m % 2 == 0) & (n % 2 == 0)
         odd = (m % 2 == 1) & (n % 2 == 1)
         refl = reflect(n_dim).entries
-        matrices = {name: _tensor_quadrature_matrix(kernel, n_dim, q_order)
-                    for name, kernel in _kernels(c).items()}
+        matrices = {name: _tensor_quadrature_matrix(kernel, n_dim, (q_order,), conjugate_fold)[0]
+                    for name, (kernel, conjugate_fold) in _kernels(c).items()}
         matrices["Fc direct"] = finite_fourier_direct(c, n_dim).entries
         matrices["Qc direct"] = sinc_kernel_direct(c, n_dim).entries
         for name, entries in matrices.items():
@@ -298,3 +308,132 @@ class TestCommutators:
         with pytest.raises(DomainError):
             commutator_report(t_op, ops.fourier(1.0, 64), 0)
 
+
+# The two-recurrence route: each rule of a drift check builds its own
+# Legendre table and evaluates both kernel folds, and each xi rule asks for
+# its own ratio table.  The operators must keep its bits.
+
+def two_recurrence_direct(kernel, n_dim, q_order, legendre):
+    matrices = []
+    for order in (q_order, 2 * q_order):
+        y, v = half_rule(gauss_legendre_rule(order))
+        k_plus = kernel(y[:, None], y[None, :])
+        k_minus = kernel(y[:, None], -y[None, :])
+        pw = legendre(n_dim - 1, y) * v
+        even, odd = pw[0::2], pw[1::2]
+        block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
+        block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
+        entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
+        entries[0::2, 0::2] = block_even
+        entries[1::2, 1::2] = block_odd
+        matrices.append(entries)
+    coarse, fine = matrices
+    assert np.max(np.abs(fine - coarse)) <= 1e-9
+    return fine
+
+
+def two_recurrence_ratios(basis, nodes, legendre):
+    return (basis.psi_coeffs.T @ legendre(basis.n_dim - 1, -1.0 + nodes)) / basis.endpoint_minus[:, None]
+
+
+def two_recurrence_reconstruction(basis, variant, weights_on, legendre):
+    """(entries, None), or (None, drift) when the xi-doubling check refuses."""
+    q_xi = _default_q_xi(basis.c, basis.n_dim)
+    half = 0.5 if variant == "folded" else 1.0
+    integrals = []
+    for order in (q_xi, 2 * q_xi):
+        rule = gauss_legendre_rule(order)
+        nodes = half * (rule.nodes + 1.0)
+        weights = half * rule.weights
+        w_plus, w_minus = weights_on(basis.c, nodes)
+        ratios = two_recurrence_ratios(basis, nodes, legendre)
+        values = ratios @ (weights * w_plus)
+        if variant == "folded":
+            values += (-1.0) ** np.arange(basis.n_dim) * (ratios @ (weights * w_minus))
+        integrals.append(values)
+    coarse, fine = integrals
+    certified = basis.n_certified
+    drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
+    if not drift <= 1e-9:
+        return None, drift
+    return (basis.psi_coeffs * coarse) @ basis.psi_coeffs.T, None
+
+
+# c = 0.5 and 4 give N = 64 and q = 73 and 76; c = 12.3 gives N = 65 and
+# q = 86, c = 20 N = 80 and q = 108: odd and even N and q.
+BIT_GRID = [0.5, 4.0, 12.3, 20.0]
+
+
+class TestOneRecurrencePerDriftCheck:
+    @pytest.mark.parametrize("c", BIT_GRID)
+    def test_direct_operators_keep_their_bits(self, c, legendre_recurrence):
+        n_dim = default_truncation(c)
+        q_order = _q_order(c, n_dim)
+        fourier = two_recurrence_direct(
+            lambda x, t: np.exp(1j * c * x * t), n_dim, q_order, legendre_recurrence
+        )
+        sinc = two_recurrence_direct(
+            lambda x, t: sinc_kernel(c, x, t), n_dim, q_order, legendre_recurrence
+        ).astype(complex)
+        assert finite_fourier_direct(c, n_dim).entries.tobytes() == fourier.tobytes()
+        assert sinc_kernel_direct(c, n_dim).entries.tobytes() == sinc.tobytes()
+
+    @pytest.mark.parametrize("variant", ["folded", "full"])
+    @pytest.mark.parametrize("c", BIT_GRID)
+    def test_reconstructions_keep_their_bits(self, ops, c, variant, legendre_recurrence):
+        basis = ops.basis(c)
+        for build, weights_on in ((reconstruct_fourier, _fourier_weights), (reconstruct_sinc, _sinc_weights)):
+            expected, drift = two_recurrence_reconstruction(basis, variant, weights_on, legendre_recurrence)
+            if expected is None:  # F_c at c = 20: both routes refuse on the same drift
+                with pytest.raises(XiQuadratureUnresolvedError, match=f"drift by {drift:.3e} "):
+                    build(basis, variant)
+            else:
+                assert build(basis, variant).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", BIT_GRID)
+    def test_ratio_tables_per_rule_keep_their_bits(self, ops, c, legendre_recurrence):
+        basis = ops.basis(c)
+        q_xi = _default_q_xi(c, basis.n_dim)
+        for half in (0.5, 1.0):
+            nodes = tuple(half * (gauss_legendre_rule(q).nodes + 1.0) for q in (q_xi, 2 * q_xi))
+            tables = boundary_ratios(basis, nodes, method="spectral")
+            assert len(tables) == 2
+            for x, table in zip(nodes, tables, strict=True):
+                assert table.tobytes() == two_recurrence_ratios(basis, x, legendre_recurrence).tobytes()
+                assert table.tobytes() == boundary_ratios(basis, x, method="spectral").tobytes()
+
+    def test_one_legendre_table_per_operator(self, ops, monkeypatch):
+        basis = ops.basis(4.0)
+        calls = []
+
+        def counted(table):
+            def wrapper(n_max, x):
+                calls.append(np.shape(x))
+                return table(n_max, x)
+
+            return wrapper
+
+        for module in (prolate_calculus.transforms, prolate_calculus.ucalc):
+            monkeypatch.setattr(module, "legendre_table", counted(module.legendre_table))
+        # At c = 4, N = 64 the direct rules have q = 76 and 152 nodes, 38 + 76
+        # of them y >= 0, and the xi rules 44 and 88 nodes.
+        builds = {
+            (114,): [lambda: finite_fourier_direct(4.0, 64), lambda: sinc_kernel_direct(4.0, 64)],
+            (132,): [functools.partial(build, basis, variant)
+                     for build in (reconstruct_fourier, reconstruct_sinc)
+                     for variant in ("folded", "full")],
+        }
+        for shape, group in builds.items():
+            for build in group:
+                calls.clear()
+                build()
+                assert calls == [shape]
+
+    def test_ratio_rules_are_validated_as_one_xi(self, ops):
+        basis = ops.basis(1.0, 64)
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, (np.array([0.5]), np.array([0.0, 1.0])), method="spectral")
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, (np.array([0.5]), np.full((2, 2), 0.5)), method="spectral")
+        with pytest.raises(DomainError):
+            boundary_ratios(basis, (), method="spectral")
