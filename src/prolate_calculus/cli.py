@@ -22,6 +22,11 @@ suites and of the two reconstructed operators; ``--seed`` draws the translation
 suite's test points, and only its report records it.  Each check carries its
 own fixed tolerance.  A flag left out takes its ``RunConfig`` default.
 
+A command loads only the layers it runs: importing this module loads
+``errors``, ``legendre`` and ``verify``, and each command imports the rest
+where it calls them (the parser reads nystrom's grid constants for its help),
+so ``pswf`` without ``--out`` never loads the transforms or the writers.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """
 
@@ -38,26 +43,6 @@ import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
 from .legendre import default_truncation
-from .nystrom import MAX_C, MAX_NODES, RITZ_BUFFER, nystrom_chi, nystrom_sinc_eigen
-from .prolate import solve_prolate, assemble_heun_matrix
-from .serialize import (
-    dump_json,
-    operator_to_csv,
-    operator_to_dict,
-    report_to_csv,
-    report_to_dict,
-    table_to_csv,
-    table_to_dict,
-)
-from .transforms import (
-    OperatorMatrix,
-    _q_order,
-    finite_fourier_direct,
-    heun_operator,
-    reconstruct_fourier,
-    reconstruct_sinc,
-    sinc_kernel_direct,
-)
 from .verify import _IDENTITY_MODES, SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
@@ -81,6 +66,8 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    from .nystrom import MAX_C, MAX_NODES, RITZ_BUFFER
+
     parser = argparse.ArgumentParser(
         prog="prolate-calculus",
         description="Spectral calculus for time-and-band limiting operators on [-1, 1].",
@@ -151,11 +138,15 @@ def _largest_array_bytes(job: str, config: RunConfig) -> int:
         return 8 * n * n
     if job == "T":
         return 16 * n * n
+    from .transforms import _q_order
+
     return 16 * _q_order(c, n) ** 2  # Fc, Qc and the fourier, sinc, commutation suites
 
 
 def cmd_pswf(config: RunConfig) -> VerificationReport:
     """Table of n, chi_n, lambda_n, mu_n, psi_n(+-1) plus basis invariants."""
+    from .prolate import assemble_heun_matrix, solve_prolate
+
     start = time.perf_counter()
     basis = solve_prolate(config.c, config.n_dim)
     n_rows = basis.n_certified
@@ -184,6 +175,8 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
     )
     report.add("mu strictly decreasing", float(np.max(np.diff(basis.mus))), 0.0)
     if config.out:
+        from .serialize import dump_json, table_to_csv, table_to_dict
+
         if config.fmt == "json":
             dump_json(table_to_dict(columns, params), config.out)
         else:
@@ -193,6 +186,16 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
 
 
 def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
+    from .prolate import solve_prolate
+    from .transforms import (
+        OperatorMatrix,
+        finite_fourier_direct,
+        heun_operator,
+        reconstruct_fourier,
+        reconstruct_sinc,
+        sinc_kernel_direct,
+    )
+
     n_dim = config.n_dim
     if which == "T":
         return heun_operator(config.c, n_dim)
@@ -213,6 +216,8 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
 
 
 def cmd_export_operator(config: RunConfig, which: str) -> None:
+    from .serialize import dump_json, operator_to_csv, operator_to_dict
+
     op = build_operator(config, which)
     params = {"c": config.c, "N": config.n_dim, "which": which}
     if which in RECONSTRUCTED:
@@ -224,9 +229,13 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
 
 
 def cmd_nystrom(config: RunConfig) -> None:
+    from .nystrom import MAX_C, MAX_NODES, nystrom_chi, nystrom_sinc_eigen
+
     if config.c > MAX_C:
         raise OutOfRangeError(f"nystrom runs at c <= {MAX_C:g}, got c = {config.c:g}; its "
                               f"{MAX_NODES}-node grid loses digits of mu_n past c = 370")
+    from .serialize import dump_json, table_to_csv, table_to_dict
+
     result = nystrom_sinc_eigen(config.c, n_modes=_IDENTITY_MODES)
     columns = {"n": np.arange(result.n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
     params = {"c": config.c, "nodes": result.rule.order, "oracle": "nystrom"}
@@ -254,6 +263,8 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             report = run_suite(args.suite, config)
             if config.out:
+                from .serialize import dump_json, report_to_csv, report_to_dict
+
                 if config.fmt == "json":
                     dump_json(report_to_dict(report), config.out)
                 else:

@@ -14,26 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (
-    bessel_limit_check,
-    hermite_distance,
-    oscillator_gaps,
-    small_c_operator,
-    wkb_value,
-)
 from .errors import DomainError, OutOfRangeError
 from .legendre import default_truncation
-from .nystrom import nystrom_sinc_eigen
-from .prolate import solve_prolate
-from .transforms import (
-    commutator_report,
-    finite_fourier_direct,
-    heun_operator,
-    reconstruct_fourier,
-    reconstruct_sinc,
-    sinc_kernel_direct,
-)
-from .ucalc import boundary_ratios, u_series_scalar
 
 # The translation, fourier and sinc suites check modes 0..8, which must be
 # certified (n < N // 2); the nystrom table writes the same modes.  The
@@ -124,6 +106,9 @@ def _report(suite, config, extra=None) -> VerificationReport:
 def _suite_translation(config: RunConfig) -> VerificationReport:
     if config.seed < 0:
         raise DomainError(f"seed must be >= 0, got {config.seed}")
+    from .prolate import solve_prolate
+    from .ucalc import boundary_ratios
+
     rep = _report("translation", config, {"seed": config.seed})
     tol = 1e-10 if config.c == 0 else 1e-8
     basis = solve_prolate(config.c, _identity_dim(config))
@@ -151,6 +136,9 @@ def _identity_dim(config: RunConfig) -> int:
 
 
 def _suite_fourier(config: RunConfig) -> VerificationReport:
+    from .prolate import solve_prolate
+    from .transforms import finite_fourier_direct, reconstruct_fourier
+
     rep = _report("fourier", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
@@ -177,6 +165,9 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
 
 
 def _suite_sinc(config: RunConfig) -> VerificationReport:
+    from .prolate import solve_prolate
+    from .transforms import finite_fourier_direct, reconstruct_sinc, sinc_kernel_direct
+
     rep = _report("sinc", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
@@ -214,6 +205,9 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
             f"limits-small runs at c in [1e-6, 0.1], got c = {c:g}; below 1e-6 the "
             "expansion error is at rounding level, so halving c cannot show its c^2 order"
         )
+    from .asymptotics import small_c_operator
+    from .transforms import finite_fourier_direct
+
     n_dim = 24
     rep = _report("limits-small", config, {"N": n_dim})
 
@@ -234,6 +228,11 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
             f"limits-large runs at c >= 4, got c = {c:g}; the suite compares the "
             "large-c limits at bandwidths c/4, c/2 and c, so c/4 must be at least 1"
         )
+    from .asymptotics import bessel_limit_check, hermite_distance, oscillator_gaps, wkb_value
+    from .nystrom import nystrom_sinc_eigen
+    from .prolate import solve_prolate
+    from .ucalc import u_series_scalar
+
     c_list = [c / 4, c / 2, c]
     bases = {cc: solve_prolate(cc) for cc in c_list}
     rep = _report("limits-large", config, {"c_list": c_list, "N": bases[c].n_dim})
@@ -269,6 +268,8 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
 
 
 def _suite_commutation(config: RunConfig) -> VerificationReport:
+    from .transforms import commutator_report, finite_fourier_direct, heun_operator, sinc_kernel_direct
+
     rep = _report("commutation", config)
     tol = 1e-8
     n_dim = config.n_dim

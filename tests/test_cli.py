@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prolate_calculus import RunConfig, cli, run_suite, solve_prolate, verify
+from prolate_calculus import (
+    RunConfig,
+    asymptotics,
+    cli,
+    nystrom,
+    prolate,
+    run_suite,
+    solve_prolate,
+    transforms,
+)
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import _build_rule
 from prolate_calculus.nystrom import MAX_C
@@ -117,19 +126,19 @@ class TestExitCodes:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "argv, stage",
+        "argv, module, stage",
         [
-            (("export-operator", "T", "--c", "2"), "build_operator"),
-            (("export-operator", "Fc-reconstructed", "--c", "40"), "build_operator"),
-            (("nystrom", "--c", "2"), "nystrom_sinc_eigen"),
+            (("export-operator", "T", "--c", "2"), cli, "build_operator"),
+            (("export-operator", "Fc-reconstructed", "--c", "40"), cli, "build_operator"),
+            (("nystrom", "--c", "2"), nystrom, "nystrom_sinc_eigen"),
         ],
         ids=["export-T", "export-unresolvable-c", "nystrom"],
     )
-    def test_missing_out_is_refused_before_any_work(self, argv, stage, monkeypatch, capsys):
+    def test_missing_out_is_refused_before_any_work(self, argv, module, stage, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{stage} ran before --out was checked")
 
-        monkeypatch.setattr(cli, stage, refuse)
+        monkeypatch.setattr(module, stage, refuse)
         assert cli.main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error[error]: {argv[0]} requires --out\n"
@@ -146,7 +155,7 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("nystrom_sinc_eigen ran above the limit")
 
-        monkeypatch.setattr(cli, "nystrom_sinc_eigen", no_work)
+        monkeypatch.setattr(nystrom, "nystrom_sinc_eigen", no_work)
         out = tmp_path / "ny.json"
         c = repr(float(np.nextafter(MAX_C, np.inf)))
         assert cli.main(["nystrom", "--c", c, "--out", str(out)]) == 2
@@ -181,11 +190,51 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert built == ["prolate-calculus"]
 
 
-def test_cli_import_loads_no_scipy():
-    probe = "import sys, prolate_calculus.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=CHILD_ENV)
+def _loaded_after(code, *args):
+    """Modules a fresh interpreter holds after running ``code`` with ``args``
+    as ``sys.argv[1:]``: the last line it prints."""
+    probe = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = _loaded_after("import prolate_calculus.cli")
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    layers = {f"prolate_calculus.{m}" for m in ("asymptotics", "nystrom", "prolate", "transforms", "ucalc", "serialize")}
+    assert not loaded & (layers | {"fractions", "json", "csv"})
+
+
+# Package modules that importing the CLI loads, and those each command adds.
+CLI_MODULES = {"__init__", "errors", "legendre", "verify", "cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        (("pswf", "--c", "4"), {"nystrom", "prolate"}),
+        (("nystrom", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
+        (("export-operator", "T", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
+        (("verify", "--suite", "fourier", "--c", "4"), {"nystrom", "prolate", "transforms", "ucalc"}),
+        (
+            ("verify", "--suite", "limits-small", "--c", "0.05"),
+            {"asymptotics", "nystrom", "prolate", "transforms", "ucalc"},
+        ),
+    ],
+    ids=["pswf", "nystrom-out", "export-T-out", "verify-fourier", "verify-limits-small"],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
+    # The parser's nystrom help reads nystrom's grid constants, so every
+    # command loads nystrom and the prolate module it imports.
+    argv = [str(tmp_path / "out.json") if arg == "F" else arg for arg in argv]
+    loaded = _loaded_after("from prolate_calculus.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
+    package = {
+        "__init__" if m == "prolate_calculus" else m.removeprefix("prolate_calculus.")
+        for m in loaded
+        if m.split(".")[0] == "prolate_calculus"
+    }
+    assert package == CLI_MODULES | added
 
 
 class TestSuiteSmoke:
@@ -201,7 +250,7 @@ class TestSuiteSmoke:
     def test_per_mode_identity_catches_a_wrong_eigenvalue(self, suite, variant, monkeypatch):
         # lambda_3 off by 1e-6 relative, mu_3 recomputed from it: the
         # reconstruction does not read lambda_n, so only this record moves.
-        real_solve = verify.solve_prolate
+        real_solve = prolate.solve_prolate
 
         def wrong_lambda_3(c, n_dim=None):
             basis = real_solve(c, n_dim)
@@ -209,7 +258,7 @@ class TestSuiteSmoke:
             lambdas[3] *= 1 + 1e-6
             return dataclasses.replace(basis, lambdas=lambdas, mus=c / (2 * np.pi) * lambdas**2)
 
-        monkeypatch.setattr(verify, "solve_prolate", wrong_lambda_3)
+        monkeypatch.setattr(prolate, "solve_prolate", wrong_lambda_3)
         report = run_suite(suite, RunConfig(c=4.0, variant=variant))
         failed = [r.name for r in report.records if not r.passed]
         assert failed == ["per-mode scalar identity, n<=8"]
@@ -240,7 +289,7 @@ def test_limits_reports_record_the_n_they_compute_on(argv, n_used, monkeypatch, 
     # Both suites fix their own basis size: limits-small a 24-mode Legendre
     # block, limits-large the default truncation at the largest c.
     used = []
-    real_fourier, real_solve = verify.finite_fourier_direct, verify.solve_prolate
+    real_fourier, real_solve = transforms.finite_fourier_direct, prolate.solve_prolate
 
     def fourier_spy(c, n_dim):
         used.append((c, n_dim))
@@ -251,8 +300,8 @@ def test_limits_reports_record_the_n_they_compute_on(argv, n_used, monkeypatch, 
         used.append((c, basis.n_dim))
         return basis
 
-    monkeypatch.setattr(verify, "finite_fourier_direct", fourier_spy)
-    monkeypatch.setattr(verify, "solve_prolate", solve_spy)
+    monkeypatch.setattr(transforms, "finite_fourier_direct", fourier_spy)
+    monkeypatch.setattr(prolate, "solve_prolate", solve_spy)
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--suite", *argv, "--out", str(out)]) in (0, 1)
     capsys.readouterr()
@@ -266,8 +315,8 @@ def test_limits_small_refuses_a_c_outside_its_range(c, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("limits-small computed before refusing")
 
-    monkeypatch.setattr(verify, "small_c_operator", no_work)
-    monkeypatch.setattr(verify, "finite_fourier_direct", no_work)
+    monkeypatch.setattr(asymptotics, "small_c_operator", no_work)
+    monkeypatch.setattr(transforms, "finite_fourier_direct", no_work)
     assert cli.main(["verify", "--suite", "limits-small", "--c", c]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error[out-of-range]: limits-small runs at c in [1e-6, 0.1]")
@@ -279,7 +328,7 @@ def test_limits_large_refuses_a_c_below_its_range(c, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("limits-large computed before refusing")
 
-    monkeypatch.setattr(verify, "solve_prolate", no_work)
+    monkeypatch.setattr(prolate, "solve_prolate", no_work)
     assert cli.main(["verify", "--suite", "limits-large", "--c", c]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
@@ -298,8 +347,7 @@ def test_a_run_past_the_array_limit_is_refused_before_any_work(argv, monkeypatch
     def no_work(*args):
         raise AssertionError("solve_prolate ran past the array limit")
 
-    for module in (cli, verify):
-        monkeypatch.setattr(module, "solve_prolate", no_work)
+    monkeypatch.setattr(prolate, "solve_prolate", no_work)
     out = tmp_path / "r.json"
     assert cli.main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()

@@ -7,6 +7,7 @@ import argparse
 import ast
 import dataclasses
 import graphlib
+import importlib
 import inspect
 from pathlib import Path
 
@@ -25,7 +26,8 @@ def _modules():
 
 def _loaded_names():
     """Every name and attribute name the package's modules load.  Imports
-    are not loads, so ``__init__``'s re-exports add nothing."""
+    are not loads, and ``__init__``'s export table names each export as a
+    string, so the table adds nothing."""
     loaded = set()
     for _, tree in _modules():
         for node in ast.walk(tree):
@@ -62,15 +64,26 @@ def test_module_imports_form_layers():
 
 
 def test_every_export_is_loaded_outside_init():
-    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {
-        alias.asname or alias.name
-        for node in ast.walk(init)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    exported = set(prolate_calculus._EXPORTS)
+    assert exported
     unused = sorted(exported - _loaded_names())
     assert not unused, f"exported but never loaded by the package: {unused}"
+
+
+def test_export_table_resolves_each_name_in_its_module():
+    for name, module_name in prolate_calculus._EXPORTS.items():
+        module = importlib.import_module(f"prolate_calculus.{module_name}")
+        obj = getattr(prolate_calculus, name)
+        assert obj is vars(module)[name], name
+        assert obj.__module__ == module.__name__, f"{name} is defined in {obj.__module__}"
+        # Read through, never cached: a rebinding in the module shows.
+        assert name not in vars(prolate_calculus), name
+    assert sorted(prolate_calculus.__all__) == sorted(prolate_calculus._EXPORTS)
+    assert set(prolate_calculus._EXPORTS) <= set(dir(prolate_calculus))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        prolate_calculus.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from prolate_calculus import no_such_name  # noqa: F401
 
 
 def test_every_public_method_is_loaded_by_the_package():
