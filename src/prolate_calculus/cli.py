@@ -24,8 +24,9 @@ own fixed tolerance.  A flag left out takes its ``RunConfig`` default.
 
 A command loads only the layers it runs: importing this module loads
 ``errors``, ``legendre`` and ``verify``, and each command imports the rest
-where it calls them (the parser reads nystrom's grid constants for its help),
-so ``pswf`` without ``--out`` never loads the transforms or the writers.
+where it calls them (the parser reads the Nystrom grid's constants for its
+help from ``legendre``), so ``pswf`` never loads the Nystrom solver and,
+without ``--out``, never the transforms or the writers.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """
@@ -42,7 +43,7 @@ import time
 import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
-from .legendre import default_truncation
+from .legendre import MAX_C, MAX_NODES, RITZ_BUFFER, default_truncation
 from .verify import _IDENTITY_MODES, SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
@@ -66,8 +67,6 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    from .nystrom import MAX_C, MAX_NODES, RITZ_BUFFER
-
     parser = argparse.ArgumentParser(
         prog="prolate-calculus",
         description="Spectral calculus for time-and-band limiting operators on [-1, 1].",
@@ -229,7 +228,7 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
 
 
 def cmd_nystrom(config: RunConfig) -> None:
-    from .nystrom import MAX_C, MAX_NODES, nystrom_chi, nystrom_sinc_eigen
+    from .nystrom import nystrom_chi, nystrom_sinc_eigen
 
     if config.c > MAX_C:
         raise OutOfRangeError(f"nystrom runs at c <= {MAX_C:g}, got c = {config.c:g}; its "

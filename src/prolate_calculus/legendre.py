@@ -18,6 +18,13 @@ import numpy as np
 from .errors import DomainError, RuleTooLargeError
 
 MAX_RULE_ORDER = 1_000_000
+# The Nystrom oracle's grid: at most MAX_NODES Gauss nodes, run at c <= MAX_C,
+# and the Nystrom eigenvectors beyond the mu ~ 1 cluster that its Ritz span
+# keeps.  They live here, not in ``nystrom``, so the CLI states them in its
+# help without loading the solver.
+MAX_NODES = 400
+MAX_C = 340.0
+RITZ_BUFFER = 24
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 

@@ -7,11 +7,11 @@ touches the eigensolve of the differential operator; chi_n comes from a
 Rayleigh-Ritz step of T on the span of the leading Nystrom eigenvectors.
 
 The default grid has min(400, 2 * default_truncation(c)) nodes: 128 for
-c <= 12, 160 at c = 20 and 400 from c = 80 up to ``MAX_C`` = 340.  Against
-``solve_prolate(c)``, n <= 8, |mu_n - mus[n]| is at most 5e-15 up to c = 80
-and 4.2e-14 up to 340, the error of a 400-node grid at each c; on 400 nodes
-it stays below 9e-14 up to c = 368, then 1.2e-12 at c = 370 and 1.4e-7 at
-380.  ``nystrom_chi`` states the error of chi_n.
+c <= 12, 160 at c = 20 and 400 from c = 80 up to ``legendre.MAX_C`` = 340.
+Against ``solve_prolate(c)``, n <= 8, |mu_n - mus[n]| is at most 5e-15 up to
+c = 80 and 4.2e-14 up to 340, the error of a 400-node grid at each c; on 400
+nodes it stays below 9e-14 up to c = 368, then 1.2e-12 at c = 370 and 1.4e-7
+at 380.  ``nystrom_chi`` states the error of chi_n.
 """
 
 from __future__ import annotations
@@ -22,13 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .legendre import QuadRule, default_truncation, gauss_legendre_rule, half_rule, legendre_table
+from .legendre import (
+    MAX_NODES,
+    RITZ_BUFFER,
+    QuadRule,
+    default_truncation,
+    gauss_legendre_rule,
+    half_rule,
+    legendre_table,
+)
 from .prolate import assemble_heun_matrix, parity_block
-
-MAX_NODES = 400
-MAX_C = 340.0
-# Nystrom eigenvectors beyond the mu ~ 1 cluster that the Ritz span keeps.
-RITZ_BUFFER = 24
 
 
 def sinc_kernel(c: float, x, t):

@@ -16,13 +16,15 @@ endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 
 Two independent paths to the boundary ratio are kept deliberately, and
 ``boundary_ratios`` takes exactly these two: "series" sums the power series
-for one xi in (-2, 2) over the certified modes n < N/2, "spectral" goes
-through the eigenbasis for a scalar xi, a whole xi-grid in (0, 2] or a
-tuple of grids (the rules of a drift check, from one Legendre table) and
-returns all N modes.  Their agreement is the sharpest numerical test of the
-translation property.  The spectral (modes x xi) table is what the F_c / Q_c
-reconstructions integrate, every mode of it; the series runs only where it
-is itself under test (translation and limits-large suites, and the tests).
+for one xi in (-2, 2) over the leading modes its caller reads (by default
+the certified modes n < N/2), "spectral" goes through the eigenbasis for a
+scalar xi, a whole xi-grid in (0, 2] or a tuple of grids (the rules of a
+drift check, from one Legendre table) and returns all N modes.  Their
+agreement is the sharpest numerical test of the translation property.  The
+spectral (modes x xi) table is what the F_c / Q_c reconstructions integrate,
+every mode of it; the series runs only where it is itself under test
+(translation and limits-large suites, and the tests), and the translation
+suite sums it over the nine modes n <= 8 it compares.
 
 ``u_series_terms`` is the one unrolling of the recurrence, in the scaled
 form t_k = xi^k U_k / k!; it produces the terms in blocks of ``_BLOCK`` rows.
@@ -177,7 +179,9 @@ def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12) -> floa
     return float(u_series_many(c, [lam], xi, tol=tol)[0][0])
 
 
-def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray | tuple, method: str = "spectral"):
+def boundary_ratios(
+    basis: ProlateBasis, xi: float | np.ndarray | tuple, method: str = "spectral", n_modes: int | None = None
+):
     """Per-mode factors psi_n(-1 + xi) / psi_n(-1).
 
     "spectral" takes a scalar or 1-D xi in (0, 2] and returns all N modes,
@@ -187,18 +191,27 @@ def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray | tuple, method:
     product per rule; each table equals, bit for bit, the one its rule gets
     alone.  The path raises OutOfRangeError where some psi_n(-1) rounds to 0
     (c = 40).  "series" sums U(xi; lambda) at lambda = -chi_n for one scalar
-    xi in (-2, 2) over the certified modes only, shape (n_certified,) like
-    ``basis.lambdas``: the modes n >= N/2 have uncertified chi_n and lose
-    the series to cancellation, and the slowest mode sets the stop term of
-    all.  Any other method raises DomainError.
+    xi in (-2, 2) over the leading ``n_modes`` modes, shape (n_modes,): by
+    default the certified modes, shape (n_certified,) like ``basis.lambdas``.
+    The modes n >= N/2 have uncertified chi_n and lose the series to
+    cancellation, and the slowest mode summed sets the stop term of all,
+    so a caller that reads fewer modes passes ``n_modes``.  An
+    ``n_modes`` outside 1..n_certified, or given to the spectral path, and
+    any other method raise DomainError.
     """
     if method == "spectral":
+        if n_modes is not None:
+            raise DomainError("n_modes applies to the series path only")
         return _spectral_ratios(basis, xi)
     if method != "series":
         raise DomainError(f"unknown method {method!r}; choose 'series' or 'spectral'")
     if np.ndim(xi) != 0:
         raise DomainError("the series path takes one scalar xi")
-    return u_series_many(basis.c, -basis.chi[: basis.n_certified], xi, tol=_SERIES_TOL)[0]
+    if n_modes is None:
+        n_modes = basis.n_certified
+    if not 1 <= n_modes <= basis.n_certified:
+        raise DomainError(f"n_modes must lie in 1..{basis.n_certified} (the certified modes), got {n_modes}")
+    return u_series_many(basis.c, -basis.chi[:n_modes], xi, tol=_SERIES_TOL)[0]
 
 
 def _spectral_ratios(basis: ProlateBasis, xi):

@@ -37,13 +37,19 @@ from prolate_calculus import cli, solve_prolate
 # N = default_truncation(c) is 64 up to c = 12, then 65 at 12.3, 71 at 15.5 and
 # 80 at 20: odd parity blocks and fractional c, like the benchmark's draws.
 C_GRID = ("0.5", "4", "10", "12", "12.3", "15.5", "20")
+# The translation suite at the benchmark's range-edge draws of c (seed 1),
+# each with three seeds, and past its stated range, where the series has the
+# most terms.
+TRANSLATION_C = ("6.1894", "11.2764", "14.8696", "17.6658")
+TRANSLATION_SEEDS = ("1", "2", "3")
+TRANSLATION_C_LARGE = ("25", "30", "34.5")
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 FORMATS = ("json", "csv")
 _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """221 argvs (31 per value of C_GRID, and 4 more), each written with
+    """236 argvs (31 per value of C_GRID, and 19 more), each written with
     ``--out``, ``--format`` json unless given."""
     for c in C_GRID:
         for which in OPERATORS:
@@ -62,6 +68,11 @@ def argv_grid():
         yield ("verify", "--suite", "limits-small", "--c", c)
     yield ("verify", "--suite", "fourier", "--n-trunc", "10")
     yield ("verify", "--suite", "translation", "--c", "25", "--n-trunc", "30")
+    for c in TRANSLATION_C:
+        for seed in TRANSLATION_SEEDS:
+            yield ("verify", "--suite", "translation", "--c", c, "--seed", seed)
+    for c in TRANSLATION_C_LARGE:
+        yield ("verify", "--suite", "translation", "--c", c)
 
 
 def _sha(data: bytes) -> str:

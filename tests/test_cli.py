@@ -27,8 +27,7 @@ from prolate_calculus import (
     transforms,
 )
 from prolate_calculus.asymptotics import _small_c_terms
-from prolate_calculus.legendre import _build_rule
-from prolate_calculus.nystrom import MAX_C
+from prolate_calculus.legendre import MAX_C, _build_rule
 from prolate_calculus.serialize import load_json, operator_from_dict
 from prolate_calculus.verify import SUITES, VerificationReport
 
@@ -213,7 +212,8 @@ CLI_MODULES = {"__init__", "errors", "legendre", "verify", "cli"}
 @pytest.mark.parametrize(
     "argv, added",
     [
-        (("pswf", "--c", "4"), {"nystrom", "prolate"}),
+        (("pswf", "--c", "4"), {"prolate"}),
+        (("verify", "--suite", "translation", "--c", "4"), {"prolate", "ucalc"}),
         (("nystrom", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
         (("export-operator", "T", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
         (("verify", "--suite", "fourier", "--c", "4"), {"nystrom", "prolate", "transforms", "ucalc"}),
@@ -222,11 +222,12 @@ CLI_MODULES = {"__init__", "errors", "legendre", "verify", "cli"}
             {"asymptotics", "nystrom", "prolate", "transforms", "ucalc"},
         ),
     ],
-    ids=["pswf", "nystrom-out", "export-T-out", "verify-fourier", "verify-limits-small"],
+    ids=["pswf", "verify-translation", "nystrom-out", "export-T-out", "verify-fourier", "verify-limits-small"],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
-    # The parser's nystrom help reads nystrom's grid constants, so every
-    # command loads nystrom and the prolate module it imports.
+    # The parser's nystrom help reads the grid constants from legendre, so
+    # only a command that runs nystrom or the transforms (which take its
+    # sinc kernel) loads it.
     argv = [str(tmp_path / "out.json") if arg == "F" else arg for arg in argv]
     loaded = _loaded_after("from prolate_calculus.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
     package = {

@@ -9,8 +9,8 @@ import pytest
 
 from prolate_calculus import gauss_legendre_rule, nystrom_chi, nystrom_sinc_eigen, solve_prolate
 from prolate_calculus.errors import DomainError
-from prolate_calculus.legendre import default_truncation, half_rule, legendre_table
-from prolate_calculus.nystrom import MAX_C, sinc_kernel
+from prolate_calculus.legendre import MAX_C, default_truncation, half_rule, legendre_table
+from prolate_calculus.nystrom import sinc_kernel
 from prolate_calculus.prolate import assemble_heun_matrix
 
 

@@ -12,7 +12,7 @@ from prolate_calculus import (
     pswf_eval,
     u_series_scalar,
 )
-from prolate_calculus import assemble_heun_matrix
+from prolate_calculus import RunConfig, assemble_heun_matrix, run_suite, ucalc
 from prolate_calculus.errors import ProlateCalculusError
 from prolate_calculus.ucalc import (
     _BLOCK,
@@ -345,6 +345,41 @@ class TestBoundaryRatios:
         all_modes = u_series_many(c, -basis.chi, xi, tol=_SERIES_TOL)[0]
         assert np.array_equal(series[:_IDENTITY_MODES], all_modes[:_IDENTITY_MODES])
         assert np.all(np.abs(series - all_modes[:m]) <= tail + cancel)
+
+    @pytest.mark.parametrize("c", np.linspace(0.0, 26.0, 14))
+    def test_the_identity_modes_alone_sum_to_the_same_bits(self, ops, c):
+        # The slowest mode summed sets the stop term of all, so the sum over
+        # modes 0..8 stops before the one over every certified mode.  The
+        # terms it skips are below _SERIES_TOL of each sum and on this grid
+        # move no bit; from c = 27 with xi near 1.5 they move some by 1 to
+        # 15 ulps, inside the 9-mode sum's tail and cancellation bounds.
+        basis = ops.basis(c)
+        for xi in np.linspace(0.05, 1.5, 16):
+            nine = boundary_ratios(basis, xi, method="series", n_modes=_IDENTITY_MODES)
+            certified = boundary_ratios(basis, xi, method="series")
+            assert nine.shape == (_IDENTITY_MODES,)
+            assert np.array_equal(nine, certified[:_IDENTITY_MODES]), xi
+
+    def test_n_modes_outside_the_certified_modes_is_refused(self, ops):
+        basis = ops.basis(1.0, 64)
+        for n_modes in (0, -1, basis.n_certified + 1):
+            with pytest.raises(DomainError, match="n_modes"):
+                boundary_ratios(basis, 0.8, method="series", n_modes=n_modes)
+        with pytest.raises(DomainError, match="series path only"):
+            boundary_ratios(basis, 0.8, method="spectral", n_modes=_IDENTITY_MODES)
+        assert boundary_ratios(basis, 0.8, method="series", n_modes=1).shape == (1,)
+
+    @pytest.mark.parametrize("c", [4.0, 17.6658])
+    def test_translation_suite_sums_the_identity_modes_only(self, monkeypatch, c):
+        calls = []
+
+        def counting(c, lambdas, xi, **kwargs):
+            calls.append(np.size(lambdas))
+            return u_series_many(c, lambdas, xi, **kwargs)
+
+        monkeypatch.setattr(ucalc, "u_series_many", counting)
+        run_suite("translation", RunConfig(c=c))
+        assert calls == [_IDENTITY_MODES] * 10
 
     def test_spectral_reflects_at_xi_two(self, ops):
         basis = ops.basis(1.0, 64)
