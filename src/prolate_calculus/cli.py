@@ -25,8 +25,10 @@ own fixed tolerance.  A flag left out takes its ``RunConfig`` default.
 A command loads only the layers it runs: importing this module loads
 ``errors``, ``legendre`` and ``verify``, and each command imports the rest
 where it calls them (the parser reads the Nystrom grid's constants for its
-help from ``legendre``), so ``pswf`` never loads the Nystrom solver and,
-without ``--out``, never the transforms or the writers.
+help from ``legendre``, and the transforms take the sinc kernel from
+``prolate``), so only ``nystrom`` and the limits-large suite load the Nystrom
+solver, and ``pswf`` without ``--out`` never loads the transforms or the
+writers.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """

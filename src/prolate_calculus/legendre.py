@@ -145,9 +145,13 @@ def legendre_table(n_max: int, x) -> np.ndarray:
     Points with |x| > 1 (beyond a 1e-14 rounding margin) are refused.  The
     three-term recurrence costs one pass over the degrees whatever the size
     of x, so callers evaluate every point they need in one call.  A scalar x
-    runs the recurrence on Python floats and an array x writes each row in
-    place; both are the same IEEE operations in the same order, so a value
-    does not depend on the shape it was asked in.
+    runs the recurrence on Python floats.  An array x first sets up the
+    products' coefficients [(n - 1), (2n - 1) x] of every degree; each degree
+    then multiplies its pair by the two rows below it, subtracts and divides
+    by n in place, three numpy calls.  Both paths are the same IEEE
+    operations in the same order, ((2n - 1) x P_{n-1} - (n - 1) P_{n-2}) / n,
+    so a value, and the sign of a zero, does not depend on the shape it was
+    asked in.
     """
     x = np.asarray(x, dtype=float)
     norms = np.sqrt((2 * np.arange(n_max + 1) + 1) / 2.0)
@@ -165,14 +169,17 @@ def legendre_table(n_max: int, x) -> np.ndarray:
     table[0] = 1.0
     if n_max >= 1:
         table[1] = x
-    # Row n of slope holds (2n - 1) x, the recurrence's first product.
-    slope = np.multiply.outer(2.0 * np.arange(n_max + 1) - 1.0, x)
-    scratch = np.empty(x.shape)
-    rows = list(table)
-    for n, (row, prev, prev2, s) in enumerate(zip(rows[2:], rows[1:], rows, slope[2:]), 2):
-        np.multiply(s, prev, out=row)
-        np.multiply(n - 1, prev2, out=scratch)
-        np.subtract(row, scratch, out=row)
+    # coef[n] holds [(n - 1), (2n - 1) x], so one multiply by the window
+    # [P_{n-2}, P_{n-1}] gives both products of degree n's step.
+    degrees = np.arange(n_max + 1, dtype=float).reshape((-1,) + (1,) * x.ndim)
+    coef = np.empty((n_max + 1, 2) + x.shape)
+    coef[:, 0] = degrees - 1.0
+    np.multiply(2.0 * degrees - 1.0, x, out=coef[:, 1])
+    products = np.empty((2,) + x.shape)
+    older, newer = products
+    for n, (row, step) in enumerate(zip(table[2:], coef[2:]), 2):
+        np.multiply(step, table[n - 2 : n], out=products)
+        np.subtract(newer, older, out=row)
         np.divide(row, n, out=row)
     table *= norms.reshape((-1,) + (1,) * x.ndim)
     return table

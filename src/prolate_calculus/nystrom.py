@@ -31,12 +31,7 @@ from .legendre import (
     half_rule,
     legendre_table,
 )
-from .prolate import assemble_heun_matrix, parity_block
-
-
-def sinc_kernel(c: float, x, t):
-    """sin(c(x-t)) / (pi (x-t)) with the diagonal limit c/pi."""
-    return (c / np.pi) * np.sinc((c / np.pi) * (np.asarray(x) - np.asarray(t)))
+from .prolate import assemble_heun_matrix, parity_block, sinc_kernel
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,11 @@ def parity_block(bands: np.ndarray, parity: int) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def sinc_kernel(c: float, x, t):
+    """sin(c(x-t)) / (pi (x-t)) with the diagonal limit c/pi: the kernel of Q_c."""
+    return (c / np.pi) * np.sinc((c / np.pi) * (np.asarray(x) - np.asarray(t)))
+
+
 @dataclass(frozen=True, eq=False)
 class ProlateBasis:
     """Truncated eigendecomposition of T at bandwidth c, with its eigenvalues.

@@ -23,11 +23,15 @@ The byte layout of every written file is frozen:
 The operator body is written from the array: ``operator_to_dict`` keeps it
 as a (dim², 2) float array of (re, im) pairs, and ``dump_json`` and
 ``operator_to_csv`` format it a block of ``_BLOCK_ROWS`` pairs at a time,
-with one ``%`` template per block, so the temporary strings stay bounded.
-Within a block only the nonzero values are formatted one by one (``repr``
-or ``%.17g``); most entries of an operator are exact zeros (mixed parity,
-and off T's band), and each block formats 0.0 and -0.0 once.  The bytes
-are those of the layout above.
+so the temporary strings stay bounded.  Within a block only the nonzero
+values are formatted one by one (``repr`` or ``%.17g``); most entries of an
+operator are exact zeros (mixed parity, and off T's band), and each block
+formats 0.0 and -0.0 once.  Each block is then one ``"".join`` of its cells
+in file order: fixed separator strings, the formatted values and, in CSV,
+the row and column prefixes ``"i,"``, formatted once per file and picked by
+index.  A JSON pair opens with the text that closes the pair before it, so
+a block may start anywhere in the data.  The bytes are those of the layout
+above.
 """
 
 from __future__ import annotations
@@ -132,18 +136,23 @@ def dump_json(payload: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head + '"data": [')
         if pairs.size:
-            template = "  [\n   %s,\n   %s\n  ]"
-            blocks = (
-                (",\n" if start else "") + ",\n".join([template] * (len(cells) // 2)) % tuple(cells)
-                for start, cells in _formatted_values(pairs, repr)
-            )
+            blocks = (_json_block(start, text) for start, text in _formatted_values(pairs, repr))
             if not np.isfinite(pairs).all():
                 # repr gives nan, inf, -inf; json writes NaN, Infinity, -Infinity.
                 blocks = (b.replace("nan", "NaN").replace("inf", "Infinity") for b in blocks)
-            fh.write("\n")
             fh.writelines(blocks)
-            fh.write("\n ")
+            fh.write("\n  ]\n ")
         fh.write("]" + tail)
+
+
+def _json_block(start: int, text: list) -> str:
+    """The JSON text of one block's pairs, each pair opened by the text that
+    closes the pair before it (none before the first pair of the data)."""
+    cells = ["\n  ],\n  [\n   ", None, ",\n   ", None] * (len(text) // 2)
+    cells[1::2] = text
+    if not start:
+        cells[0] = "\n  [\n   "
+    return "".join(cells)
 
 
 def _formatted_values(pairs: np.ndarray, fmt):
@@ -170,17 +179,19 @@ def operator_to_csv(op: OperatorMatrix, path) -> None:
     # The rows csv.writer would write: indices and %.17g floats never need
     # quoting, and its line end is \r\n.
     pairs = _entry_pairs(op)
+    # "i," for each row and column index i, picked per entry by index.
+    prefixes = np.array([f"{i}," for i in range(op.dim)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("row,col,re,im\r\n")
         for start, text in _formatted_values(pairs, _CSV_FMT.__mod__):
             n = len(text) // 2
             rows, cols = np.divmod(np.arange(start, start + n), op.dim)
-            cells = [None] * (4 * n)
-            cells[0::4] = rows.tolist()
-            cells[1::4] = cols.tolist()
-            cells[2::4] = text[0::2]
-            cells[3::4] = text[1::2]
-            fh.write("%d,%d,%s,%s\r\n" * n % tuple(cells))
+            cells = [None, None, None, ",", None, "\r\n"] * n
+            cells[0::6] = prefixes[rows].tolist()
+            cells[1::6] = prefixes[cols].tolist()
+            cells[2::6] = text[0::2]
+            cells[4::6] = text[1::2]
+            fh.write("".join(cells))
 
 
 def table_to_csv(columns: dict, path) -> None:

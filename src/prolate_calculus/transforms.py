@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
 from .legendre import gauss_legendre_rule, half_rule, legendre_table
-from .nystrom import sinc_kernel
-from .prolate import ProlateBasis, assemble_heun_matrix
+from .prolate import ProlateBasis, assemble_heun_matrix, sinc_kernel
 from .ucalc import boundary_ratios
 
 _DRIFT_TOL = 1e-9

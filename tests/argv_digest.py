@@ -16,6 +16,15 @@ each checkout and diff the outputs:
 
 Pytest does not collect this file.  Every argv runs in this one process, in
 the order printed, so repeated runs also cover the cached quadrature rules.
+
+With ``--series`` it prints instead one line per c in SERIES_C: c, then the
+sha256 of the ``float.hex`` values of ``boundary_ratios(..., method="series",
+n_modes=9)`` (the modes the translation suite compares) at each xi of
+SERIES_XI, a refusal hashed as its error class and message.  Diffing it
+between two checkouts shows whether a change to the series kernel moved a
+bit:
+
+    PYTHONPATH=<checkout>/src python tests/argv_digest.py --series > series.txt
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from prolate_calculus import cli, solve_prolate
+from prolate_calculus import ProlateCalculusError, boundary_ratios, cli, solve_prolate
 
 # N = default_truncation(c) is 64 up to c = 12, then 65 at 12.3, 71 at 15.5 and
 # 80 at 20: odd parity blocks and fractional c, like the benchmark's draws.
@@ -43,6 +52,10 @@ C_GRID = ("0.5", "4", "10", "12", "12.3", "15.5", "20")
 TRANSLATION_C = ("6.1894", "11.2764", "14.8696", "17.6658")
 TRANSLATION_SEEDS = ("1", "2", "3")
 TRANSLATION_C_LARGE = ("25", "30", "34.5")
+# The series grid: c = 0, 0.5, ..., 40 and xi = 0.05, 0.06, ..., 1.5.
+SERIES_C = tuple(i / 2 for i in range(81))
+SERIES_XI = tuple(i / 100 for i in range(5, 151))
+SERIES_MODES = 9
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 FORMATS = ("json", "csv")
 _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
@@ -126,7 +139,23 @@ def _records(out: Path, fmt: str, stdout: str) -> list[str]:
     return [line.strip() for line in stdout.splitlines() if line.startswith("  [")]
 
 
+def series_digest(c: float) -> str:
+    basis = solve_prolate(c)
+    lines = []
+    for xi in SERIES_XI:
+        try:
+            values = boundary_ratios(basis, xi, method="series", n_modes=SERIES_MODES)
+            lines.append(" ".join(float(v).hex() for v in values))
+        except ProlateCalculusError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return f"{c!r} {_sha(chr(10).join(lines).encode())}"
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--series"]:
+        for c in SERIES_C:
+            print(series_digest(c), flush=True)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         for argv in argv_grid():
             print(digest(argv, Path(tmp)), flush=True)

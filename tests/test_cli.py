@@ -215,19 +215,16 @@ CLI_MODULES = {"__init__", "errors", "legendre", "verify", "cli"}
         (("pswf", "--c", "4"), {"prolate"}),
         (("verify", "--suite", "translation", "--c", "4"), {"prolate", "ucalc"}),
         (("nystrom", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
-        (("export-operator", "T", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
-        (("verify", "--suite", "fourier", "--c", "4"), {"nystrom", "prolate", "transforms", "ucalc"}),
-        (
-            ("verify", "--suite", "limits-small", "--c", "0.05"),
-            {"asymptotics", "nystrom", "prolate", "transforms", "ucalc"},
-        ),
+        (("export-operator", "T", "--c", "4", "--out", "F"), {"prolate", "serialize", "transforms", "ucalc"}),
+        (("verify", "--suite", "fourier", "--c", "4"), {"prolate", "transforms", "ucalc"}),
+        (("verify", "--suite", "limits-small", "--c", "0.05"), {"asymptotics", "prolate", "transforms", "ucalc"}),
     ],
     ids=["pswf", "verify-translation", "nystrom-out", "export-T-out", "verify-fourier", "verify-limits-small"],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
-    # The parser's nystrom help reads the grid constants from legendre, so
-    # only a command that runs nystrom or the transforms (which take its
-    # sinc kernel) loads it.
+    # The parser's nystrom help reads the grid constants from legendre and
+    # the transforms take the sinc kernel from prolate, so only a command
+    # that runs nystrom loads it.
     argv = [str(tmp_path / "out.json") if arg == "F" else arg for arg in argv]
     loaded = _loaded_after("from prolate_calculus.cli import main\nassert main(sys.argv[1:]) == 0", *argv)
     package = {

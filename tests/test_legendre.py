@@ -141,8 +141,14 @@ class TestOrthonormalLegendre:
             assert one.shape == (n_max + 1, 1)
             assert one.tobytes() == legendre_recurrence(n_max, np.array([x])).tobytes(), x
             assert one[:, 0].tobytes() == expected.tobytes(), x
+            # The bytes hold the sign bits; at x = 0 the odd degrees are zeros
+            # whose signs the recurrence sets, so state the signs as well.
+            assert np.array_equal(np.signbit(one[:, 0]), np.signbit(expected)), x
         grid = np.array(points).reshape(6, 8)
-        assert legendre_table(n_max, grid).tobytes() == legendre_recurrence(n_max, grid).tobytes()
+        table = legendre_table(n_max, grid)
+        assert table.tobytes() == legendre_recurrence(n_max, grid).tobytes()
+        scalars = np.stack([legendre_table(n_max, x) for x in points], axis=-1).reshape(table.shape)
+        assert np.array_equal(np.signbit(table), np.signbit(scalars))
 
     @pytest.mark.parametrize("n_dim", [8, 24])
     def test_gram_matrix_is_identity(self, n_dim):

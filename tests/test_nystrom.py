@@ -10,8 +10,7 @@ import pytest
 from prolate_calculus import gauss_legendre_rule, nystrom_chi, nystrom_sinc_eigen, solve_prolate
 from prolate_calculus.errors import DomainError
 from prolate_calculus.legendre import MAX_C, default_truncation, half_rule, legendre_table
-from prolate_calculus.nystrom import sinc_kernel
-from prolate_calculus.prolate import assemble_heun_matrix
+from prolate_calculus.prolate import assemble_heun_matrix, sinc_kernel
 
 
 def full_matrix_mu(c, n_nodes, n_modes):

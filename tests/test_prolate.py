@@ -13,7 +13,8 @@ from prolate_calculus import (
     solve_prolate,
 )
 from prolate_calculus import prolate
-from prolate_calculus.nystrom import nystrom_chi, sinc_kernel
+from prolate_calculus.nystrom import nystrom_chi
+from prolate_calculus.prolate import sinc_kernel
 
 # The bandwidths of the CLI's exit-code contract, and c = 0.
 CONTRACT_C = (0.0, 0.5, 4.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0, 22.0, 25.0, 30.0, 40.0)

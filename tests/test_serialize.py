@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prolate_calculus import DomainError, OperatorMatrix
+from prolate_calculus import DomainError, OperatorMatrix, default_truncation, heun_operator
 from prolate_calculus.serialize import (
+    _BLOCK_ROWS,
     SCHEMA,
     dump_json,
     load_json,
@@ -184,6 +185,23 @@ class TestByteLayout:
         nan = np.isnan(op.entries.view(float))
         assert np.array_equal(np.isnan(loaded.view(float)), nan)
         assert loaded.view(float)[~nan].tobytes() == op.entries.view(float)[~nan].tobytes()
+
+    @pytest.mark.parametrize("which", ["T", "Fc", "Qc"])
+    def test_exported_operators_at_a_real_size_match_oracle(self, which, ops, tmp_path):
+        # N = 75 at c = 17.27: 5625 entries in 11 write blocks, all but the
+        # first starting inside a row.
+        c = 17.27
+        n_dim = default_truncation(c)
+        starts = range(0, n_dim * n_dim, _BLOCK_ROWS)
+        assert n_dim == 75 and len(starts) == 11
+        assert sum(start % n_dim != 0 for start in starts) == 10
+        op = {"T": heun_operator, "Fc": ops.fourier, "Qc": ops.sinc}[which](c, n_dim)
+        params = {"c": c, "N": n_dim, "which": which}
+        json_path, csv_path = tmp_path / "op.json", tmp_path / "op.csv"
+        dump_json(operator_to_dict(op, params), json_path)
+        operator_to_csv(op, csv_path)
+        assert json_path.read_bytes() == _oracle_json(op, params)
+        assert csv_path.read_bytes() == _oracle_csv(op)
 
     def test_special_operator_tokens(self, tmp_path):
         path = tmp_path / "op.json"

@@ -22,7 +22,7 @@ from prolate_calculus import (
 import prolate_calculus.transforms
 import prolate_calculus.ucalc
 from prolate_calculus.legendre import default_truncation, half_rule
-from prolate_calculus.nystrom import sinc_kernel
+from prolate_calculus.prolate import sinc_kernel
 from prolate_calculus.transforms import (
     _default_q_xi,
     _fourier_weights,

@@ -164,12 +164,26 @@ class TestBlockedSeries:
                 assert_same_series(c, lambdas, xi, tol)
 
     def test_terms_match_the_reference_generator(self):
-        lam = [-31.5, -2.0, 0.0, 14.25]
-        for k_max in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
-            rows = block_rows(4.0, lam, 1.3, k_max)
-            expected = np.array(list(reference_series_terms(4.0, lam, 1.3, k_max)))
-            assert rows.dtype == SERIES_DTYPE
-            assert np.array_equal(rows, expected)
+        # At c = 0 and lambda = -n(n+1) the series stops at k = n: the terms
+        # after it are exact zeros, of either sign, and a negative xi gives
+        # most of the negative ones.  array_equal counts -0.0 equal to 0.0,
+        # so the signs are compared on their own.
+        cases = [
+            (4.0, [-31.5, -2.0, 0.0, 14.25], 1.3),
+            (4.0, [-31.5, -2.0, 0.0, 14.25], -0.7),
+            (0.0, [0.0, -2.0, -6.0, -12.0, -3.0], 0.9),
+            (0.0, [0.0, -2.0, -6.0, -12.0, -3.0], -0.9),
+        ]
+        negative_zeros = 0
+        for c, lam, xi in cases:
+            for k_max in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+                rows = block_rows(c, lam, xi, k_max)
+                expected = np.array(list(reference_series_terms(c, lam, xi, k_max)))
+                assert rows.dtype == SERIES_DTYPE
+                assert np.array_equal(rows, expected)
+                assert np.array_equal(np.signbit(rows), np.signbit(expected))
+                negative_zeros += int(np.sum(np.signbit(expected) & (expected == 0)))
+        assert negative_zeros > 0
 
     def test_blocks_have_the_stated_shape(self):
         shapes = [b.shape for b in u_series_terms(1.0, [-1.0, -2.0], 0.5, 2 * _BLOCK + 4)]
