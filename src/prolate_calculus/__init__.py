@@ -38,7 +38,6 @@ _EXPORTS = {
             "OperatorMatrix",
             "commutator_report",
             "finite_fourier_direct",
-            "heun_operator",
             "reconstruct_fourier",
             "reconstruct_sinc",
             "sinc_kernel_direct",

@@ -90,7 +90,7 @@ def small_c_operator(c: float, n_dim: int) -> OperatorMatrix:
     if c > SMALL_C_MAX:
         raise DomainError(f"small-c expansion restricted to c <= {SMALL_C_MAX}")
     a, b = small_c_diagonal_terms(n_dim)
-    return OperatorMatrix(dim=n_dim, entries=np.diag(a - 1j * c * b))
+    return OperatorMatrix(np.diag(a - 1j * c * b))
 
 
 def hermite_values(m_count: int, x) -> np.ndarray:

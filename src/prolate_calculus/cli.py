@@ -187,11 +187,10 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
 
 
 def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
-    from .prolate import solve_prolate
+    from .prolate import assemble_heun_matrix, solve_prolate
     from .transforms import (
         OperatorMatrix,
         finite_fourier_direct,
-        heun_operator,
         reconstruct_fourier,
         reconstruct_sinc,
         sinc_kernel_direct,
@@ -199,7 +198,7 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
 
     n_dim = config.n_dim
     if which == "T":
-        return heun_operator(config.c, n_dim)
+        return OperatorMatrix(assemble_heun_matrix(config.c, n_dim).to_dense())
     if which == "Fc":
         return finite_fourier_direct(config.c, n_dim)
     if which == "Qc":
@@ -213,7 +212,7 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
         full = reconstruct_fourier(basis, config.variant)
     else:
         full = reconstruct_sinc(basis, config.variant)
-    return OperatorMatrix(dim=n_dim, entries=full.entries[:n_dim, :n_dim].copy())
+    return OperatorMatrix(full.entries[:n_dim, :n_dim].copy())
 
 
 def cmd_export_operator(config: RunConfig, which: str) -> None:
@@ -239,7 +238,7 @@ def cmd_nystrom(config: RunConfig) -> None:
 
     result = nystrom_sinc_eigen(config.c, n_modes=_IDENTITY_MODES)
     columns = {"n": np.arange(result.n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
-    params = {"c": config.c, "nodes": result.rule.order, "oracle": "nystrom"}
+    params = {"c": config.c, "nodes": result.rule.nodes.size, "oracle": "nystrom"}
     if config.fmt == "json":
         dump_json(table_to_dict(columns, params), config.out)
     else:

@@ -31,9 +31,8 @@ _NEWTON_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class QuadRule:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Gauss-Legendre nodes and weights on [-1, 1]; the order is ``nodes.size``."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -42,22 +41,21 @@ class QuadRule:
 class BandedSymMatrix:
     """Symmetric banded matrix stored in lower form.
 
-    ``bands[k, i]`` holds entry ``A[i + k, i]`` for ``0 <= k <= half_bandwidth``;
-    symmetry is implied by storage and the trailing ``k`` slots of each band
-    are zero.
+    ``bands[k, i]`` holds entry ``A[i + k, i]``; symmetry is implied by
+    storage and the trailing ``k`` slots of each band are zero.  The sizes
+    are the array's: ``bands`` is (half bandwidth + 1, dim).
     """
 
-    dim: int
-    half_bandwidth: int
     bands: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        for k in range(self.half_bandwidth + 1):
-            idx = np.arange(self.dim - k)
-            a[idx + k, idx] = self.bands[k, : self.dim - k]
+        dim = self.bands.shape[1]
+        a = np.zeros((dim, dim))
+        for k, band in enumerate(self.bands):
+            idx = np.arange(dim - k)
+            a[idx + k, idx] = band[: dim - k]
             if k:
-                a[idx, idx + k] = self.bands[k, : self.dim - k]
+                a[idx, idx + k] = band[: dim - k]
         return a
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -65,8 +63,8 @@ class BandedSymMatrix:
         columns; each column of A V equals, bit for bit, A applied to it alone."""
         bands = self.bands.reshape(self.bands.shape + (1,) * (np.ndim(v) - 1))
         out = bands[0] * v
-        for k in range(1, self.half_bandwidth + 1):
-            b = bands[k, : self.dim - k]
+        for k in range(1, len(bands)):
+            b = bands[k, :-k]
             out[k:] += b * v[:-k]
             out[:-k] += b * v[k:]
         return out
@@ -112,7 +110,7 @@ def _build_rule(order: int) -> QuadRule:
         w = 0.5 * (w + w[::-1])
     x.flags.writeable = False
     w.flags.writeable = False
-    return QuadRule(order=order, nodes=x, weights=w)
+    return QuadRule(nodes=x, weights=w)
 
 
 def half_rule(rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +120,10 @@ def half_rule(rule: QuadRule) -> tuple[np.ndarray, np.ndarray]:
     The full rule's sum of an even f is then 2 sum v f(y), and a kernel
     sum over the full rule folds onto y through K(x, t) +/- K(x, -t).
     """
-    y = rule.nodes[rule.order // 2 :]
-    v = rule.weights[rule.order // 2 :].copy()
-    if rule.order % 2:
+    half, odd = divmod(rule.nodes.size, 2)
+    y = rule.nodes[half:]
+    v = rule.weights[half:].copy()
+    if odd:
         v[0] *= 0.5
     return y, v
 

@@ -128,7 +128,7 @@ def nystrom_chi(result: NystromResult) -> np.ndarray:
     is about N^2.  chi_8 is 5.3e-10 off at c = 3 and 7.9e-4 at c = 2
     (mu_8 = 2.8e-14); at c <= 1 modes 6 to 8 are unresolved.
     """
-    n_legendre = result.rule.order // 2
+    n_legendre = result.rule.nodes.size // 2
     if result.n_modes > n_legendre:
         raise DomainError(f"nystrom_chi needs at most nodes // 2 = {n_legendre} modes, got {result.n_modes}")
     y, v = half_rule(result.rule)

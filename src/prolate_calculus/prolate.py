@@ -51,7 +51,7 @@ def assemble_heun_matrix(c: float, n_dim: int) -> BandedSymMatrix:
     bands = np.zeros((3, n_dim))
     bands[0] = legendre_operator_diag(n_dim) - c * c * sq_diag
     bands[2, : n_dim - 2] = -c * c * a[:-1] * a[1:]
-    return BandedSymMatrix(dim=n_dim, half_bandwidth=2, bands=bands)
+    return BandedSymMatrix(bands)
 
 
 def parity_block(bands: np.ndarray, parity: int) -> np.ndarray:

@@ -7,9 +7,12 @@ The JSON layout is fixed as schema ``prolate-calculus/v1``::
      "params": {"c": ..., "N": ..., ...},
      "data":   ...}
 
-Operator data is a flat row-major list of ``[re, im]`` pairs; table data is a
-mapping of column name to value list.  Identical inputs produce
-byte-identical files, and a re-import reproduces entries bit-exactly.
+Operator data is a flat row-major list of ``[re, im]`` pairs, and
+``params["dim"]`` is the side of the square entries; table data is a mapping
+of column name to value list.  Identical inputs produce byte-identical files,
+and an operator file re-read with ``json.loads``, its pairs viewed as complex,
+gives the entries bit-exactly (``tests/test_serialize.py``,
+``test_operator_files_match_oracle``, checks both).
 
 The byte layout of every written file is frozen:
 
@@ -42,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
 from .transforms import OperatorMatrix
 
 SCHEMA = "prolate-calculus/v1"
@@ -55,7 +57,7 @@ def operator_to_dict(op: OperatorMatrix, params: dict) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "operator",
-        "params": dict(params, dim=op.dim),
+        "params": dict(params, dim=len(op.entries)),
         "data": _entry_pairs(op),
     }
 
@@ -67,24 +69,6 @@ def _entry_pairs(op: OperatorMatrix) -> np.ndarray:
     pairs[:, 0] = flat.real
     pairs[:, 1] = flat.imag
     return pairs
-
-
-def operator_from_dict(payload: dict) -> OperatorMatrix:
-    if payload.get("schema") != SCHEMA:
-        raise DomainError(f"unknown schema {payload.get('schema')!r}")
-    if payload.get("kind") != "operator":
-        raise DomainError(f"payload kind {payload.get('kind')!r} is not an operator")
-    try:
-        dim = int(payload["params"]["dim"])
-        flat = np.array(payload["data"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed operator payload: {exc}") from exc
-    if dim < 1 or flat.shape != (dim * dim, 2):
-        raise DomainError("operator data has the wrong shape")
-    # A view, not re + 1j*im: that turns (-0.0, 0.0) into 0.0 and an
-    # infinite imaginary part into a NaN real part.
-    entries = flat.view(complex).reshape(dim, dim)
-    return OperatorMatrix(dim=dim, entries=entries)
 
 
 def table_to_dict(columns: dict, params: dict) -> dict:
@@ -171,21 +155,18 @@ def _formatted_values(pairs: np.ndarray, fmt):
         yield start, text
 
 
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def operator_to_csv(op: OperatorMatrix, path) -> None:
     # The rows csv.writer would write: indices and %.17g floats never need
     # quoting, and its line end is \r\n.
     pairs = _entry_pairs(op)
+    dim = len(op.entries)
     # "i," for each row and column index i, picked per entry by index.
-    prefixes = np.array([f"{i}," for i in range(op.dim)], dtype=object)
+    prefixes = np.array([f"{i}," for i in range(dim)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("row,col,re,im\r\n")
         for start, text in _formatted_values(pairs, _CSV_FMT.__mod__):
             n = len(text) // 2
-            rows, cols = np.divmod(np.arange(start, start + n), op.dim)
+            rows, cols = np.divmod(np.arange(start, start + n), dim)
             cells = [None, None, None, ",", None, "\r\n"] * n
             cells[0::6] = prefixes[rows].tolist()
             cells[1::6] = prefixes[cols].tolist()

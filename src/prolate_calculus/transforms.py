@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
 from .legendre import gauss_legendre_rule, half_rule, legendre_table
-from .prolate import ProlateBasis, assemble_heun_matrix, sinc_kernel
+from .prolate import ProlateBasis, sinc_kernel
 from .ucalc import boundary_ratios
 
 _DRIFT_TOL = 1e-9
@@ -37,9 +37,9 @@ _DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix of an operator in the orthonormal Legendre basis."""
+    """Dense matrix of an operator in the orthonormal Legendre basis; its
+    dimension is that of the square ``entries``."""
 
-    dim: int
     entries: np.ndarray
 
 
@@ -111,7 +111,7 @@ def finite_fourier_direct(c: float, n_dim: int) -> OperatorMatrix:
     entries = _resolved_matrix(
         lambda x, t: np.exp(1j * c * x * t), n_dim, _q_order(c, n_dim), conjugate_fold=True
     )
-    return OperatorMatrix(dim=n_dim, entries=entries)
+    return OperatorMatrix(entries)
 
 
 def sinc_kernel_direct(c: float, n_dim: int) -> OperatorMatrix:
@@ -119,12 +119,7 @@ def sinc_kernel_direct(c: float, n_dim: int) -> OperatorMatrix:
     entries = _resolved_matrix(
         lambda x, t: sinc_kernel(c, x, t), n_dim, _q_order(c, n_dim)
     ).astype(complex)
-    return OperatorMatrix(dim=n_dim, entries=entries)
-
-
-def heun_operator(c: float, n_dim: int) -> OperatorMatrix:
-    """The prolate operator T as a dense complex matrix on the Legendre basis."""
-    return OperatorMatrix(n_dim, assemble_heun_matrix(c, n_dim).to_dense().astype(complex))
+    return OperatorMatrix(entries)
 
 
 def _default_q_xi(c: float, n_dim: int) -> int:
@@ -186,7 +181,7 @@ def _reconstruct(basis, variant, q_xi, weights_on):
             f"mode integrals drift by {drift:.3e} when doubling q_xi={q_xi}"
         )
     entries = (basis.psi_coeffs * coarse) @ basis.psi_coeffs.T
-    return OperatorMatrix(dim=basis.n_dim, entries=entries)
+    return OperatorMatrix(entries)
 
 
 def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
@@ -211,10 +206,10 @@ def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMa
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:
     """|| (AB - BA) ||_F / (||A||_F ||B||_F) on the leading block."""
-    if a.dim != b.dim:
+    if a.entries.shape != b.entries.shape:
         raise DomainError("operators must share a dimension")
-    if not 1 <= block <= a.dim:
-        raise DomainError(f"block must lie in 1..{a.dim}")
+    if not 1 <= block <= len(a.entries):
+        raise DomainError(f"block must lie in 1..{len(a.entries)}")
     comm = a.entries @ b.entries - b.entries @ a.entries
     num = np.linalg.norm(comm[:block, :block])
     den = np.linalg.norm(a.entries[:block, :block]) * np.linalg.norm(

@@ -269,13 +269,16 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
 
 
 def _suite_commutation(config: RunConfig) -> VerificationReport:
-    from .transforms import commutator_report, finite_fourier_direct, heun_operator, sinc_kernel_direct
+    from .prolate import assemble_heun_matrix
+    from .transforms import OperatorMatrix, commutator_report, finite_fourier_direct, sinc_kernel_direct
 
     rep = _report("commutation", config)
     tol = 1e-8
     n_dim = config.n_dim
     block = n_dim // 2
-    t_op = heun_operator(config.c, n_dim)
+    # T as a complex matrix: with the real one the products round
+    # differently, and the records move in their last bit (at c = 4, 18.1, 40).
+    t_op = OperatorMatrix(assemble_heun_matrix(config.c, n_dim).to_dense().astype(complex))
     fourier = finite_fourier_direct(config.c, n_dim)
     sinc = sinc_kernel_direct(config.c, n_dim)
     rep.add("[T, F_c] relative commutator", commutator_report(t_op, fourier, block), tol)

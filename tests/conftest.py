@@ -64,7 +64,7 @@ def rng():
 @pytest.fixture(scope="session")
 def reflect():
     """R: x -> -x as an operator builder; diagonal (-1)^n on the Legendre basis."""
-    return lambda n_dim: OperatorMatrix(n_dim, np.diag((-1.0 + 0j) ** np.arange(n_dim)))
+    return lambda n_dim: OperatorMatrix(np.diag((-1.0 + 0j) ** np.arange(n_dim)))
 
 
 @pytest.fixture(scope="session")

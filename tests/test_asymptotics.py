@@ -203,7 +203,7 @@ class TestLargeCLimit:
     def test_second_routes_are_gone(self):
         import prolate_calculus
         from prolate_calculus import (
-            asymptotics, errors, legendre, nystrom, prolate, transforms, ucalc, verify,
+            asymptotics, errors, legendre, nystrom, prolate, serialize, transforms, ucalc, verify,
         )
 
         for module, name in [
@@ -239,6 +239,10 @@ class TestLargeCLimit:
             (nystrom, "nystrom_psi_value"),
             (asymptotics, "dilated_heun_hermite_defect"),
             (asymptotics, "hermite_ladder_matrices"),
+            (serialize, "operator_from_dict"),
+            (serialize, "load_json"),
+            # T has one builder; its callers make the dense copy they need.
+            (transforms, "heun_operator"),
             # The per-mode identity reads the reconstruction it checks, so the
             # xi integrals behind it are private to transforms.
             (transforms, "mode_integrals"),

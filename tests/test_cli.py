@@ -6,11 +6,13 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from prolate_calculus import (
 )
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import MAX_C, _build_rule
-from prolate_calculus.serialize import load_json, operator_from_dict
 from prolate_calculus.verify import SUITES, VerificationReport
 
 
@@ -43,6 +44,10 @@ def run_cli(*args):
         text=True,
         env=CHILD_ENV,
     )
+
+
+def _load_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 class TestExitCodes:
@@ -61,7 +66,7 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert cli.main(["verify", "--suite", "commutation", "--c", "2", "--out", str(out)]) == 1
         assert "[FAIL] always above its tolerance" in capsys.readouterr().out
-        assert load_json(out)["data"]["passed"] is False
+        assert _load_json(out)["data"]["passed"] is False
 
     def test_usage_error_exits_two(self):
         proc = run_cli("verify", "--suite", "bogus")
@@ -146,7 +151,7 @@ class TestExitCodes:
     def test_default_nystrom_writes_modes_0_to_8(self, tmp_path):
         out = tmp_path / "ny.json"
         assert cli.main(["nystrom", "--out", str(out)]) == 0
-        payload = load_json(out)
+        payload = _load_json(out)
         assert payload["params"] == {"c": 1.0, "nodes": 128, "oracle": "nystrom"}
         assert payload["data"]["n"] == list(range(9))
 
@@ -167,7 +172,7 @@ class TestExitCodes:
         out = tmp_path / "ny.json"
         assert cli.main(["nystrom", "--c", repr(MAX_C), "--out", str(out)]) == 0
         capsys.readouterr()
-        mu = np.array(load_json(out)["data"]["mu"])
+        mu = np.array(_load_json(out)["data"]["mu"])
         assert mu.shape == (9,)
         assert np.max(np.abs(mu - solve_prolate(MAX_C).mus[:9])) <= 1e-12
 
@@ -270,7 +275,7 @@ class TestSuiteSmoke:
         # known FAIL of fixed large-c thresholds.
         out = tmp_path / "large.json"
         assert cli.main(["verify", "--suite", "limits-large", "--c", "8", "--out", str(out)]) in (0, 1)
-        checks = load_json(out)["data"]["checks"]
+        checks = _load_json(out)["data"]["checks"]
         assert len(checks) >= 5
         assert all(math.isfinite(check["value"]) for check in checks)
 
@@ -305,7 +310,7 @@ def test_limits_reports_record_the_n_they_compute_on(argv, n_used, monkeypatch, 
     capsys.readouterr()
     c = float(argv[2])
     assert {n for cc, n in used if cc == c} == {n_used}
-    assert load_json(out)["params"]["N"] == n_used
+    assert _load_json(out)["params"]["N"] == n_used
 
 
 @pytest.mark.parametrize("c", ["0", "4e-7", "0.2", "1", "40"])
@@ -367,7 +372,7 @@ def test_limits_small_runs_at_the_c_it_is_given(c, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["verify", "--suite", "limits-small", "--c", c, "--out", str(out)]) == 0
     assert "suite limits-small: PASS" in capsys.readouterr().out
-    assert load_json(out)["params"] == {"c": float(c), "N": 24}
+    assert _load_json(out)["params"] == {"c": float(c), "N": 24}
 
 
 @pytest.mark.parametrize("suite", list(SUITES))
@@ -377,7 +382,7 @@ def test_reports_record_the_seed_only_where_it_is_read(suite, tmp_path, capsys):
     argv = ["verify", "--suite", suite, "--c", c, "--seed", "7", "--out", str(out)]
     assert cli.main(argv) in (0, 1)
     capsys.readouterr()
-    params = load_json(out)["params"]
+    params = _load_json(out)["params"]
     if suite == "translation":
         assert params["seed"] == 7
     else:
@@ -390,7 +395,7 @@ def test_export_records_the_variant_only_where_it_is_read(which, tmp_path, capsy
     argv = ["export-operator", which, "--c", "1", "--n-trunc", "8", "--variant", "full"]
     assert cli.main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    params = load_json(out)["params"]
+    params = _load_json(out)["params"]
     if which.endswith("-reconstructed"):
         assert params["variant"] == "full"
     else:
@@ -476,7 +481,7 @@ class TestPswfCommand:
         out = tmp_path / "pswf.json"
         proc = run_cli("pswf", "--c", "1", "--out", str(out))
         assert proc.returncode == 0
-        payload = load_json(out)
+        payload = _load_json(out)
         assert payload["kind"] == "table"
         data = payload["data"]
         assert data["chi"][0] == pytest.approx(0.319, abs=1e-3)
@@ -525,26 +530,37 @@ class TestPswfCommand:
         fixture_out = tmp_path / "ny.json"
         assert run_cli("pswf", "--c", "1", "--out", str(table_out)).returncode == 0
         assert run_cli("nystrom", "--c", "1", "--out", str(fixture_out)).returncode == 0
-        mu_spectral = load_json(table_out)["data"]["mu"]
-        mu_oracle = load_json(fixture_out)["data"]["mu"]
+        mu_spectral = _load_json(table_out)["data"]["mu"]
+        mu_oracle = _load_json(fixture_out)["data"]["mu"]
         for a, b in zip(mu_spectral[:9], mu_oracle[:9]):
             assert abs(a - b) <= 1e-8
 
 
 class TestExportOperator:
     def test_roundtrip_and_determinism(self, tmp_path):
-        out1, out2 = tmp_path / "q1.json", tmp_path / "q2.json"
-        args = ("export-operator", "Qc", "--c", "1", "--n-trunc", "24")
-        assert run_cli(*args, "--out", str(out1)).returncode == 0
-        assert run_cli(*args, "--out", str(out2)).returncode == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        op = operator_from_dict(load_json(out1))
-        assert op.dim == 24
+        # Every operator at N = 24, the reconstructed ones cut from their
+        # enlarged N + 24 basis: the file holds 24 x 24 entries, and two runs
+        # write the same bytes.
+        for which in cli.OPERATOR_NAMES:
+            for fmt in ("json", "csv"):
+                out1, out2 = tmp_path / f"{which}-1.{fmt}", tmp_path / f"{which}-2.{fmt}"
+                args = ("export-operator", which, "--c", "1", "--n-trunc", "24", "--format", fmt)
+                assert run_cli(*args, "--out", str(out1)).returncode == 0
+                assert run_cli(*args, "--out", str(out2)).returncode == 0
+                assert out1.read_bytes() == out2.read_bytes()
+                if fmt == "json":
+                    payload = _load_json(out1)
+                    assert payload["params"]["dim"] == 24
+                    assert len(payload["data"]) == 576
+                else:
+                    lines = out1.read_text(encoding="utf-8").splitlines()
+                    assert len(lines) == 577
+                    assert lines[-1].startswith("23,23,")
 
     def test_exported_qc_symmetric_in_file(self, tmp_path):
         out = tmp_path / "qc.json"
         run_cli("export-operator", "Qc", "--c", "1", "--n-trunc", "16", "--out", str(out))
-        entries = operator_from_dict(load_json(out)).entries
+        entries = _read_operator_json(out)
         assert np.max(np.abs(entries - entries.T)) <= 1e-12
 
     def test_direct_vs_reconstructed_fourier(self, tmp_path):
@@ -561,8 +577,8 @@ class TestExportOperator:
             "--out",
             str(recon_out),
         )
-        direct = operator_from_dict(load_json(direct_out)).entries
-        recon = operator_from_dict(load_json(recon_out)).entries
+        direct = _read_operator_json(direct_out)
+        recon = _read_operator_json(recon_out)
         assert np.max(np.abs(direct - recon)) <= 1e-7
 
     def test_csv_export(self, tmp_path):
@@ -573,6 +589,15 @@ class TestExportOperator:
         )
         assert proc.returncode == 0
         assert out.read_text().splitlines()[0] == "row,col,re,im"
+
+
+def _read_operator_json(path):
+    """The entries of an operator file, read bit-exactly: its (re, im) pairs
+    viewed as complex, not summed as re + 1j*im, which turns (-0.0, 0.0) into
+    0.0 and an infinite imaginary part into a NaN real part."""
+    payload = _load_json(path)
+    dim = payload["params"]["dim"]
+    return np.array(payload["data"], dtype=float).view(complex).reshape(dim, dim)
 
 
 def _read_operator_csv(path, dim):
@@ -604,7 +629,7 @@ def _assert_outcome(code, stdout, stderr, out, fmt):
     if out is None:
         return
     if fmt == "json":
-        assert load_json(out)["kind"] in ("table", "report")
+        assert _load_json(out)["kind"] in ("table", "report")
     else:
         with open(out, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -657,7 +682,7 @@ def test_export_operator_fuzz_writes_what_it_builds(which, c, n_trunc, fmt, vari
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     expected = cli.build_operator(config, which).entries
     if fmt == "json":
-        written = operator_from_dict(load_json(out)).entries
+        written = _read_operator_json(out)
     else:
         written = _read_operator_csv(out, config.n_dim)
     assert written.shape == expected.shape
@@ -710,7 +735,7 @@ class TestVerifyArtifacts:
         assert run_cli(*args, "--out", str(out1)).returncode == 0
         assert run_cli(*args, "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
-        payload = load_json(out1)
+        payload = _load_json(out1)
         assert payload["kind"] == "report"
         assert payload["data"]["passed"] is True
 
@@ -722,8 +747,8 @@ class TestVerifyArtifacts:
         assert run_cli(
             "verify", "--suite", "translation", "--c", "1", "--seed", "2", "--out", str(out2)
         ).returncode == 0
-        assert load_json(out1)["data"]["passed"] is True
-        assert load_json(out2)["data"]["passed"] is True
+        assert _load_json(out1)["data"]["passed"] is True
+        assert _load_json(out2)["data"]["passed"] is True
 
     def test_report_csv_matches_json(self, tmp_path, capsys):
         argv = ["verify", "--suite", "translation", "--c", "1", "--seed", "7"]
@@ -733,7 +758,7 @@ class TestVerifyArtifacts:
         with csv_out.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["name", "value", "tol", "passed"]
-        checks = load_json(json_out)["data"]["checks"]
+        checks = _load_json(json_out)["data"]["checks"]
         assert len(rows) == len(checks) + 1
         for row, check in zip(rows[1:], checks):
             assert row[0] == check["name"]

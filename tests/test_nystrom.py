@@ -64,7 +64,7 @@ def test_half_rule_sums_even_functions(order):
 @pytest.mark.parametrize("c, nodes", [(0.5, 128), (12.0, 128), (20.0, 160), (30.0, 200), (80.0, 400), (MAX_C, 400)])
 def test_default_grid_is_twice_the_default_truncation_up_to_400(c, nodes):
     rule = nystrom_sinc_eigen(c, n_modes=9).rule
-    assert rule.order == min(400, 2 * default_truncation(c)) == nodes
+    assert rule.nodes.size == min(400, 2 * default_truncation(c)) == nodes
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 120.0, MAX_C])
@@ -94,7 +94,7 @@ def test_default_grid_chi_matches_the_spectral_chi(c):
 def per_vector_chi(result):
     """The Rayleigh quotient of T on each Nystrom eigenvector, which the
     Ritz step replaced: eigh mixes modes whose mu_n agree to rounding."""
-    n_legendre = result.rule.order // 2
+    n_legendre = result.rule.nodes.size // 2
     table = legendre_table(n_legendre - 1, result.rule.nodes)
     matrix = assemble_heun_matrix(result.c, n_legendre)
     coeffs = table @ (result.rule.weights[:, None] * result.psi_nodes)

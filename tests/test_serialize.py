@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prolate_calculus import DomainError, OperatorMatrix, default_truncation, heun_operator
+from prolate_calculus import OperatorMatrix, assemble_heun_matrix, default_truncation
 from prolate_calculus.serialize import (
     _BLOCK_ROWS,
     SCHEMA,
     dump_json,
-    load_json,
-    operator_from_dict,
     operator_to_csv,
     operator_to_dict,
     table_to_csv,
@@ -23,15 +21,22 @@ from prolate_calculus.serialize import (
 @pytest.fixture
 def random_operator(rng):
     entries = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    return OperatorMatrix(dim=6, entries=entries)
+    return OperatorMatrix(entries)
+
+
+def _reread(path):
+    """The entries of an operator file: its (re, im) pairs viewed as complex,
+    which keeps -0.0 and infinite parts that re + 1j*im would change."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    dim = payload["params"]["dim"]
+    return np.array(payload["data"], dtype=float).view(complex).reshape(dim, dim)
 
 
 class TestOperatorRoundtrip:
     def test_bit_exact_roundtrip(self, random_operator, tmp_path):
         path = tmp_path / "op.json"
         dump_json(operator_to_dict(random_operator, {"c": 1.0}), path)
-        loaded = operator_from_dict(load_json(path))
-        assert np.array_equal(loaded.entries, random_operator.entries)
+        assert np.array_equal(_reread(path), random_operator.entries)
 
     def test_byte_identical_dumps(self, random_operator, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -45,32 +50,6 @@ class TestOperatorRoundtrip:
         assert payload["kind"] == "operator"
         assert payload["params"]["dim"] == 6
         assert len(payload["data"]) == 36
-
-    def test_rejects_bad_payloads(self, random_operator):
-        payload = operator_to_dict(random_operator, {})
-        with pytest.raises(DomainError):
-            operator_from_dict(dict(payload, schema="nope/v0"))
-        with pytest.raises(DomainError):
-            operator_from_dict(dict(payload, kind="table"))
-        bad = dict(payload, data=payload["data"][:-1])
-        with pytest.raises(DomainError):
-            operator_from_dict(bad)
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"data": [[1.0, 2.0]] * 35 + [[3.0]]},  # ragged
-            {"data": [["a", "b"]] * 36},  # non-numeric
-            {"data": [[{}, 0.0]] * 36},  # not a number type
-            {"params": {"c": 1.0}},  # no dim
-            {"params": {"dim": -6}},
-        ],
-        ids=["ragged", "non-numeric", "object", "no-dim", "negative-dim"],
-    )
-    def test_malformed_payloads_raise_domain_error(self, random_operator, change):
-        payload = dict(operator_to_dict(random_operator, {}), **change)
-        with pytest.raises(DomainError):
-            operator_from_dict(payload)
 
     def test_csv_roundtrip_exact(self, random_operator, tmp_path):
         path = tmp_path / "op.csv"
@@ -106,7 +85,7 @@ def _oracle_json(op, params):
     payload = {
         "schema": SCHEMA,
         "kind": "operator",
-        "params": dict(params, dim=op.dim),
+        "params": dict(params, dim=len(op.entries)),
         "data": [[float(z.real), float(z.imag)] for z in op.entries.ravel(order="C")],
     }
     return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
@@ -116,8 +95,8 @@ def _oracle_csv(op):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["row", "col", "re", "im"])
-    for i in range(op.dim):
-        for j in range(op.dim):
+    for i in range(len(op.entries)):
+        for j in range(len(op.entries)):
             z = op.entries[i, j]
             writer.writerow([i, j, "%.17g" % z.real, "%.17g" % z.imag])
     return buf.getvalue().encode()
@@ -134,7 +113,7 @@ def _operator(re, im):
     # Set the parts directly: re + 1j*im would turn inf into NaN and -0.0 into 0.0.
     entries = np.empty(re.shape, dtype=complex)
     entries.real, entries.imag = re, im
-    return OperatorMatrix(dim=re.shape[0], entries=entries)
+    return OperatorMatrix(entries)
 
 
 @st.composite
@@ -143,7 +122,7 @@ def _operators(draw):
     parts = np.array(draw(st.lists(_entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
     re, im = parts.reshape(2, dim, dim)
     if draw(st.booleans()):
-        im = np.zeros_like(re)  # a real matrix cast to complex, as export-operator T writes
+        return OperatorMatrix(re)  # a real matrix, as export-operator T writes
     return _operator(re, im)
 
 
@@ -175,16 +154,18 @@ class TestByteLayout:
     @example(op=_TWO_BLOCK_OP, c=0.5)
     @given(op=_operators(), c=st.floats(allow_nan=False))
     def test_operator_files_match_oracle(self, op, c, tmp_path):
-        params = {"c": c, "N": op.dim, "which": "T", "variant": "folded"}
+        params = {"c": c, "N": len(op.entries), "which": "T", "variant": "folded"}
         json_path, csv_path = tmp_path / "op.json", tmp_path / "op.csv"
         dump_json(operator_to_dict(op, params), json_path)
         operator_to_csv(op, csv_path)
         assert json_path.read_bytes() == _oracle_json(op, params)
         assert csv_path.read_bytes() == _oracle_csv(op)
-        loaded = operator_from_dict(load_json(json_path)).entries
-        nan = np.isnan(op.entries.view(float))
-        assert np.array_equal(np.isnan(loaded.view(float)), nan)
-        assert loaded.view(float)[~nan].tobytes() == op.entries.view(float)[~nan].tobytes()
+        # A real matrix re-reads with +0.0 imaginary parts.
+        expected = op.entries.astype(complex).view(float)
+        loaded = _reread(json_path).view(float)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(loaded), nan)
+        assert loaded[~nan].tobytes() == expected[~nan].tobytes()
 
     @pytest.mark.parametrize("which", ["T", "Fc", "Qc"])
     def test_exported_operators_at_a_real_size_match_oracle(self, which, ops, tmp_path):
@@ -195,7 +176,10 @@ class TestByteLayout:
         starts = range(0, n_dim * n_dim, _BLOCK_ROWS)
         assert n_dim == 75 and len(starts) == 11
         assert sum(start % n_dim != 0 for start in starts) == 10
-        op = {"T": heun_operator, "Fc": ops.fourier, "Qc": ops.sinc}[which](c, n_dim)
+        if which == "T":
+            op = OperatorMatrix(assemble_heun_matrix(c, n_dim).to_dense())
+        else:
+            op = {"Fc": ops.fourier, "Qc": ops.sinc}[which](c, n_dim)
         params = {"c": c, "N": n_dim, "which": which}
         json_path, csv_path = tmp_path / "op.json", tmp_path / "op.csv"
         dump_json(operator_to_dict(op, params), json_path)

@@ -9,10 +9,10 @@ from prolate_calculus import (
     OperatorMatrix,
     QuadratureUnresolvedError,
     XiQuadratureUnresolvedError,
+    assemble_heun_matrix,
     commutator_report,
     finite_fourier_direct,
     gauss_legendre_rule,
-    heun_operator,
     legendre_table,
     reconstruct_fourier,
     reconstruct_sinc,
@@ -283,30 +283,42 @@ class TestReconstructions:
             reconstruct_fourier(basis, "diagonal")
 
 
+def _heun(c, n_dim):
+    """T as the dense complex matrix the commutation suite builds."""
+    return OperatorMatrix(assemble_heun_matrix(c, n_dim).to_dense().astype(complex))
+
+
 class TestCommutators:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 5.0])
     def test_heun_commutes_with_both_transforms(self, ops, c):
-        t_op = heun_operator(c, 64)
+        t_op = _heun(c, 64)
         assert commutator_report(t_op, ops.fourier(c, 64), 32) <= 1e-8
         assert commutator_report(t_op, ops.sinc(c, 64), 32) <= 1e-8
 
     def test_reflection_commutes_with_heun(self, reflect):
-        t_op = heun_operator(2.0, 64)
+        t_op = _heun(2.0, 64)
         assert commutator_report(reflect(64), t_op, 32) <= 1e-12
 
     def test_commutator_detects_noncommuting_pair(self):
         # Position multiplication does not commute with T.
         from prolate_calculus.legendre import position_offdiag
 
-        t_op = heun_operator(2.0, 64)
+        t_op = _heun(2.0, 64)
         a = position_offdiag(63)
-        x_op = OperatorMatrix(64, (np.diag(a, 1) + np.diag(a, -1)).astype(complex))
+        x_op = OperatorMatrix((np.diag(a, 1) + np.diag(a, -1)).astype(complex))
         assert commutator_report(t_op, x_op, 32) > 1e-3
 
     def test_block_validation(self, ops):
-        t_op = heun_operator(1.0, 64)
-        with pytest.raises(DomainError):
-            commutator_report(t_op, ops.fourier(1.0, 64), 0)
+        # The bound is the side of the entries.
+        t_op = _heun(1.0, 64)
+        commutator_report(t_op, ops.fourier(1.0, 64), 64)
+        for block in (0, 65):
+            with pytest.raises(DomainError, match=r"block must lie in 1\.\.64"):
+                commutator_report(t_op, ops.fourier(1.0, 64), block)
+
+    def test_operators_of_different_sizes_are_refused(self, ops):
+        with pytest.raises(DomainError, match="share a dimension"):
+            commutator_report(_heun(1.0, 64), ops.fourier(1.0, 32), 16)
 
 
 # The two-recurrence route: each rule of a drift check builds its own
