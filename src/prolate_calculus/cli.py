@@ -27,8 +27,8 @@ A command loads only the layers it runs: importing this module loads
 where it calls them (the parser reads the Nystrom grid's constants for its
 help from ``legendre``, and the transforms take the sinc kernel from
 ``prolate``), so only ``nystrom`` and the limits-large suite load the Nystrom
-solver, and ``pswf`` without ``--out`` never loads the transforms or the
-writers.
+solver, ``pswf`` and ``nystrom`` never load the transforms, and ``pswf``
+without ``--out`` never loads the writers.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or I/O error.
 """

@@ -25,16 +25,24 @@ The byte layout of every written file is frozen:
 
 The operator body is written from the array: ``operator_to_dict`` keeps it
 as a (dim², 2) float array of (re, im) pairs, and ``dump_json`` and
-``operator_to_csv`` format it a block of ``_BLOCK_ROWS`` pairs at a time,
-so the temporary strings stay bounded.  Within a block only the nonzero
-values are formatted one by one (``repr`` or ``%.17g``); most entries of an
-operator are exact zeros (mixed parity, and off T's band), and each block
-formats 0.0 and -0.0 once.  Each block is then one ``"".join`` of its cells
-in file order: fixed separator strings, the formatted values and, in CSV,
-the row and column prefixes ``"i,"``, formatted once per file and picked by
-index.  A JSON pair opens with the text that closes the pair before it, so
-a block may start anywhere in the data.  The bytes are those of the layout
-above.
+``operator_to_csv`` write it a block of ``_BLOCK_ROWS`` pairs at a time.
+Each distinct nonzero value is formatted once per file (``repr`` or
+``%.17g``): every operator but T is exactly symmetric, so about half of its
+nonzero values repeat (1444 distinct of 2813 for F_c at c = 17.27, N = 75).
+Nonzero values that compare equal have equal bits, NaNs aside, which all
+format alike.  Only the nonzero values are deduplicated: most entries of an
+operator are exact zeros (mixed parity, and off T's band), so a mostly-zero
+T sorts few values, and each block formats 0.0 and -0.0 once.  Each block
+is then one ``"".join`` of its cells in file order: fixed separator
+strings, the formatted values and, in CSV, the row and column prefixes
+``"i,"``, formatted once per file and picked by index.  A JSON pair opens
+with the text that closes the pair before it, so a block may start anywhere
+in the data.  The bytes are those of the layout above.
+
+The writer holds one string per distinct nonzero value of the file, where
+it held those of one block.  For a direct F_c at c = 10, N = 200 (20000
+nonzero values, 10100 distinct) its ``tracemalloc`` peak is 1.8 MiB in JSON
+and in CSV, against 0.7 MiB when each block formatted its own values.
 """
 
 from __future__ import annotations
@@ -42,14 +50,16 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .transforms import OperatorMatrix
+if TYPE_CHECKING:
+    from .transforms import OperatorMatrix
 
 SCHEMA = "prolate-calculus/v1"
 _CSV_FMT = "%.17g"
-# Operator rows (entries) formatted per write: bounds the temporary strings.
+# Operator rows (entries) per write: bounds the joined text of one write.
 _BLOCK_ROWS = 512
 
 
@@ -142,15 +152,26 @@ def _json_block(start: int, text: list) -> str:
 def _formatted_values(pairs: np.ndarray, fmt):
     """(start, text) for each block of ``_BLOCK_ROWS`` rows of a (n, 2) float
     array, from row ``start`` on: ``text`` lists ``fmt(v)`` for the block's
-    values in row-major order, with each exact zero formatted once per sign."""
+    values in row-major order.  Each exact zero is formatted once per sign,
+    and each distinct nonzero value once per array."""
     zero, negative_zero = fmt(0.0), fmt(-0.0)
+    # The distinct nonzero values, sorted: not np.unique, which imports
+    # numpy.ma (over 1 MB of resident memory) on its first call.
+    flat = pairs.ravel()
+    distinct = np.sort(flat[flat != 0])  # NaN counts as nonzero
+    keep = np.ones(distinct.size, dtype=bool)
+    keep[1:] = distinct[1:] != distinct[:-1]  # keeps every NaN; all format alike
+    distinct = distinct[keep]
+    texts = list(map(fmt, distinct.tolist()))
     for start in range(0, len(pairs), _BLOCK_ROWS):
         values = pairs[start : start + _BLOCK_ROWS].ravel()
         text = [zero] * values.size
         for i in np.flatnonzero(np.signbit(values) & (values == 0)).tolist():
             text[i] = negative_zero
-        nonzero = np.flatnonzero(values)  # NaN counts as nonzero
-        for i, value in zip(nonzero.tolist(), map(fmt, values[nonzero].tolist())):
+        nonzero = np.flatnonzero(values)
+        # searchsorted orders NaN last, as sort does, so every NaN finds one.
+        which = np.searchsorted(distinct, values[nonzero])
+        for i, value in zip(nonzero.tolist(), map(texts.__getitem__, which.tolist())):
             text[i] = value
         yield start, text
 

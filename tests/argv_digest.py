@@ -9,8 +9,12 @@ written JSON report, one line per check as ``name repr(value) tol passed``;
 otherwise the check lines the run printed.  Below a ``nystrom`` line come
 max|mu - spectral mu| and max|chi - spectral chi| over the written rows
 (n <= 8), against ``solve_prolate(c)``, so a diff that moves a table's bytes
-also shows whether its values moved toward the spectral ones.  Run it against
-each checkout and diff the outputs:
+also shows whether its values moved toward the spectral ones.  Below an
+``export-operator`` line come max|E - E^T| over the written entries E and,
+for a reconstructed operator, its relative Frobenius distance
+|E - D|_F / |D|_F to the direct operator D of the same c and size, so a diff
+that moves an operator file's bytes also shows whether the entries moved by
+more than rounding.  Run it against each checkout and diff the outputs:
 
     PYTHONPATH=<checkout>/src python tests/argv_digest.py > digest.txt
 
@@ -31,9 +35,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -41,7 +47,14 @@ from pathlib import Path
 
 import numpy as np
 
-from prolate_calculus import ProlateCalculusError, boundary_ratios, cli, solve_prolate
+from prolate_calculus import (
+    ProlateCalculusError,
+    boundary_ratios,
+    cli,
+    finite_fourier_direct,
+    sinc_kernel_direct,
+    solve_prolate,
+)
 
 # N = default_truncation(c) is 64 up to c = 12, then 65 at 12.3, 71 at 15.5 and
 # 80 at 20: odd parity blocks and fractional c, like the benchmark's draws.
@@ -109,7 +122,38 @@ def digest(argv, work: Path) -> str:
     records = _records(out, fmt, texts[0])
     if argv[0] == "nystrom" and out.exists():
         records += _spectral_distances(out, fmt, float(argv[argv.index("--c") + 1]))
+    if argv[0] == "export-operator" and out.exists():
+        records += _operator_distances(out, fmt, argv[1], argv[argv.index("--c") + 1])
     return "\n".join(lines + [f"  {record}" for record in records])
+
+
+def _operator_distances(out: Path, fmt: str, which: str, c: str) -> list[str]:
+    if fmt == "json":
+        pairs = json.loads(out.read_text(encoding="utf-8"))["data"]
+    else:
+        with out.open(newline="", encoding="utf-8") as fh:
+            pairs = [row[2:] for row in list(csv.reader(fh))[1:]]
+    entries = np.array(pairs, dtype=float).view(complex)
+    entries = entries.reshape(math.isqrt(entries.size), -1)
+    lines = [f"max|E - E^T| {float(np.max(np.abs(entries - entries.T)))!r}"]
+    if which.endswith("-reconstructed"):
+        direct = which.removesuffix("-reconstructed")
+        lines.append(f"|E - {direct}|_F / |{direct}|_F {_relative_distance(entries, direct, c, len(entries))}")
+    return lines
+
+
+@functools.cache
+def _direct_operator(which: str, c: str, n_dim: int) -> np.ndarray:
+    build = finite_fourier_direct if which == "Fc" else sinc_kernel_direct
+    return build(float(c), n_dim).entries
+
+
+def _relative_distance(entries: np.ndarray, which: str, c: str, n_dim: int) -> str:
+    try:
+        direct = _direct_operator(which, c, n_dim)
+    except ProlateCalculusError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(float(np.linalg.norm(entries - direct) / np.linalg.norm(direct)))
 
 
 def _spectral_distances(out: Path, fmt: str, c: float) -> list[str]:

@@ -218,13 +218,14 @@ CLI_MODULES = {"__init__", "errors", "legendre", "verify", "cli"}
     "argv, added",
     [
         (("pswf", "--c", "4"), {"prolate"}),
+        (("pswf", "--c", "4", "--out", "F"), {"prolate", "serialize"}),
         (("verify", "--suite", "translation", "--c", "4"), {"prolate", "ucalc"}),
-        (("nystrom", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize", "transforms", "ucalc"}),
+        (("nystrom", "--c", "4", "--out", "F"), {"nystrom", "prolate", "serialize"}),
         (("export-operator", "T", "--c", "4", "--out", "F"), {"prolate", "serialize", "transforms", "ucalc"}),
         (("verify", "--suite", "fourier", "--c", "4"), {"prolate", "transforms", "ucalc"}),
         (("verify", "--suite", "limits-small", "--c", "0.05"), {"asymptotics", "prolate", "transforms", "ucalc"}),
     ],
-    ids=["pswf", "verify-translation", "nystrom-out", "export-T-out", "verify-fourier", "verify-limits-small"],
+    ids=["pswf", "pswf-out", "verify-translation", "nystrom-out", "export-T-out", "verify-fourier", "verify-limits-small"],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
     # The parser's nystrom help reads the grid constants from legendre and
@@ -238,6 +239,8 @@ def test_each_command_loads_only_the_layers_it_runs(argv, added, tmp_path):
         if m.split(".")[0] == "prolate_calculus"
     }
     assert package == CLI_MODULES | added
+    # np.unique, for one, imports numpy.ma (about 1 MB resident) on first use.
+    assert "numpy.ma" not in loaded
 
 
 class TestSuiteSmoke:
@@ -557,11 +560,26 @@ class TestExportOperator:
                     assert len(lines) == 577
                     assert lines[-1].startswith("23,23,")
 
-    def test_exported_qc_symmetric_in_file(self, tmp_path):
-        out = tmp_path / "qc.json"
-        run_cli("export-operator", "Qc", "--c", "1", "--n-trunc", "16", "--out", str(out))
-        entries = _read_operator_json(out)
-        assert np.max(np.abs(entries - entries.T)) <= 1e-12
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "which, variant",
+        [pytest.param(which, None, id=which) for which in ("Fc", "Qc")]
+        + [
+            pytest.param(which, variant, id=f"{which}-{variant}")
+            for which in ("Fc-reconstructed", "Qc-reconstructed")
+            for variant in ("folded", "full")
+        ],
+    )
+    def test_exported_operators_symmetric_in_file(self, which, variant, fmt, tmp_path):
+        # F_c and Q_c are functions of the self-adjoint T, so their real
+        # Legendre-basis matrices are symmetric: the file holds each entry's
+        # mirror bit for bit.
+        out = tmp_path / f"op.{fmt}"
+        argv = ["export-operator", which, "--c", "1", "--n-trunc", "16", "--format", fmt, "--out", str(out)]
+        assert cli.main(argv + (["--variant", variant] if variant else [])) == 0
+        entries = _read_operator_json(out) if fmt == "json" else _read_operator_csv(out, 16)
+        assert entries.shape == (16, 16)
+        assert np.array_equal(entries, entries.T)
 
     def test_direct_vs_reconstructed_fourier(self, tmp_path):
         direct_out = tmp_path / "fc.json"

@@ -116,11 +116,20 @@ def _operator(re, im):
     return OperatorMatrix(entries)
 
 
+def _mirrored(parts):
+    """The matrices with each entry below the diagonal a copy of its mirror."""
+    below = np.tril_indices(parts.shape[-1], -1)
+    parts[..., below[0], below[1]] = parts[..., below[1], below[0]]
+    return parts
+
+
 @st.composite
 def _operators(draw):
     dim = draw(st.integers(1, 9))
     parts = np.array(draw(st.lists(_entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
     re, im = parts.reshape(2, dim, dim)
+    if draw(st.booleans()):  # symmetric, as every exported operator but T is
+        re, im = _mirrored(re), _mirrored(im)
     if draw(st.booleans()):
         return OperatorMatrix(re)  # a real matrix, as export-operator T writes
     return _operator(re, im)
@@ -139,6 +148,20 @@ _TWO_BLOCK_OP.entries.ravel()[[0, 511, 512, 624]] = [
     complex(-0.0, 1e16), float("nan"), complex(5e-324, -np.inf), np.inf,
 ]
 
+# Symmetric, with each value on several entries.
+_REPEATED_OP = _operator(
+    _mirrored(np.resize([0.1, -2.5, 1e300, 0.1, 5e-324, -0.0], (6, 6))),
+    _mirrored(np.resize([3.0, 0.0, 0.1, -2.5, float("inf")], (6, 6))),
+)
+# Mirror pairs equal but for the sign of a zero ...
+_SIGNED_ZERO_OP = _operator(np.array([[1.0, 0.0], [-0.0, 1.0]]), np.array([[-0.0, 2.0], [2.0, 0.0]]))
+# ... or NaNs with different payloads (and signs).
+_NAN_PAYLOAD_OP = _operator(
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000000],
+             dtype=np.uint64).view(float).reshape(2, 2),
+    np.zeros((2, 2)),
+)
+
 
 class TestByteLayout:
     """``dump_json`` and ``operator_to_csv`` write the frozen byte layout."""
@@ -152,6 +175,9 @@ class TestByteLayout:
     )
     @example(op=_SPECIAL_OP, c=1.0)
     @example(op=_TWO_BLOCK_OP, c=0.5)
+    @example(op=_REPEATED_OP, c=2.0)
+    @example(op=_SIGNED_ZERO_OP, c=3.0)
+    @example(op=_NAN_PAYLOAD_OP, c=4.0)
     @given(op=_operators(), c=st.floats(allow_nan=False))
     def test_operator_files_match_oracle(self, op, c, tmp_path):
         params = {"c": c, "N": len(op.entries), "which": "T", "variant": "folded"}

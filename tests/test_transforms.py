@@ -140,7 +140,7 @@ class TestFourierDirect:
 class TestSincDirect:
     def test_symmetry(self, ops):
         entries = ops.sinc(1.0, 64).entries
-        assert np.max(np.abs(entries - entries.T)) <= 1e-12
+        assert np.array_equal(entries, entries.T)
         assert np.max(np.abs(entries.imag)) == 0.0
 
     def test_eigen_action_gives_mu(self, ops):
@@ -341,7 +341,7 @@ def two_recurrence_direct(kernel, n_dim, q_order, legendre):
         matrices.append(entries)
     coarse, fine = matrices
     assert np.max(np.abs(fine - coarse)) <= 1e-9
-    return fine
+    return 0.5 * (fine + fine.T)
 
 
 def two_recurrence_ratios(basis, nodes, legendre):
@@ -368,7 +368,8 @@ def two_recurrence_reconstruction(basis, variant, weights_on, legendre):
     drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
     if not drift <= 1e-9:
         return None, drift
-    return (basis.psi_coeffs * coarse) @ basis.psi_coeffs.T, None
+    entries = (basis.psi_coeffs * coarse) @ basis.psi_coeffs.T
+    return 0.5 * (entries + entries.T), None
 
 
 # c = 0.5 and 4 give N = 64 and q = 73 and 76; c = 12.3 gives N = 65 and
