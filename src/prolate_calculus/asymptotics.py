@@ -171,7 +171,7 @@ def bessel_limit_check(c: float, eps: float, lambda_ref: float) -> float:
     xi = eps / (c * c)
     if not 0.0 <= xi < 2.0:
         raise DomainError(f"eps = {eps} maps to xi = {xi} outside [0, 2)")
-    value = u_series_scalar(c, lambda_ref, xi, tol=1e-14)
+    value = u_series_scalar(c, lambda_ref, xi)
     return abs(value - bessel_i0_series(math.sqrt(2.0 * eps)))
 
 

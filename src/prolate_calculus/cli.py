@@ -6,7 +6,8 @@ the default truncation):
                    --c --n-trunc --out --format
   verify           run one suite: translation c <= 12, fourier c <= 18, sinc c <= 18,
                    commutation c <= 40 (largest c measured); limits-small runs at c
-                   in [1e-6, 0.1], limits-large at c >= 4 and passes at no c
+                   in [1e-6, 0.1], limits-large at c >= 4 and passes at no c, and
+                   refuses c > 680, where its Nystrom oracle at c/2 is past 340
                    --suite --c --n-trunc --variant --seed --out --format
   export-operator  write an operator matrix artifact
                    WHICH --c --n-trunc --variant --out --format
@@ -16,7 +17,10 @@ the default truncation):
 Past its range a run FAILs or is refused (exit 2) today (ROADMAP items 3 and 4);
 limits-small, limits-large and nystrom refuse any other c before any work.  A
 run whose largest dense array would pass ``MAX_ARRAY_BYTES`` is refused (exit 2)
-before any work too.
+before any work too.  The checked modes n <= 8 are ``legendre.CHECKED_MODES``,
+and the Nystrom grid and its c <= ``legendre.MAX_C`` range are decided in
+``nystrom.nystrom_sinc_eigen``, which refuses a larger c for both the nystrom
+command and the limits-large suite.
 ``--variant`` selects the full or folded xi integral of the fourier and sinc
 suites and of the two reconstructed operators; ``--seed`` draws the translation
 suite's test points, and only its report records it.  Each check carries its
@@ -46,7 +50,7 @@ import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
 from .legendre import MAX_C, MAX_NODES, RITZ_BUFFER, default_truncation
-from .verify import _IDENTITY_MODES, SUITES, RunConfig, VerificationReport, run_suite
+from .verify import SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
@@ -87,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=SUITES, required=True,
         help="passes (measured) at translation c <= 12, fourier c <= 18, sinc c <= 18, commutation "
-        "c <= 40; limits-small runs at c in [1e-6, 0.1], limits-large at c >= 4 (passes at no c)",
+        "c <= 40; limits-small runs at c in [1e-6, 0.1], limits-large at c >= 4 (passes at no c; "
+        f"refuses c > {2 * MAX_C:g}, where its Nystrom oracle at c/2 is out of range)",
     )
 
     p_export = sub.add_parser("export-operator", help="write an operator matrix")
@@ -230,13 +235,9 @@ def cmd_export_operator(config: RunConfig, which: str) -> None:
 
 def cmd_nystrom(config: RunConfig) -> None:
     from .nystrom import nystrom_chi, nystrom_sinc_eigen
-
-    if config.c > MAX_C:
-        raise OutOfRangeError(f"nystrom runs at c <= {MAX_C:g}, got c = {config.c:g}; its "
-                              f"{MAX_NODES}-node grid loses digits of mu_n past c = 370")
     from .serialize import dump_json, table_to_csv, table_to_dict
 
-    result = nystrom_sinc_eigen(config.c, n_modes=_IDENTITY_MODES)
+    result = nystrom_sinc_eigen(config.c)
     columns = {"n": np.arange(result.n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
     params = {"c": config.c, "nodes": result.rule.nodes.size, "oracle": "nystrom"}
     if config.fmt == "json":

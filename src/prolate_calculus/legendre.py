@@ -18,6 +18,10 @@ import numpy as np
 from .errors import DomainError, RuleTooLargeError
 
 MAX_RULE_ORDER = 1_000_000
+# The modes n <= 8 that the suites check, the series path of
+# ``ucalc.boundary_ratios`` sums and the Nystrom oracle returns (N >= 18
+# certifies them).  Every layer that reads it loads this module.
+CHECKED_MODES = 9
 # The Nystrom oracle's grid: at most MAX_NODES Gauss nodes, run at c <= MAX_C,
 # and the Nystrom eigenvectors beyond the mu ~ 1 cluster that its Ritz span
 # keeps.  They live here, not in ``nystrom``, so the CLI states them in its
@@ -92,22 +96,19 @@ def gauss_legendre_rule(order: int) -> QuadRule:
 @functools.lru_cache(maxsize=128)
 def _build_rule(order: int) -> QuadRule:
     """Gauss-Legendre rule by Newton iteration from Chebyshev initial guesses."""
-    if order == 1:
-        x, w = np.zeros(1), np.full(1, 2.0)
-    else:
-        k = np.arange(order)
-        x = -np.cos((4 * k + 3) * np.pi / (4 * order + 2))
-        for _ in range(_NEWTON_MAX_ITER):
-            p, dp = _legendre_value_and_derivative(order, x)
-            dx = p / dp
-            x -= dx
-            if np.max(np.abs(dx)) < _NEWTON_TOL:
-                break
-        _, dp = _legendre_value_and_derivative(order, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        # Exact +/- symmetry by construction.
-        x = 0.5 * (x - x[::-1])
-        w = 0.5 * (w + w[::-1])
+    k = np.arange(order)
+    x = -np.cos((4 * k + 3) * np.pi / (4 * order + 2))
+    for _ in range(_NEWTON_MAX_ITER):
+        p, dp = _legendre_value_and_derivative(order, x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < _NEWTON_TOL:
+            break
+    _, dp = _legendre_value_and_derivative(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # Exact +/- symmetry by construction.
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
     x.flags.writeable = False
     w.flags.writeable = False
     return QuadRule(nodes=x, weights=w)

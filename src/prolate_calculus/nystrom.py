@@ -6,12 +6,14 @@ matrix is diagonalized directly, one parity block at a time.  mu_n never
 touches the eigensolve of the differential operator; chi_n comes from a
 Rayleigh-Ritz step of T on the span of the leading Nystrom eigenvectors.
 
-The default grid has min(400, 2 * default_truncation(c)) nodes: 128 for
-c <= 12, 160 at c = 20 and 400 from c = 80 up to ``legendre.MAX_C`` = 340.
-Against ``solve_prolate(c)``, n <= 8, |mu_n - mus[n]| is at most 5e-15 up to
-c = 80 and 4.2e-14 up to 340, the error of a 400-node grid at each c; on 400
-nodes it stays below 9e-14 up to c = 368, then 1.2e-12 at c = 370 and 1.4e-7
-at 380.  ``nystrom_chi`` states the error of chi_n.
+The oracle returns the checked modes n <= 8 (``legendre.CHECKED_MODES``) on
+one grid of min(400, 2 * default_truncation(c)) nodes, an even number: 128
+for c <= 12, 160 at c = 20 and 400 from c = 80 up to ``legendre.MAX_C`` =
+340, past which it refuses c before any work.  Against ``solve_prolate(c)``,
+n <= 8, |mu_n - mus[n]| is at most 5e-15 up to c = 80 and 4.2e-14 up to 340,
+the error of a 400-node grid at each c; on 400 nodes it stays below 9e-14 up
+to c = 368, then 1.2e-12 at c = 370 and 1.4e-7 at 380.  ``nystrom_chi``
+states the error of chi_n.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OutOfRangeError
 from .legendre import (
+    CHECKED_MODES,
+    MAX_C,
     MAX_NODES,
     RITZ_BUFFER,
     QuadRule,
@@ -36,15 +40,15 @@ from .prolate import assemble_heun_matrix, parity_block, sinc_kernel
 
 @dataclass(frozen=True)
 class NystromResult:
-    """Leading eigenpairs of the sinc-kernel operator on a collocation grid.
+    """The checked eigenpairs of the sinc-kernel operator on a collocation grid.
 
     ``psi_nodes[:, n]`` are node values of the n-th eigenfunction, normalized
     to unit L2 norm under the rule weights with sign fixed by a positive value
     at x = 1.  Each column has exact parity: ``psi_nodes[::-1, n]`` equals
     ``(-1)**n * psi_nodes[:, n]``.  ``span_nodes[p]`` holds, on the nodes
-    y >= 0 of ``half_rule`` (the odd block without y = 0), the leading
-    eigenvectors of parity block p at the scale of ``psi_nodes`` but without
-    its sign fix: the span ``nystrom_chi`` diagonalizes T on.
+    y > 0 of ``half_rule``, the leading eigenvectors of parity block p at the
+    scale of ``psi_nodes`` but without its sign fix: the span ``nystrom_chi``
+    diagonalizes T on.
     """
 
     c: float
@@ -58,48 +62,48 @@ class NystromResult:
         return self.mu.shape[0]
 
 
-def nystrom_sinc_eigen(c: float, n_nodes: int | None = None, n_modes: int | None = None) -> NystromResult:
-    """Diagonalize the sinc kernel collocated on ``n_nodes`` Gauss points,
-    min(400, 2 * default_truncation(c)) unless given.
+def nystrom_sinc_eigen(c: float) -> NystromResult:
+    """Diagonalize the sinc kernel collocated on min(400, 2 * default_truncation(c))
+    Gauss points, for the checked modes n <= 8; c must lie in (0, MAX_C].
 
-    The kernel commutes with x -> -x, so the symmetrized matrix splits into
-    an even and an odd block on the nodes y >= 0, with kernels
-    K(y, y) + K(y, -y) and K(y, y) - K(y, -y); the odd block leaves out the
-    centre node, where odd functions vanish.  The k-th even eigenpair is mode
-    2k and the k-th odd one mode 2k + 1, and each eigenvector is unfolded to
-    all nodes with exact parity (-1)^n.  Each block also keeps its share of
-    the max(n_modes, 2 ceil(c/pi) + ``RITZ_BUFFER``) leading eigenvectors
-    that ``nystrom_chi`` diagonalizes T on.
+    2N nodes integrate psi_n Pbar_k exactly for k < N, so ``nystrom_chi``'s
+    Legendre projection keeps every coefficient that T's matrix keeps.  The
+    kernel commutes with x -> -x, so the symmetrized matrix splits into an
+    even and an odd block on the nodes y > 0 (the order is even), with
+    kernels K(y, y) + K(y, -y) and K(y, y) - K(y, -y).  The k-th even
+    eigenpair is mode 2k and the k-th odd one mode 2k + 1, and each
+    eigenvector is unfolded to all nodes with exact parity (-1)^n.  Each
+    block also keeps its share of the 2 ceil(c/pi) + ``RITZ_BUFFER`` leading
+    eigenvectors that ``nystrom_chi`` diagonalizes T on.
     """
     if c <= 0:
         raise DomainError("Nystrom discretization needs c > 0")
-    if n_nodes is None:
-        # 2N nodes integrate psi_n Pbar_k exactly for k < N, so nystrom_chi's
-        # Legendre projection keeps every coefficient that T's matrix keeps.
-        n_nodes = min(MAX_NODES, 2 * default_truncation(c))
-    if n_modes is None:
-        n_modes = min(n_nodes, 32)
+    if c > MAX_C:
+        raise OutOfRangeError(
+            f"nystrom runs at c <= {MAX_C:g}, got c = {c:g}; its "
+            f"{MAX_NODES}-node grid loses digits of mu_n past c = 370"
+        )
+    n_nodes = min(MAX_NODES, 2 * default_truncation(c))
     # About 2c/pi modes have mu_n = 1 to rounding, and eigh returns any rotation
     # of them; the Ritz span holds all of them plus RITZ_BUFFER, both parities.
-    span = max(n_modes, 2 * math.ceil(c / math.pi) + RITZ_BUFFER)
+    span = 2 * math.ceil(c / math.pi) + RITZ_BUFFER
     rule = gauss_legendre_rule(n_nodes)
     y, v = half_rule(rule)
+    sv = np.sqrt(v)
     k_plus = sinc_kernel(c, y[:, None], y[None, :])
     k_minus = sinc_kernel(c, y[:, None], -y[None, :])
-    mu = np.empty(n_modes)
-    psi = np.zeros((n_nodes, n_modes))
+    mu = np.empty(CHECKED_MODES)
+    psi = np.zeros((n_nodes, CHECKED_MODES))
     kept = []
     for start, fold in ((0, k_plus + k_minus), (1, k_plus - k_minus)):
-        skip = start * (n_nodes % 2)  # the odd block leaves out y = 0
-        sv = np.sqrt(v[skip:])
-        sym = sv[:, None] * fold[skip:, skip:] * sv[None, :]
+        sym = sv[:, None] * fold * sv[None, :]
         w, h = np.linalg.eigh(0.5 * (sym + sym.T))
         order = np.argsort(w)[::-1][: (span + 1 - start) // 2]
         modes = mu[start::2].size
         mu[start::2] = w[order[:modes]]
         # A unit vector on the half grid is sqrt(2) too long on the full one.
-        kept.append(h[:, order] / np.sqrt(2.0 * v[skip:, None]))
-        psi[n_nodes - h.shape[0] :, start::2] = kept[-1][:, :modes]
+        kept.append(h[:, order] / np.sqrt(2.0 * v[:, None]))
+        psi[n_nodes // 2 :, start::2] = kept[-1][:, :modes]
         psi[: n_nodes // 2, start::2] = (-1.0) ** start * psi[::-1, start::2][: n_nodes // 2]
     # psi_n(1) = (K psi_n)(1) / mu_n; its sign is read without the division,
     # because a mode past the numerical rank has mu_n = 0.
@@ -129,15 +133,12 @@ def nystrom_chi(result: NystromResult) -> np.ndarray:
     (mu_8 = 2.8e-14); at c <= 1 modes 6 to 8 are unresolved.
     """
     n_legendre = result.rule.nodes.size // 2
-    if result.n_modes > n_legendre:
-        raise DomainError(f"nystrom_chi needs at most nodes // 2 = {n_legendre} modes, got {result.n_modes}")
     y, v = half_rule(result.rule)
     table = legendre_table(n_legendre - 1, y)
     bands = assemble_heun_matrix(result.c, n_legendre).bands
     chi = np.empty(result.n_modes)
     for parity, span in enumerate(result.span_nodes):
-        skip = y.size - span.shape[0]  # the odd block leaves out y = 0
-        basis, _ = np.linalg.qr(table[parity::2, skip:] @ (v[skip:, None] * span))
+        basis, _ = np.linalg.qr(table[parity::2] @ (v[:, None] * span))
         block = parity_block(bands, parity)
         _, vecs = np.linalg.eigh(basis.T @ block @ basis)
         # Ritz values are -chi; ascending chi reverses LAPACK's order.  Each is

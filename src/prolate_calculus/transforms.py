@@ -51,10 +51,11 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
-def _tensor_quadrature_matrix(kernel, n_dim: int, q_orders, conjugate_fold: bool = False) -> list:
-    """Entries <Pbar_m, K Pbar_n> with K applied by q-point quadrature, one
-    matrix for each order q in q_orders, from one Legendre table over the
-    nodes of all the rules.
+def _resolved_matrix(kernel, n_dim: int, q_order: int, conjugate_fold: bool = False) -> np.ndarray:
+    """Entries <Pbar_m, K Pbar_n> with K applied by tensor Gauss quadrature,
+    checked for under-resolution by order doubling: the rules of q_order and
+    2 q_order points each give a matrix, from one Legendre table over the
+    nodes of both, and the finer one is returned, exactly symmetrised.
 
     The kernel must satisfy K(-x, -t) = K(x, t), so the operator commutes
     with x -> -x.  The sum is folded onto the rule's nodes y >= 0: the
@@ -71,7 +72,7 @@ def _tensor_quadrature_matrix(kernel, n_dim: int, q_orders, conjugate_fold: bool
     subtract that zero to K(y, y')'s own 0.0, which gives +0.0 either way,
     so the blocks are the same bits as with two evaluations.
     """
-    halves = [half_rule(gauss_legendre_rule(q)) for q in q_orders]
+    halves = [half_rule(gauss_legendre_rule(q)) for q in (q_order, 2 * q_order)]
     table = legendre_table(n_dim - 1, np.concatenate([y for y, _ in halves]))
     matrices = []
     end = 0
@@ -87,14 +88,10 @@ def _tensor_quadrature_matrix(kernel, n_dim: int, q_orders, conjugate_fold: bool
         entries[0::2, 0::2] = block_even
         entries[1::2, 1::2] = block_odd
         matrices.append(entries)
-    return matrices
-
-
-def _resolved_matrix(kernel, n_dim: int, q_order: int, conjugate_fold: bool = False) -> np.ndarray:
-    """Tensor quadrature with an under-resolution check by order doubling."""
-    coarse, fine = _tensor_quadrature_matrix(
-        kernel, n_dim, (q_order, 2 * q_order), conjugate_fold
-    )
+    # Free the rules' kernels and tables before the drift check allocates its
+    # own arrays, which can then reuse their memory; held, they slow F_c.
+    del table, pw, k_plus, k_minus, even, odd, block_even, block_odd
+    coarse, fine = matrices
     drift = float(np.max(np.abs(fine - coarse)))
     if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
         raise QuadratureUnresolvedError(
@@ -153,9 +150,7 @@ def _sinc_weights(c: float, nodes: np.ndarray):
     """(weight_plus, weight_minus) of the sinc reconstruction at xi nodes:
     sin(c xi)/(pi xi), with its limit c/pi at xi = 0, and, for the reflected
     part, sin(c(2-xi))/(pi(2-xi))."""
-    w_plus = (c / np.pi) * np.sinc((c / np.pi) * nodes) + 0j
-    w_minus = (c / np.pi) * np.sinc((c / np.pi) * (2.0 - nodes)) + 0j
-    return w_plus, w_minus
+    return sinc_kernel(c, nodes, 0.0) + 0j, sinc_kernel(c, 2.0, nodes) + 0j
 
 
 def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weights, ratios) -> np.ndarray:

@@ -16,15 +16,15 @@ endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 
 Two independent paths to the boundary ratio are kept deliberately, and
 ``boundary_ratios`` takes exactly these two: "series" sums the power series
-for one xi in (-2, 2) over the leading modes its caller reads (by default
-the certified modes n < N/2), "spectral" goes through the eigenbasis for a
-scalar xi, a whole xi-grid in (0, 2] or a tuple of grids (the rules of a
-drift check, from one Legendre table) and returns all N modes.  Their
-agreement is the sharpest numerical test of the translation property.  The
-spectral (modes x xi) table is what the F_c / Q_c reconstructions integrate,
-every mode of it; the series runs only where it is itself under test
-(translation and limits-large suites, and the tests), and the translation
-suite sums it over the nine modes n <= 8 it compares.
+for one xi in (-2, 2) over the checked modes n < ``legendre.CHECKED_MODES``
+(n <= 8), "spectral" goes through the eigenbasis for a scalar xi, a whole
+xi-grid in (0, 2] or a tuple of grids (the rules of a drift check, from one
+Legendre table) and returns all N modes.  Their agreement on the checked
+modes is the sharpest numerical test of the translation property, and the
+translation suite's record.  The spectral (modes x xi) table is what the
+F_c / Q_c reconstructions integrate, every mode of it; the series runs only
+where it is itself under test (translation and limits-large suites, and the
+tests).
 
 ``u_series_terms`` is the one unrolling of the recurrence, in the scaled
 form t_k = xi^k U_k / k!; it produces the terms in blocks of ``_BLOCK`` rows.
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, SeriesStallError
-from .legendre import legendre_table
+from .legendre import CHECKED_MODES, legendre_table
 
 if TYPE_CHECKING:
     from .prolate import ProlateBasis
@@ -179,14 +179,13 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     )
 
 
-def u_series_scalar(c: float, lam: float, xi: float, tol: float = 1e-12) -> float:
-    """U(xi; lambda) for a single spectral point; xi must lie in (-2, 2)."""
-    return float(u_series_many(c, [lam], xi, tol=tol)[0][0])
+def u_series_scalar(c: float, lam: float, xi: float) -> float:
+    """U(xi; lambda) for a single spectral point, summed with tol = 1e-14;
+    xi must lie in (-2, 2)."""
+    return float(u_series_many(c, [lam], xi, tol=1e-14)[0][0])
 
 
-def boundary_ratios(
-    basis: ProlateBasis, xi: float | np.ndarray | tuple, method: str = "spectral", n_modes: int | None = None
-):
+def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray | tuple, method: str = "spectral"):
     """Per-mode factors psi_n(-1 + xi) / psi_n(-1).
 
     "spectral" takes a scalar or 1-D xi in (0, 2] and returns all N modes,
@@ -196,27 +195,23 @@ def boundary_ratios(
     product per rule; each table equals, bit for bit, the one its rule gets
     alone.  The path raises OutOfRangeError where some psi_n(-1) rounds to 0
     (c = 40).  "series" sums U(xi; lambda) at lambda = -chi_n for one scalar
-    xi in (-2, 2) over the leading ``n_modes`` modes, shape (n_modes,): by
-    default the certified modes, shape (n_certified,) like ``basis.lambdas``.
-    The modes n >= N/2 have uncertified chi_n and lose the series to
-    cancellation, and the slowest mode summed sets the stop term of all,
-    so a caller that reads fewer modes passes ``n_modes``.  An
-    ``n_modes`` outside 1..n_certified, or given to the spectral path, and
-    any other method raise DomainError.
+    xi in (-2, 2) over the checked modes, shape (CHECKED_MODES,); the
+    slowest mode summed sets the stop term of all, so it sums no other mode.
+    A basis that certifies fewer than those modes (N < 18) and any other
+    method raise DomainError.
     """
     if method == "spectral":
-        if n_modes is not None:
-            raise DomainError("n_modes applies to the series path only")
         return _spectral_ratios(basis, xi)
     if method != "series":
         raise DomainError(f"unknown method {method!r}; choose 'series' or 'spectral'")
     if np.ndim(xi) != 0:
         raise DomainError("the series path takes one scalar xi")
-    if n_modes is None:
-        n_modes = basis.n_certified
-    if not 1 <= n_modes <= basis.n_certified:
-        raise DomainError(f"n_modes must lie in 1..{basis.n_certified} (the certified modes), got {n_modes}")
-    return u_series_many(basis.c, -basis.chi[:n_modes], xi, tol=_SERIES_TOL)[0]
+    if basis.n_certified < CHECKED_MODES:
+        raise DomainError(
+            f"N = {basis.n_dim} certifies {basis.n_certified} modes; the series path sums "
+            f"modes n <= {CHECKED_MODES - 1} and needs N >= {2 * CHECKED_MODES}"
+        )
+    return u_series_many(basis.c, -basis.chi[:CHECKED_MODES], xi, tol=_SERIES_TOL)[0]
 
 
 def _spectral_ratios(basis: ProlateBasis, xi):

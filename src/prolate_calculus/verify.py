@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .legendre import default_truncation
+from .legendre import CHECKED_MODES, default_truncation
 
-# The translation, fourier and sinc suites check modes 0..8, which must be
-# certified (n < N // 2); the nystrom table writes the same modes.  The
-# translation suite sums the series over these modes only, since the slowest
-# mode summed sets the stop term of all, and cuts the spectral route's N
-# modes to them.
-_IDENTITY_MODES = 9
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
 
@@ -117,8 +111,8 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
     xis = rng.uniform(0.05, 1.5, size=10)
     worst = 0.0
     for xi in xis:
-        series = boundary_ratios(basis, float(xi), method="series", n_modes=_IDENTITY_MODES)
-        spectral = boundary_ratios(basis, float(xi), method="spectral")[:_IDENTITY_MODES]
+        series = boundary_ratios(basis, float(xi), method="series")
+        spectral = boundary_ratios(basis, float(xi), method="spectral")[:CHECKED_MODES]
         worst = max(worst, float(np.max(np.abs(series - spectral))))
     rep.add("series-vs-spectral ratio, n<=8, 10 random xi", worst, tol)
     return rep
@@ -128,10 +122,10 @@ def _identity_dim(config: RunConfig) -> int:
     """Basis size of a run that checks modes n <= 8, refused before any work
     if those modes are not certified."""
     n_dim = config.n_dim
-    if n_dim // 2 < _IDENTITY_MODES:
+    if n_dim // 2 < CHECKED_MODES:
         raise DomainError(
             f"N = {n_dim} certifies {n_dim // 2} modes; the checks on modes "
-            f"n <= {_IDENTITY_MODES - 1} need N >= {2 * _IDENTITY_MODES}"
+            f"n <= {CHECKED_MODES - 1} need N >= {2 * CHECKED_MODES}"
         )
     return n_dim
 
@@ -154,7 +148,7 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
     # <psi_n, R psi_n> on the reconstruction R is its xi integral on mode n.
-    n = np.arange(_IDENTITY_MODES)
+    n = np.arange(CHECKED_MODES)
     psi = basis.psi_coeffs[:, n]
     worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - (1j) ** n * basis.lambdas[n]))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
@@ -182,8 +176,8 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     rel = np.linalg.norm((recon.entries - direct.entries)[:block, :block]) / reference
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
-    mu = basis.mus[:_IDENTITY_MODES]
-    psi = basis.psi_coeffs[:, :_IDENTITY_MODES]
+    mu = basis.mus[:CHECKED_MODES]
+    psi = basis.psi_coeffs[:, :CHECKED_MODES]
     worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - mu))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
@@ -234,6 +228,9 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
     from .prolate import solve_prolate
     from .ucalc import u_series_scalar
 
+    # The Nystrom oracle runs first: it refuses a c/2 past its grid's range
+    # before the three eigensolves.
+    ny = nystrom_sinc_eigen(c / 2)
     c_list = [c / 4, c / 2, c]
     bases = {cc: solve_prolate(cc) for cc in c_list}
     rep = _report("limits-large", config, {"c_list": c_list, "N": bases[c].n_dim})
@@ -250,7 +247,6 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
         0.0,
     )
 
-    ny = nystrom_sinc_eigen(c / 2)
     rep.add(f"1 - mu_0({c / 2:g}) (Nystrom)", 1.0 - ny.mu[0], 1e-6)
 
     bessel = bessel_limit_check(c, 2.0, -basis.chi[0])
@@ -258,7 +254,7 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
     if c >= 10:
         eps_m = 30.0
         y_star = -1.0 + eps_m / (c * c)
-        series_m = u_series_scalar(c, -basis.chi[0], y_star + 1.0, tol=1e-14)
+        series_m = u_series_scalar(c, -basis.chi[0], y_star + 1.0)
         wkb_m = wkb_value(c, -basis.chi[0], y_star)
         rep.add(
             f"WKB matching consistency at eps={eps_m:g}",

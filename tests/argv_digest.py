@@ -22,8 +22,8 @@ Pytest does not collect this file.  Every argv runs in this one process, in
 the order printed, so repeated runs also cover the cached quadrature rules.
 
 With ``--series`` it prints instead one line per c in SERIES_C: c, then the
-sha256 of the ``float.hex`` values of ``boundary_ratios(..., method="series",
-n_modes=9)`` (the modes the translation suite compares) at each xi of
+sha256 of the ``float.hex`` values of ``boundary_ratios(..., method="series")``
+(the nine checked modes, which the translation suite compares) at each xi of
 SERIES_XI, a refusal hashed as its error class and message.  Diffing it
 between two checkouts shows whether a change to the series kernel moved a
 bit:
@@ -68,15 +68,16 @@ TRANSLATION_C_LARGE = ("25", "30", "34.5")
 # The series grid: c = 0, 0.5, ..., 40 and xi = 0.05, 0.06, ..., 1.5.
 SERIES_C = tuple(i / 2 for i in range(81))
 SERIES_XI = tuple(i / 100 for i in range(5, 151))
-SERIES_MODES = 9
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 FORMATS = ("json", "csv")
 _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """236 argvs (31 per value of C_GRID, and 19 more), each written with
-    ``--out``, ``--format`` json unless given."""
+    """238 argvs (31 per value of C_GRID, and 21 more), each written with
+    ``--out``, ``--format`` json unless given.  The last two run just past
+    the Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large at
+    c = 700, whose oracle runs at c/2 = 350."""
     for c in C_GRID:
         for which in OPERATORS:
             for variant in ("folded", "full"):
@@ -99,6 +100,8 @@ def argv_grid():
             yield ("verify", "--suite", "translation", "--c", c, "--seed", seed)
     for c in TRANSLATION_C_LARGE:
         yield ("verify", "--suite", "translation", "--c", c)
+    yield ("nystrom", "--c", "341")
+    yield ("verify", "--suite", "limits-large", "--c", "700")
 
 
 def _sha(data: bytes) -> str:
@@ -188,7 +191,7 @@ def series_digest(c: float) -> str:
     lines = []
     for xi in SERIES_XI:
         try:
-            values = boundary_ratios(basis, xi, method="series", n_modes=SERIES_MODES)
+            values = boundary_ratios(basis, xi, method="series")
             lines.append(" ".join(float(v).hex() for v in values))
         except ProlateCalculusError as exc:
             lines.append(f"{type(exc).__name__}: {exc}")

@@ -29,8 +29,8 @@ class OpCache:
     def basis(self, c, n_dim=None):
         return self._get(("basis", c, n_dim), lambda: solve_prolate(c, n_dim))
 
-    def nystrom(self, c, n_nodes=400):
-        return self._get(("ny", c, n_nodes), lambda: nystrom_sinc_eigen(c, n_nodes))
+    def nystrom(self, c):
+        return self._get(("ny", c), lambda: nystrom_sinc_eigen(c))
 
     def fourier(self, c, n_dim):
         return self._get(("F", c, n_dim), lambda: finite_fourier_direct(c, n_dim))

@@ -157,9 +157,9 @@ class TestExitCodes:
 
     def test_nystrom_refuses_a_c_above_its_grid_before_any_work(self, monkeypatch, capsys, tmp_path):
         def no_work(*args, **kwargs):
-            raise AssertionError("nystrom_sinc_eigen ran above the limit")
+            raise AssertionError("the Nystrom grid was built above the limit")
 
-        monkeypatch.setattr(nystrom, "nystrom_sinc_eigen", no_work)
+        monkeypatch.setattr(nystrom, "gauss_legendre_rule", no_work)
         out = tmp_path / "ny.json"
         c = repr(float(np.nextafter(MAX_C, np.inf)))
         assert cli.main(["nystrom", "--c", c, "--out", str(out)]) == 2
@@ -167,6 +167,20 @@ class TestExitCodes:
         assert captured.err.startswith(f"error[out-of-range]: nystrom runs at c <= {MAX_C:g}, got c = ")
         assert captured.out == ""
         assert not out.exists()
+
+    def test_limits_large_refuses_a_c_past_its_nystrom_oracle_before_any_eigensolve(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve_prolate ran past the Nystrom oracle's range")
+
+        monkeypatch.setattr(prolate, "solve_prolate", no_work)
+        c = 2 * float(np.nextafter(MAX_C, np.inf))
+        assert cli.main(["verify", "--suite", "limits-large", "--c", repr(c)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error[out-of-range]: nystrom runs at c <= {MAX_C:g}, got c = {c / 2:g}; "
+            "its 400-node grid loses digits of mu_n past c = 370\n"
+        )
+        assert captured.out == ""
 
     def test_nystrom_at_its_limit_matches_the_spectral_mu(self, tmp_path, capsys):
         out = tmp_path / "ny.json"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import prolate_calculus
-from prolate_calculus import asymptotics, cli, legendre, prolate, transforms, ucalc, verify
+from prolate_calculus import asymptotics, cli, legendre, nystrom, prolate, transforms, ucalc, verify
 
 PACKAGE = Path(prolate_calculus.__file__).parent
 
@@ -126,6 +126,10 @@ REMOVED_PARAMETERS = [
     (asymptotics.small_c_diagonal_terms, "k_max"),
     (asymptotics.small_c_operator, "k_max"),
     (ucalc.u_series_scalar, "k_max"),
+    (ucalc.u_series_scalar, "tol"),
+    (ucalc.boundary_ratios, "n_modes"),
+    (nystrom.nystrom_sinc_eigen, "n_nodes"),
+    (nystrom.nystrom_sinc_eigen, "n_modes"),
     (transforms._fourier_weights, "variant"),
     (transforms._sinc_weights, "variant"),
     (asymptotics.wkb_value, "b_coeff"),

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from prolate_calculus.transforms import (
     _reconstruct,
     _resolved_matrix,
     _sinc_weights,
-    _tensor_quadrature_matrix,
 )
 from prolate_calculus.ucalc import boundary_ratios
 
@@ -57,22 +57,33 @@ class TestFoldedQuadrature:
     @pytest.mark.parametrize("n_dim", [10, 64, 101])
     @pytest.mark.parametrize("c", [0.5, 3.0, 7.5, 12.0, 19.0, 30.0])
     def test_matches_the_full_grid(self, c, n_dim, extra):
-        # Both rules of a drift check come from one call, as in _resolved_matrix.
+        # The matrix returned is the one of the drift check's finer rule.
         q_order = _q_order(c, n_dim) + extra
-        orders = (q_order, 2 * q_order)
         for kernel, conjugate_fold in _kernels(c).values():
-            matrices = _tensor_quadrature_matrix(kernel, n_dim, orders, conjugate_fold)
-            for order, folded in zip(orders, matrices, strict=True):
-                oracle = full_grid_matrix(kernel, n_dim, order)
-                assert np.max(np.abs(folded - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            folded = _resolved_matrix(kernel, n_dim, q_order, conjugate_fold)
+            oracle = full_grid_matrix(kernel, n_dim, 2 * q_order)
+            assert np.max(np.abs(folded - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("q_order", [15, 16])
+    @pytest.mark.parametrize("c", [3.0, 12.0])
+    def test_coarse_rule_drift_matches_the_full_grid(self, c, q_order):
+        # At an under-resolved order, odd (a centre node) or even, the
+        # refusal reports the drift between the two folded rules, which the
+        # unfolded sums of both orders give too.
+        n_dim = 40
+        for kernel, conjugate_fold in _kernels(c).values():
+            oracle = full_grid_matrix(kernel, n_dim, 2 * q_order) - full_grid_matrix(kernel, n_dim, q_order)
+            message = f"drift by {np.max(np.abs(oracle)):.3e} when doubling q_order={q_order}"
+            with pytest.raises(QuadratureUnresolvedError, match=re.escape(message)):
+                _resolved_matrix(kernel, n_dim, q_order, conjugate_fold)
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["q", "q+1"])
     @pytest.mark.parametrize("c", [0.5, 4.0, 12.0, 30.0])
     def test_parity_blocks_are_exact(self, c, extra, reflect):
         # Mixed-parity entries are exactly 0, the even-even block of F_c is
         # real and its odd-odd block imaginary, and R commutes with both
-        # operators exactly.  The rules of order q and q+1 give an odd order
-        # and an even one; the direct operators use 2q.
+        # operators exactly, at the drift check's orders (q, 2q) and
+        # (q + 1, 2q + 2).
         n_dim = 40
         q_order = _q_order(c, n_dim) + extra
         m, n = np.meshgrid(np.arange(n_dim), np.arange(n_dim), indexing="ij")
@@ -80,7 +91,7 @@ class TestFoldedQuadrature:
         even = (m % 2 == 0) & (n % 2 == 0)
         odd = (m % 2 == 1) & (n % 2 == 1)
         refl = reflect(n_dim).entries
-        matrices = {name: _tensor_quadrature_matrix(kernel, n_dim, (q_order,), conjugate_fold)[0]
+        matrices = {name: _resolved_matrix(kernel, n_dim, q_order, conjugate_fold)
                     for name, (kernel, conjugate_fold) in _kernels(c).items()}
         matrices["Fc direct"] = finite_fourier_direct(c, n_dim).entries
         matrices["Qc direct"] = sinc_kernel_direct(c, n_dim).entries

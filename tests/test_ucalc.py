@@ -23,7 +23,7 @@ from prolate_calculus.ucalc import (
     u_series_many,
     u_series_terms,
 )
-from prolate_calculus.verify import _IDENTITY_MODES
+from prolate_calculus.legendre import CHECKED_MODES
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -261,7 +261,7 @@ class TestUSeriesScalar:
             with pytest.raises(DomainError):
                 u_series_scalar(1.0, -1.0, xi)
         with pytest.raises(DomainError):
-            u_series_scalar(1.0, -1.0, 0.5, tol=0.0)
+            u_series_many(1.0, [-1.0], 0.5, tol=0.0)
 
     def test_series_stall_near_open_endpoint(self):
         with pytest.raises(SeriesStallError) as err:
@@ -280,7 +280,7 @@ class TestUSeriesScalar:
     def test_c_zero_equals_legendre_translation(self, m):
         lam = -m * (m + 1)
         for xi in (0.25, 0.5, 1.0, 1.5):
-            series = u_series_scalar(0.0, lam, xi, tol=1e-14)
+            series = u_series_scalar(0.0, lam, xi)
             oracle = eval_legendre(m, -1 + xi) / eval_legendre(m, -1)
             assert abs(series - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
@@ -289,13 +289,13 @@ class TestUSeriesScalar:
 
     def test_against_pswf_ratio_at_c_one(self, ops):
         basis = ops.basis(1.0, 64)
-        series = u_series_scalar(1.0, -basis.chi[0], 0.7, tol=1e-14)
+        series = u_series_scalar(1.0, -basis.chi[0], 0.7)
         oracle = pswf_eval(basis, 0, -0.3) / basis.endpoint_minus[0]
         assert abs(series - oracle) <= 1e-8
 
     def test_tail_estimate_covers_truth(self):
         coarse, _, tail, _ = u_series_many(1.0, [-2.5], 1.2, tol=1e-6)
-        fine = u_series_scalar(1.0, -2.5, 1.2, tol=1e-14)
+        fine = u_series_scalar(1.0, -2.5, 1.2)
         assert abs(coarse[0] - fine) <= max(tail[0], 1e-6)
 
     def test_term_decay_bound(self, ops):
@@ -314,8 +314,8 @@ class TestUSeriesScalar:
             for n in range(5):
                 lam = -basis.chi[n]
                 f0 = 1.0
-                f1 = u_series_scalar(c, lam, h, tol=1e-14)
-                f2 = u_series_scalar(c, lam, 2 * h, tol=1e-14)
+                f1 = u_series_scalar(c, lam, h)
+                f2 = u_series_scalar(c, lam, 2 * h)
                 deriv = (-3 * f0 + 4 * f1 - f2) / (2 * h)
                 assert abs(deriv - (lam + c * c) / 2) <= 1e-6 * max(1.0, abs(lam))
 
@@ -326,8 +326,8 @@ class TestUSeriesScalar:
             xi1, xi2 = rng.uniform(0.1, 0.8, size=2)
             for n in (0, 3):
                 lam = -basis.chi[n]
-                direct = u_series_scalar(1.0, lam, xi1 + xi2, tol=1e-14)
-                first = u_series_scalar(1.0, lam, xi1, tol=1e-14)
+                direct = u_series_scalar(1.0, lam, xi1 + xi2)
+                first = u_series_scalar(1.0, lam, xi1)
                 chain = first * (
                     pswf_eval(basis, n, -1 + xi1 + xi2)
                     / pswf_eval(basis, n, -1 + xi1)
@@ -345,43 +345,49 @@ class TestBoundaryRatios:
     @pytest.mark.parametrize("c", [0.0, 0.5, 4.0, 10.0, 15.0, 20.0, 25.0])
     @pytest.mark.parametrize("xi", [0.05, 0.8, 1.5, 1.95])
     def test_series_sums_the_certified_modes_only(self, ops, c, xi):
-        # Dropping the modes n >= N/2 stops the sum earlier, at the slowest
-        # certified mode.  Each mode then moves by at most its own tail and
-        # cancellation bounds, and the modes the translation suite reads do
-        # not move a bit on this grid (modes 19, 25 and 26 do at c = 25,
-        # xi = 1.5).
+        # The slowest mode summed sets the stop term of all, so a sum over
+        # more modes stops later, and each mode moves by at most its own tail
+        # and cancellation bounds.  Over the certified modes instead of all
+        # N, the checked modes do not move a bit on this grid; modes 19, 25
+        # and 26 do at c = 25, xi = 1.5 (test_a_sum_depends_on_its_batch).
         basis = ops.basis(c)
         m = basis.n_certified
         series = boundary_ratios(basis, xi, method="series")
-        assert series.shape == (m,) == basis.lambdas.shape
-        values, _, tail, cancel = u_series_many(c, -basis.chi[:m], xi, tol=_SERIES_TOL)
-        assert np.array_equal(series, values)
+        assert series.shape == (CHECKED_MODES,)
+        assert np.array_equal(series, u_series_many(c, -basis.chi[:CHECKED_MODES], xi, tol=_SERIES_TOL)[0])
+        certified, _, tail, cancel = u_series_many(c, -basis.chi[:m], xi, tol=_SERIES_TOL)
         all_modes = u_series_many(c, -basis.chi, xi, tol=_SERIES_TOL)[0]
-        assert np.array_equal(series[:_IDENTITY_MODES], all_modes[:_IDENTITY_MODES])
-        assert np.all(np.abs(series - all_modes[:m]) <= tail + cancel)
+        assert np.array_equal(certified[:CHECKED_MODES], all_modes[:CHECKED_MODES])
+        assert np.all(np.abs(certified - all_modes[:m]) <= tail + cancel)
+
+    def test_a_sum_depends_on_its_batch(self, ops):
+        # u_series_many stops every point at one shared term, so at c = 25,
+        # xi = 1.5 the sums over the certified modes and over all N differ
+        # in the last bits of modes 19, 25 and 26, and nowhere else.
+        basis = ops.basis(25.0)
+        m = basis.n_certified
+        certified = u_series_many(25.0, -basis.chi[:m], 1.5, tol=_SERIES_TOL)[0]
+        all_modes = u_series_many(25.0, -basis.chi, 1.5, tol=_SERIES_TOL)[0]
+        assert np.flatnonzero(certified != all_modes[:m]).tolist() == [19, 25, 26]
 
     @pytest.mark.parametrize("c", np.linspace(0.0, 26.0, 14))
     def test_the_identity_modes_alone_sum_to_the_same_bits(self, ops, c):
-        # The slowest mode summed sets the stop term of all, so the sum over
-        # modes 0..8 stops before the one over every certified mode.  The
-        # terms it skips are below _SERIES_TOL of each sum and on this grid
-        # move no bit; from c = 27 with xi near 1.5 they move some by 1 to
-        # 15 ulps, inside the 9-mode sum's tail and cancellation bounds.
+        # The sum over modes 0..8 stops before the one over every certified
+        # mode.  The terms it skips are below _SERIES_TOL of each sum and on
+        # this grid move no bit; from c = 27 with xi near 1.5 they move some
+        # by 1 to 15 ulps, inside the 9-mode sum's tail and cancellation
+        # bounds.
         basis = ops.basis(c)
         for xi in np.linspace(0.05, 1.5, 16):
-            nine = boundary_ratios(basis, xi, method="series", n_modes=_IDENTITY_MODES)
-            certified = boundary_ratios(basis, xi, method="series")
-            assert nine.shape == (_IDENTITY_MODES,)
-            assert np.array_equal(nine, certified[:_IDENTITY_MODES]), xi
+            nine = boundary_ratios(basis, xi, method="series")
+            certified = u_series_many(c, -basis.chi[: basis.n_certified], xi, tol=_SERIES_TOL)[0]
+            assert np.array_equal(nine, certified[:CHECKED_MODES]), xi
 
     def test_n_modes_outside_the_certified_modes_is_refused(self, ops):
-        basis = ops.basis(1.0, 64)
-        for n_modes in (0, -1, basis.n_certified + 1):
-            with pytest.raises(DomainError, match="n_modes"):
-                boundary_ratios(basis, 0.8, method="series", n_modes=n_modes)
-        with pytest.raises(DomainError, match="series path only"):
-            boundary_ratios(basis, 0.8, method="spectral", n_modes=_IDENTITY_MODES)
-        assert boundary_ratios(basis, 0.8, method="series", n_modes=1).shape == (1,)
+        # The series path sums the checked modes, which N = 16 does not certify.
+        with pytest.raises(DomainError, match="N = 16 certifies 8 modes"):
+            boundary_ratios(ops.basis(1.0, 16), 0.8, method="series")
+        assert boundary_ratios(ops.basis(1.0, 18), 0.8, method="series").shape == (CHECKED_MODES,)
 
     @pytest.mark.parametrize("c", [4.0, 17.6658])
     def test_translation_suite_sums_the_identity_modes_only(self, monkeypatch, c):
@@ -393,7 +399,7 @@ class TestBoundaryRatios:
 
         monkeypatch.setattr(ucalc, "u_series_many", counting)
         run_suite("translation", RunConfig(c=c))
-        assert calls == [_IDENTITY_MODES] * 10
+        assert calls == [CHECKED_MODES] * 10
 
     def test_spectral_reflects_at_xi_two(self, ops):
         basis = ops.basis(1.0, 64)
@@ -460,7 +466,7 @@ class TestUOperatorApply:
     def test_identity_at_xi_zero(self, ops):
         basis = ops.basis(1.0, 64)
         ratios = boundary_ratios(basis, 0.0, method="series")
-        assert np.array_equal(ratios, np.ones(basis.n_certified))
+        assert np.array_equal(ratios, np.ones(CHECKED_MODES))
 
     def test_linearity(self, ops, rng):
         basis = ops.basis(1.0, 64)
@@ -491,7 +497,7 @@ class TestUOperatorApply:
         # series gives independently on the checked modes.
         basis = ops.basis(1.0, 64)
         f = rng.standard_normal(64)
-        n = slice(_IDENTITY_MODES)
+        n = slice(CHECKED_MODES)
         out = (basis.psi_coeffs.T @ u_apply(basis, 0.9, f))[n]
         series = boundary_ratios(basis, 0.9, method="series")[n]
         assert np.max(np.abs(out - series * (basis.psi_coeffs.T @ f)[n])) <= 1e-10
@@ -541,7 +547,7 @@ class TestHeunOdeResidual:
         out = []
         for y in y_grid:
             xi = y + 1.0 + h * np.arange(-2, 3)
-            f = np.array([u_series_scalar(c, lam, x, tol=1e-13) for x in xi])
+            f = np.array([u_series_many(c, [lam], x, tol=1e-13)[0][0] for x in xi])
             du, d2u = (d1 @ f) / h, (d2 @ f) / h**2
             out.append((1.0 - y * y) * d2u - 2.0 * y * du - (c * c * y * y + lam) * f[2])
         return np.array(out)
