@@ -8,23 +8,39 @@ translation family over xi: the Fourier weight is ``exp(ic(1-xi))`` on [0,2]
 (or its reflected fold onto [0,1]) and the sinc weight is ``sin(c xi)/(pi xi)``
 likewise.  Agreement of the two routes is the package's central check.
 
-Both routes check their own quadrature by doubling its order, and each
-check runs one Legendre recurrence over the nodes of both of its rules.  A
-direct operator evaluates its kernel on each rule's nodes y >= 0, with the
-weighted Legendre rows sliced from one table.  A reconstruction makes one
-``boundary_ratios`` call for its two xi rules, which returns one (modes x
-xi) table of spectral boundary ratios psi_n(-1 + xi) / psi_n(-1) per rule;
-the mode integrals are then matrix-vector products with the
-quadrature-weighted xi weights, one per rule.  Every product keeps the
-operands it had when each rule built its own table, so the entries are the
-same bits.
+Both routes check their own quadrature by doubling its order, and a job
+makes one pass per route for every operator it needs at one (N, q).  A
+direct pass (``direct_operators``) evaluates each kernel on the nodes
+y >= 0 of both of its rules, with the weighted Legendre rows sliced from one
+table over those nodes, so F_c and Q_c at one (c, N) share the rules and the
+recurrence.  A reconstruction pass (``reconstructions``) makes one
+``boundary_ratios`` call for the two xi rules of every variant it builds,
+which returns one (modes x xi) table of spectral boundary ratios
+psi_n(-1 + xi) / psi_n(-1) per rule; the mode integrals are then
+matrix-vector products with the quadrature-weighted xi weights, one per
+rule.  Every product keeps the operands it had when each rule built its
+own table, and each drift check runs in the order the operators or
+variants are named, so a shared pass gives the same bits and the same
+refusals as one pass per operator.
 
 F_c and Q_c are functions of the self-adjoint prolate operator T, so their
-matrices in the real orthonormal Legendre basis are symmetric.  Both routes
-return them exactly symmetric: after its drift check, each replaces the
-entries A by (A + A^T) / 2.  That removes rounding-level asymmetry only
-(max|A - A^T| was at most 5e-16 at the default N, at seven c from 0.5 to
-20) and moves no refusal.
+matrices in the real orthonormal Legendre basis are symmetric and commute
+with the reflection x -> -x: entries of mixed parity are 0, and F_c, whose
+eigenvalue on psi_n is i^n lambda_n, is real on the even-even block and
+imaginary on the odd-odd one.  Both routes build their entries per parity
+block.  The direct one folds each kernel onto y >= 0 (``_resolved_matrices``).
+A reconstruction sums its modes per block, the even modes into the even-even
+block and the odd modes into the odd-odd one, each a real half-size
+product; of each mode's integral it keeps, after the drift check, the part
+the exact operator has (real, or imaginary for the odd modes of F_c).  The
+folded variant's integrals have no other part, since the reflected weight
+cancels it exactly, so only the full variant's entries move: they lose the
+quadrature's and rounding's part.  Mixed-parity entries are exactly +0.0.
+Both routes return their matrices exactly symmetric: after its drift
+check, each replaces the entries A by (A + A^T) / 2, the reconstruction
+block by block.  That removes rounding-level asymmetry only (max|A - A^T|
+was at most 5e-16 at the default N, at seven c from 0.5 to 20) and moves
+no refusal.
 """
 
 from __future__ import annotations
@@ -51,53 +67,83 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
-def _resolved_matrix(kernel, n_dim: int, q_order: int, conjugate_fold: bool = False) -> np.ndarray:
-    """Entries <Pbar_m, K Pbar_n> with K applied by tensor Gauss quadrature,
-    checked for under-resolution by order doubling: the rules of q_order and
-    2 q_order points each give a matrix, from one Legendre table over the
-    nodes of both, and the finer one is returned, exactly symmetrised.
+def _fourier_fold(c: float):
+    """F_c's kernel exp(icyy') on the nodes y >= 0, with its value at -y'
+    taken as its conjugate instead of a second evaluation.
 
-    The kernel must satisfy K(-x, -t) = K(x, t), so the operator commutes
-    with x -> -x.  The sum is folded onto the rule's nodes y >= 0: the
-    even-even block is 2 A_e (K(y, y) + K(y, -y)) A_e^T and the odd-odd block
-    2 A_o (K(y, y) - K(y, -y)) A_o^T, with A the weighted Legendre rows of
-    that parity.  Entries with m + n odd are exactly 0.
+    That is exact: the argument at -y' is the negated one, because a sign
+    change rounds to nothing, and the complex exp is even in its cosine and
+    odd in its sine.  The two arrays differ only where y y' = 0: there the
+    evaluation gives the imaginary part +0.0 and the conjugate -0.0.  Both
+    folds add or subtract that zero to K(y, y')'s own 0.0, which gives +0.0
+    either way, so the blocks are the same bits as with two evaluations.
+    """
 
-    With conjugate_fold, K(y, -y') is taken as the conjugate of K(y, y')
-    instead of a second evaluation; that is exact for K = exp(icyy').  Its
-    argument at -y' is the negated one, because a sign change rounds to
-    nothing, and the complex exp is even in its cosine and odd in its sine.
-    The two arrays differ only where y y' = 0: there the evaluation gives
-    the imaginary part +0.0 and the conjugate -0.0.  Both folds add or
-    subtract that zero to K(y, y')'s own 0.0, which gives +0.0 either way,
-    so the blocks are the same bits as with two evaluations.
+    def fold(y, t):
+        k_plus = np.exp(1j * c * y * t)
+        return k_plus, k_plus.conj()
+
+    return fold
+
+
+def _sinc_fold(c: float):
+    """Q_c's kernel on the nodes y >= 0 and at -y', two evaluations."""
+    return lambda y, t: (sinc_kernel(c, y, t), sinc_kernel(c, y, -t))
+
+
+# Operator name -> its kernel fold, as ``direct_operators`` names them.
+_FOLDS = {"Fc": _fourier_fold, "Qc": _sinc_fold}
+
+
+def _resolved_matrices(folds, n_dim: int, q_order: int) -> list[np.ndarray]:
+    """Entries <Pbar_m, K Pbar_n> of each kernel K by tensor Gauss
+    quadrature, checked for under-resolution by order doubling: the rules
+    of q_order and 2 q_order points each give a matrix per kernel, from one
+    Legendre table over the nodes of both rules, and the finer one is
+    returned, exactly symmetrised.  The drift checks run in the order of
+    ``folds``, so the first kernel that drifts is the one refused.
+
+    Each kernel must satisfy K(-x, -t) = K(x, t), so its operator commutes
+    with x -> -x, and comes as its fold: fold(y, y') returns K(y, y') and
+    K(y, -y') on the rule's nodes y >= 0.  The sum is folded onto those
+    nodes: the even-even block is 2 A_e (K(y, y) + K(y, -y)) A_e^T and the
+    odd-odd block 2 A_o (K(y, y) - K(y, -y)) A_o^T, with A the weighted
+    Legendre rows of that parity.  Entries with m + n odd are exactly 0.
     """
     halves = [half_rule(gauss_legendre_rule(q)) for q in (q_order, 2 * q_order)]
     table = legendre_table(n_dim - 1, np.concatenate([y for y, _ in halves]))
-    matrices = []
+    per_rule = []
     end = 0
     for y, v in halves:
         pw = table[:, end : end + y.size] * v
         end += y.size
-        k_plus = kernel(y[:, None], y[None, :])
-        k_minus = k_plus.conj() if conjugate_fold else kernel(y[:, None], -y[None, :])
-        even, odd = pw[0::2], pw[1::2]
-        block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
-        block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
-        entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
-        entries[0::2, 0::2] = block_even
-        entries[1::2, 1::2] = block_odd
-        matrices.append(entries)
-    # Free the rules' kernels and tables before the drift check allocates its
-    # own arrays, which can then reuse their memory; held, they slow F_c.
-    del table, pw, k_plus, k_minus, even, odd, block_even, block_odd
-    coarse, fine = matrices
-    drift = float(np.max(np.abs(fine - coarse)))
-    if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
-        raise QuadratureUnresolvedError(
-            f"entries drift by {drift:.3e} when doubling q_order={q_order}"
-        )
-    return _symmetrised(fine)
+        per_rule.append([_folded_entries(fold, y, pw) for fold in folds])
+    # Free the table before the drift check allocates its own arrays, which
+    # can then reuse its memory; held, the rules' arrays slow F_c.
+    del table, pw
+    resolved = []
+    for coarse, fine in zip(*per_rule):
+        drift = float(np.max(np.abs(fine - coarse)))
+        if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
+            raise QuadratureUnresolvedError(
+                f"entries drift by {drift:.3e} when doubling q_order={q_order}"
+            )
+        resolved.append(_symmetrised(fine))
+    return resolved
+
+
+def _folded_entries(fold, y: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """One kernel's matrix on one rule: ``fold`` on the nodes y >= 0 and the
+    weighted Legendre rows ``pw`` there.  The kernel's arrays are freed on
+    return, before the next kernel is evaluated."""
+    k_plus, k_minus = fold(y[:, None], y[None, :])
+    even, odd = pw[0::2], pw[1::2]
+    block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
+    block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
+    entries = np.zeros((pw.shape[0],) * 2, dtype=np.result_type(block_even, block_odd))
+    entries[0::2, 0::2] = block_even
+    entries[1::2, 1::2] = block_odd
+    return entries
 
 
 def _symmetrised(entries: np.ndarray) -> np.ndarray:
@@ -113,24 +159,29 @@ def _q_order(c: float, n_dim: int) -> int:
     return n_dim + math.ceil(c) + 8
 
 
+def direct_operators(c: float, n_dim: int, names: tuple[str, ...]) -> list[OperatorMatrix]:
+    """The direct operators ``names`` ("Fc" for F_c, "Qc" for Q_c) at one
+    (c, n_dim), in that order, from one pass: one rule pair and one Legendre
+    table serve them all, and their drift checks run in that order.  Q_c's
+    real entries are returned as complex.
+    """
+    folds = [_FOLDS[name](c) for name in names]
+    matrices = _resolved_matrices(folds, n_dim, _q_order(c, n_dim))
+    return [OperatorMatrix(entries.astype(complex, copy=False)) for entries in matrices]
+
+
 def finite_fourier_direct(c: float, n_dim: int) -> OperatorMatrix:
     """Matrix of phi -> integral exp(icxt) phi(t) dt by tensor quadrature.
 
     Entries with m+n odd are exactly 0; the even-even block is real and the
     odd-odd block purely imaginary (the cos and sin parts of the kernel).
     """
-    entries = _resolved_matrix(
-        lambda x, t: np.exp(1j * c * x * t), n_dim, _q_order(c, n_dim), conjugate_fold=True
-    )
-    return OperatorMatrix(entries)
+    return direct_operators(c, n_dim, ("Fc",))[0]
 
 
 def sinc_kernel_direct(c: float, n_dim: int) -> OperatorMatrix:
     """Matrix of the sinc-kernel operator; real symmetric, spectrum in (0, 1)."""
-    entries = _resolved_matrix(
-        lambda x, t: sinc_kernel(c, x, t), n_dim, _q_order(c, n_dim)
-    ).astype(complex)
-    return OperatorMatrix(entries)
+    return direct_operators(c, n_dim, ("Qc",))[0]
 
 
 def _default_q_xi(c: float, n_dim: int) -> int:
@@ -153,6 +204,11 @@ def _sinc_weights(c: float, nodes: np.ndarray):
     return sinc_kernel(c, nodes, 0.0) + 0j, sinc_kernel(c, 2.0, nodes) + 0j
 
 
+# Operator name -> (its xi weights, whether its odd modes' integrals are
+# imaginary): F_c's eigenvalue on psi_n is i^n lambda_n, Q_c's mu_n is real.
+_WEIGHTS = {"Fc": (_fourier_weights, True), "Qc": (_sinc_weights, False)}
+
+
 def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weights, ratios) -> np.ndarray:
     """Integrals int w(xi) ratio_n(xi) dxi for every mode, complex array.
 
@@ -170,27 +226,69 @@ def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weight
     return values
 
 
-def _reconstruct(basis, variant, q_xi, weights_on):
-    """Mode-wise reconstruction shared by F_c and Q_c, with an xi-doubling drift check:
-    the rules of q_xi and 2 q_xi nodes get their ratio tables from one call."""
-    if variant not in ("full", "folded"):
-        raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
-    half = 0.5 if variant == "folded" else 1.0  # xi in [0, 1] or [0, 2]
+def _parity_assembled(psi: np.ndarray, values: np.ndarray, odd_imaginary: bool) -> np.ndarray:
+    """sum_n values_n psi_n psi_n^T, one real product per parity block.
+
+    Mode n has parity n, so even modes fill the even-even block and odd
+    modes the odd-odd block, and the entries of mixed parity are exactly
+    +0.0.  Even modes keep the real part of their value; odd modes keep the
+    imaginary part when ``odd_imaginary`` (F_c, whose eigenvalue on psi_n is
+    i^n lambda_n) and the real part otherwise (Q_c).  Each block is
+    symmetrised on its own.
+    """
+    n_dim = values.size
+    entries = np.zeros((n_dim, n_dim), dtype=complex)
+    even, odd = psi[0::2, 0::2], psi[1::2, 1::2]
+    entries.real[0::2, 0::2] = _symmetrised((even * values[0::2].real) @ even.T)
+    part = values[1::2].imag if odd_imaginary else values[1::2].real
+    block = _symmetrised((odd * part) @ odd.T)
+    if odd_imaginary:
+        entries.imag[1::2, 1::2] = block
+    else:
+        entries.real[1::2, 1::2] = block
+    return entries
+
+
+def _reconstruct(basis, variants, q_xi, weights_on, odd_imaginary):
+    """Generator of the mode-wise reconstructions of ``variants``, in turn,
+    each with an xi-doubling drift check.
+
+    Before the first, one ``boundary_ratios`` call gives the ratio tables of
+    every variant's two rules, q_xi and 2 q_xi nodes; the nodes of the
+    folded variant lie on [0, 1] and those of the full one on [0, 2].  A
+    variant's drift is checked when it is reached, on the certified modes,
+    so a caller can do other work between two variants and meet the
+    refusals in its own order.  Its entries are then assembled by parity
+    block from the coarse rule's integrals (``_parity_assembled``); the
+    part of each integral that the block drops is the quadrature's and
+    rounding's, since the exact integral of mode n is i^n lambda_n or mu_n.
+    """
+    for variant in variants:
+        if variant not in ("full", "folded"):
+            raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
     rules = [gauss_legendre_rule(q) for q in (q_xi, 2 * q_xi)]
-    nodes = tuple(half * (rule.nodes + 1.0) for rule in rules)
+    halves = [0.5 if variant == "folded" else 1.0 for variant in variants]  # xi in [0, 1] or [0, 2]
+    nodes = tuple(half * (rule.nodes + 1.0) for half in halves for rule in rules)
     tables = boundary_ratios(basis, nodes, method="spectral")
-    coarse, fine = (
-        _mode_integrals(basis, weights_on, variant, x, half * rule.weights, table)
-        for x, rule, table in zip(nodes, rules, tables)
-    )
     certified = basis.n_certified
-    drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
-    if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
-        raise XiQuadratureUnresolvedError(
-            f"mode integrals drift by {drift:.3e} when doubling q_xi={q_xi}"
+    for k, (variant, half) in enumerate(zip(variants, halves)):
+        coarse, fine = (
+            _mode_integrals(basis, weights_on, variant, x, half * rule.weights, table)
+            for x, rule, table in zip(nodes[2 * k :], rules, tables[2 * k :])
         )
-    entries = (basis.psi_coeffs * coarse) @ basis.psi_coeffs.T
-    return OperatorMatrix(_symmetrised(entries))
+        drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
+        if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
+            raise XiQuadratureUnresolvedError(
+                f"mode integrals drift by {drift:.3e} when doubling q_xi={q_xi}"
+            )
+        yield OperatorMatrix(_parity_assembled(basis.psi_coeffs, coarse, odd_imaginary))
+
+
+def reconstructions(basis: ProlateBasis, name: str, variants: tuple[str, ...]):
+    """Generator of the reconstructed F_c (name "Fc") or Q_c ("Qc") of each
+    of ``variants`` in turn, from one ratio-table call before the first;
+    each variant's xi quadrature is checked when it is reached."""
+    yield from _reconstruct(basis, variants, _default_q_xi(basis.c, basis.n_dim), *_WEIGHTS[name])
 
 
 def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
@@ -200,7 +298,7 @@ def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> Operato
     folded: integral over xi in [0, 1] of
             (exp(ic(1-xi)) + R exp(-ic(1-xi))) U(xi; T)
     """
-    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), _fourier_weights)
+    return next(reconstructions(basis, "Fc", (variant,)))
 
 
 def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
@@ -210,7 +308,7 @@ def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMa
     folded: integral over [0, 1] of
             (sin(c xi)/(pi xi) + sin(c(2-xi))/(pi(2-xi)) R) U(xi; T)
     """
-    return _reconstruct(basis, variant, _default_q_xi(basis.c, basis.n_dim), _sinc_weights)
+    return next(reconstructions(basis, "Qc", (variant,)))
 
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:

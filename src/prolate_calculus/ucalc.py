@@ -132,7 +132,11 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     Returns (values, terms_used, tail, cancellation): ``tail`` bounds the
     dropped tail geometrically with ratio |xi|/2, and ``cancellation`` is
     eps times the largest intermediate term, the floor set by
-    alternating-sum cancellation.
+    alternating-sum cancellation, plus half an ulp of each returned value,
+    for the rounding of the extended-precision sum to double.  So
+    tail + cancellation bounds the error of the returned double, and two
+    sums of one series that stop at different terms differ by at most the
+    sum of their two bounds.
     """
     if not -2.0 < xi < 2.0:
         raise DomainError(f"xi = {xi} outside the open interval (-2, 2)")
@@ -162,11 +166,12 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
             stop = int(np.argmax(done))
             np.maximum(max_term, size[: stop + 1].max(axis=0), out=max_term)
             tail = size[stop] * ratio / (1.0 - ratio)
+            values = np.asarray(sums[stop], dtype=float)
             return (
-                np.asarray(sums[stop], dtype=float),
+                values,
                 start + stop + 1,
                 np.asarray(tail, dtype=float),
-                np.asarray(max_term * eps, dtype=float),
+                np.asarray(max_term * eps, dtype=float) + 0.5 * np.spacing(np.abs(values)),
             )
         np.maximum(max_term, size.max(axis=0), out=max_term)
         total = sums[-1]

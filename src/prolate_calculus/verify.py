@@ -3,6 +3,9 @@
 Each suite builds the objects it needs from a RunConfig, measures a list of
 checks and returns a VerificationReport.  Each check passes when its measured
 value is at most its tolerance, so the JSON artifact is self-describing.
+A suite builds every operator it needs at one (c, N) in one pass per route
+(``transforms.direct_operators``, ``transforms.reconstructions``), with its
+quadrature refusals in the order its docstring states.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .legendre import CHECKED_MODES, default_truncation
+from .legendre import CHECKED_MODES, MAX_C, default_truncation
 
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
@@ -131,15 +134,21 @@ def _identity_dim(config: RunConfig) -> int:
 
 
 def _suite_fourier(config: RunConfig) -> VerificationReport:
+    """F_c reconstructed in the chosen variant against direct quadrature, on
+    the checked modes, and against the other variant.  Both variants come
+    from one ratio-table call; refusals come in the order the variant's xi
+    quadrature, the direct F_c's quadrature, the other variant's."""
     from .prolate import solve_prolate
-    from .transforms import finite_fourier_direct, reconstruct_fourier
+    from .transforms import finite_fourier_direct, reconstructions
 
     rep = _report("fourier", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
-    # The reconstruction goes first: its xi-quadrature refusal then skips
-    # the direct operator's two rules.
-    recon = reconstruct_fourier(basis, config.variant)
+    # Each variant's xi quadrature is checked when it is read, so the chosen
+    # variant's refusal skips the direct operator's two rules.
+    other_variant = "full" if config.variant == "folded" else "folded"
+    variants = reconstructions(basis, "Fc", (config.variant, other_variant))
+    recon = next(variants)
     direct = finite_fourier_direct(config.c, n_dim)
     block = n_dim // 2
     rel = np.linalg.norm(
@@ -153,21 +162,25 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - (1j) ** n * basis.lambdas[n]))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
-    other = reconstruct_fourier(basis, "full" if config.variant == "folded" else "folded")
+    other = next(variants)
     diff = np.linalg.norm((recon.entries - other.entries)[:block, :block])
     rep.add("full vs folded variants", diff, _RECON_TOL)
     return rep
 
 
 def _suite_sinc(config: RunConfig) -> VerificationReport:
+    """Q_c reconstructed against direct quadrature and on the checked modes,
+    the factorization (c/2pi) F_c* F_c = Q_c and the order and range of mu_n.
+    Direct Q_c and F_c come from one pass; refusals come in the order the
+    reconstruction's xi quadrature, Q_c's quadrature, F_c's."""
     from .prolate import solve_prolate
-    from .transforms import finite_fourier_direct, reconstruct_sinc, sinc_kernel_direct
+    from .transforms import direct_operators, reconstruct_sinc
 
     rep = _report("sinc", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
     recon = reconstruct_sinc(basis, config.variant)  # first, as in the fourier suite
-    direct = sinc_kernel_direct(config.c, n_dim)
+    direct, fourier = direct_operators(config.c, n_dim, ("Qc", "Fc"))
     block = n_dim // 2
     # Q_0 = 0, and for c below ~1e-160 the norm of Q_c underflows to 0.
     reference = np.linalg.norm(direct.entries[:block, :block])
@@ -181,7 +194,6 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - mu))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
-    fourier = finite_fourier_direct(config.c, n_dim)
     fact = np.linalg.norm(
         (config.c / (2 * np.pi)) * fourier.entries.conj().T @ fourier.entries
         - direct.entries
@@ -217,19 +229,24 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
 
 
 def _suite_limits_large(config: RunConfig) -> VerificationReport:
+    """Large-c limits at c/4, c/2 and c, and the Nystrom oracle at c/2;
+    c outside [4, 2 MAX_C] is refused before any work."""
     c = config.c
     if c < 4:
         raise OutOfRangeError(
             f"limits-large runs at c >= 4, got c = {c:g}; the suite compares the "
             "large-c limits at bandwidths c/4, c/2 and c, so c/4 must be at least 1"
         )
+    if c > 2 * MAX_C:
+        raise OutOfRangeError(
+            f"limits-large runs at c <= {2 * MAX_C:g}, got c = {c:g}; its Nystrom "
+            f"oracle runs at c/2, and the oracle's grid resolves c <= {MAX_C:g}"
+        )
     from .asymptotics import bessel_limit_check, hermite_distance, oscillator_gaps, wkb_value
     from .nystrom import nystrom_sinc_eigen
     from .prolate import solve_prolate
     from .ucalc import u_series_scalar
 
-    # The Nystrom oracle runs first: it refuses a c/2 past its grid's range
-    # before the three eigensolves.
     ny = nystrom_sinc_eigen(c / 2)
     c_list = [c / 4, c / 2, c]
     bases = {cc: solve_prolate(cc) for cc in c_list}
@@ -265,8 +282,10 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
 
 
 def _suite_commutation(config: RunConfig) -> VerificationReport:
+    """[T, F_c] and [T, Q_c] on the leading block, with direct F_c and Q_c
+    from one pass (F_c's quadrature checked first)."""
     from .prolate import assemble_heun_matrix
-    from .transforms import OperatorMatrix, commutator_report, finite_fourier_direct, sinc_kernel_direct
+    from .transforms import OperatorMatrix, commutator_report, direct_operators
 
     rep = _report("commutation", config)
     tol = 1e-8
@@ -275,8 +294,7 @@ def _suite_commutation(config: RunConfig) -> VerificationReport:
     # T as a complex matrix: with the real one the products round
     # differently, and the records move in their last bit (at c = 4, 18.1, 40).
     t_op = OperatorMatrix(assemble_heun_matrix(config.c, n_dim).to_dense().astype(complex))
-    fourier = finite_fourier_direct(config.c, n_dim)
-    sinc = sinc_kernel_direct(config.c, n_dim)
+    fourier, sinc = direct_operators(config.c, n_dim, ("Fc", "Qc"))
     rep.add("[T, F_c] relative commutator", commutator_report(t_op, fourier, block), tol)
     rep.add("[T, Q_c] relative commutator", commutator_report(t_op, sinc, block), tol)
     return rep

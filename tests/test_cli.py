@@ -169,18 +169,27 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_limits_large_refuses_a_c_past_its_nystrom_oracle_before_any_eigensolve(self, monkeypatch, capsys):
+        # The suite refuses c > 2 MAX_C itself, naming the c it was given and
+        # its own bound, before the Nystrom oracle or any eigensolve runs.
+        class Started(Exception):
+            pass
+
         def no_work(*args, **kwargs):
-            raise AssertionError("solve_prolate ran past the Nystrom oracle's range")
+            raise Started
 
         monkeypatch.setattr(prolate, "solve_prolate", no_work)
-        c = 2 * float(np.nextafter(MAX_C, np.inf))
-        assert cli.main(["verify", "--suite", "limits-large", "--c", repr(c)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"error[out-of-range]: nystrom runs at c <= {MAX_C:g}, got c = {c / 2:g}; "
-            "its 400-node grid loses digits of mu_n past c = 370\n"
-        )
-        assert captured.out == ""
+        monkeypatch.setattr(nystrom, "nystrom_sinc_eigen", no_work)
+        for c in (700.0, 2 * float(np.nextafter(MAX_C, np.inf))):
+            assert cli.main(["verify", "--suite", "limits-large", "--c", repr(c)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error[out-of-range]: limits-large runs at c <= 680, got c = {c:g}; its Nystrom "
+                "oracle runs at c/2, and the oracle's grid resolves c <= 340\n"
+            )
+            assert captured.out == ""
+        # At c = 2 MAX_C the suite starts its work.
+        with pytest.raises(Started):
+            cli.main(["verify", "--suite", "limits-large", "--c", repr(2 * MAX_C)])
 
     def test_nystrom_at_its_limit_matches_the_spectral_mu(self, tmp_path, capsys):
         out = tmp_path / "ny.json"
@@ -594,6 +603,19 @@ class TestExportOperator:
         entries = _read_operator_json(out) if fmt == "json" else _read_operator_csv(out, 16)
         assert entries.shape == (16, 16)
         assert np.array_equal(entries, entries.T)
+
+    def test_reconstructed_fc_writes_one_value_per_mirror_pair(self, tmp_path):
+        # Each variant assembles F_c per parity block, so the file holds the
+        # 2 x 32 x 33 / 2 = 1056 mirror pairs of the two blocks at N = 64 as
+        # its only nonzero values; rounding noise in the full variant's
+        # zero entries would double that.
+        for variant in ("folded", "full"):
+            out = tmp_path / f"{variant}.json"
+            assert cli.main(["export-operator", "Fc-reconstructed", "--c", "4", "--variant", variant,
+                             "--out", str(out)]) == 0
+            entries = _read_operator_json(out)
+            values = np.concatenate([entries.real.ravel(), entries.imag.ravel()])
+            assert np.unique(values[values != 0]).size == 1056, variant
 
     def test_direct_vs_reconstructed_fourier(self, tmp_path):
         direct_out = tmp_path / "fc.json"

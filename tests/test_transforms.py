@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -25,14 +26,18 @@ import prolate_calculus.ucalc
 from prolate_calculus.legendre import default_truncation, half_rule
 from prolate_calculus.prolate import sinc_kernel
 from prolate_calculus.transforms import (
+    _FOLDS,
     _default_q_xi,
     _fourier_weights,
     _q_order,
     _reconstruct,
-    _resolved_matrix,
+    _resolved_matrices,
     _sinc_weights,
+    direct_operators,
+    reconstructions,
 )
 from prolate_calculus.ucalc import boundary_ratios
+from prolate_calculus.verify import RunConfig, run_suite
 
 
 def full_grid_matrix(kernel, n_dim, q_order):
@@ -45,11 +50,18 @@ def full_grid_matrix(kernel, n_dim, q_order):
 
 
 def _kernels(c):
-    """Name -> (kernel, conjugate_fold) as the direct operators pass them."""
+    """Name -> the kernel K(x, t) of each direct operator."""
     return {
-        "Fc": (lambda x, t: np.exp(1j * c * x * t), True),
-        "Qc": (lambda x, t: sinc_kernel(c, x, t), False),
+        "Fc": lambda x, t: np.exp(1j * c * x * t),
+        "Qc": lambda x, t: sinc_kernel(c, x, t),
     }
+
+
+def _resolved(c, n_dim, q_order, names=("Fc", "Qc")):
+    """Name -> the matrix ``_resolved_matrices`` returns for it, all of
+    ``names`` from one pass."""
+    matrices = _resolved_matrices([_FOLDS[name](c) for name in names], n_dim, q_order)
+    return dict(zip(names, matrices, strict=True))
 
 
 class TestFoldedQuadrature:
@@ -59,23 +71,25 @@ class TestFoldedQuadrature:
     def test_matches_the_full_grid(self, c, n_dim, extra):
         # The matrix returned is the one of the drift check's finer rule.
         q_order = _q_order(c, n_dim) + extra
-        for kernel, conjugate_fold in _kernels(c).values():
-            folded = _resolved_matrix(kernel, n_dim, q_order, conjugate_fold)
+        folded = _resolved(c, n_dim, q_order)
+        for name, kernel in _kernels(c).items():
             oracle = full_grid_matrix(kernel, n_dim, 2 * q_order)
-            assert np.max(np.abs(folded - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+            assert np.max(np.abs(folded[name] - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("q_order", [15, 16])
     @pytest.mark.parametrize("c", [3.0, 12.0])
     def test_coarse_rule_drift_matches_the_full_grid(self, c, q_order):
         # At an under-resolved order, odd (a centre node) or even, the
         # refusal reports the drift between the two folded rules, which the
-        # unfolded sums of both orders give too.
+        # unfolded sums of both orders give too.  In a shared pass the
+        # kernels are checked in the order named, so the first one refuses.
         n_dim = 40
-        for kernel, conjugate_fold in _kernels(c).values():
+        for name, kernel in _kernels(c).items():
             oracle = full_grid_matrix(kernel, n_dim, 2 * q_order) - full_grid_matrix(kernel, n_dim, q_order)
             message = f"drift by {np.max(np.abs(oracle)):.3e} when doubling q_order={q_order}"
-            with pytest.raises(QuadratureUnresolvedError, match=re.escape(message)):
-                _resolved_matrix(kernel, n_dim, q_order, conjugate_fold)
+            for names in ((name,), (name, *({"Fc", "Qc"} - {name}))):
+                with pytest.raises(QuadratureUnresolvedError, match=re.escape(message)):
+                    _resolved(c, n_dim, q_order, names)
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["q", "q+1"])
     @pytest.mark.parametrize("c", [0.5, 4.0, 12.0, 30.0])
@@ -91,8 +105,7 @@ class TestFoldedQuadrature:
         even = (m % 2 == 0) & (n % 2 == 0)
         odd = (m % 2 == 1) & (n % 2 == 1)
         refl = reflect(n_dim).entries
-        matrices = {name: _resolved_matrix(kernel, n_dim, q_order, conjugate_fold)
-                    for name, (kernel, conjugate_fold) in _kernels(c).items()}
+        matrices = _resolved(c, n_dim, q_order)
         matrices["Fc direct"] = finite_fourier_direct(c, n_dim).entries
         matrices["Qc direct"] = sinc_kernel_direct(c, n_dim).entries
         for name, entries in matrices.items():
@@ -267,24 +280,61 @@ class TestReconstructions:
     def test_unresolved_xi_quadrature_raises(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(XiQuadratureUnresolvedError):
-            _reconstruct(basis, "folded", 6, _fourier_weights)
+            next(_reconstruct(basis, ("folded",), 6, _fourier_weights, True))
+
+    def test_each_variant_is_checked_when_it_is_reached(self, ops):
+        # At c = 1, N = 64 and q_xi = 16 the folded rules resolve the mode
+        # integrals and the full ones, on twice the interval, do not: the
+        # folded operator comes out before the full one refuses.
+        basis = ops.basis(1.0, 64)
+        variants = _reconstruct(basis, ("folded", "full"), 16, _fourier_weights, True)
+        assert next(variants).entries.shape == (64, 64)
+        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
+            next(variants)
+        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
+            next(_reconstruct(basis, ("full", "folded"), 16, _fourier_weights, True))
+
+    @pytest.mark.parametrize("suite, first", [("sinc", "Qc"), ("commutation", "Fc")])
+    def test_a_shared_direct_pass_refuses_in_the_suites_order(self, monkeypatch, suite, first):
+        # At c = 3, N = 40, q = 15 both kernels drift, by different amounts:
+        # the sinc suite reports Q_c's drift and the commutation suite F_c's.
+        with pytest.raises(QuadratureUnresolvedError) as alone:
+            _resolved(3.0, 40, 15, (first,))
+        monkeypatch.setattr(prolate_calculus.transforms, "_q_order", lambda c, n_dim: 15)
+        with pytest.raises(QuadratureUnresolvedError) as shared:
+            run_suite(suite, RunConfig(c=3.0, n_trunc=40))
+        assert str(shared.value) == str(alone.value)
+
+    def test_the_fourier_suite_refuses_in_its_order(self, monkeypatch):
+        # At c = 1, N = 64 and q_xi = 16 the folded rules resolve and the
+        # full ones refuse.  The chosen variant is checked first, then the
+        # direct F_c, then the other variant.
+        monkeypatch.setattr(prolate_calculus.transforms, "_default_q_xi", lambda c, n_dim: 16)
+        config = RunConfig(c=1.0, n_trunc=64)
+        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
+            run_suite("fourier", dataclasses.replace(config, variant="full"))
+        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
+            run_suite("fourier", config)
+        monkeypatch.setattr(prolate_calculus.transforms, "_q_order", lambda c, n_dim: 4)
+        with pytest.raises(QuadratureUnresolvedError, match="when doubling q_order=4"):
+            run_suite("fourier", config)
 
     def test_nan_drifts_are_refused(self, ops):
         # NaN > tol is False; both drift guards must still refuse.
         with pytest.raises(QuadratureUnresolvedError):
-            _resolved_matrix(lambda x, t: np.full(np.broadcast(x, t).shape, np.nan), 8, 16)
+            _resolved_matrices([lambda x, t: (np.full(np.broadcast(x, t).shape, np.nan),) * 2], 8, 16)
         with pytest.raises(XiQuadratureUnresolvedError):
-            _reconstruct(
-                ops.basis(1.0, 64), "folded", 16,
-                lambda c, nodes: (np.full(nodes.shape, np.nan + 0j),) * 2,
-            )
+            next(_reconstruct(
+                ops.basis(1.0, 64), ("folded",), 16,
+                lambda c, nodes: (np.full(nodes.shape, np.nan + 0j),) * 2, True,
+            ))
 
     def test_graceful_degradation(self, ops):
         # Halving the node count changes the answer beyond tolerance only
         # when the internal doubling check fires (and raises).
         basis = ops.basis(1.0, 64)
-        full = _reconstruct(basis, "folded", 44, _fourier_weights)
-        half = _reconstruct(basis, "folded", 22, _fourier_weights)
+        full = next(_reconstruct(basis, ("folded",), 44, _fourier_weights, True))
+        half = next(_reconstruct(basis, ("folded",), 22, _fourier_weights, True))
         drift = np.linalg.norm((full.entries - half.entries)[:32, :32])
         assert drift <= 1e-7
 
@@ -292,6 +342,33 @@ class TestReconstructions:
         basis = ops.basis(1.0, 64)
         with pytest.raises(DomainError):
             reconstruct_fourier(basis, "diagonal")
+
+
+def _plus_zero(values):
+    return (values == 0) & ~np.signbit(values)
+
+
+class TestReconstructedParityBlocks:
+    # At the default N, N + 24 (an export's enlarged basis) and N + 25:
+    # even and odd N.
+    @pytest.mark.parametrize("extra", [0, 24, 25])
+    @pytest.mark.parametrize("variant", ["folded", "full"])
+    @pytest.mark.parametrize("c", [0.5, 4.0, 12.3, 15.5])
+    def test_each_block_has_its_exact_phase(self, ops, c, variant, extra):
+        # F_c: a real even-even block and an imaginary odd-odd block; Q_c:
+        # real.  Every part the exact operator does not have is +0.0.
+        n_dim = default_truncation(c) + extra
+        basis = ops.basis(c, n_dim)
+        m, n = np.meshgrid(np.arange(n_dim), np.arange(n_dim), indexing="ij")
+        mixed = (m + n) % 2 == 1
+        odd = (m % 2 == 1) & (n % 2 == 1)
+        fourier = reconstruct_fourier(basis, variant).entries
+        assert np.all(_plus_zero(fourier.real[mixed | odd]))
+        assert np.all(_plus_zero(fourier.imag[~odd]))
+        assert np.all(fourier.real[~mixed & ~odd] != 0) and np.all(fourier.imag[odd] != 0)
+        sinc = reconstruct_sinc(basis, variant).entries
+        assert np.all(_plus_zero(sinc.imag))
+        assert np.all(_plus_zero(sinc.real[mixed]))
 
 
 def _heun(c, n_dim):
@@ -359,8 +436,13 @@ def two_recurrence_ratios(basis, nodes, legendre):
     return (basis.psi_coeffs.T @ legendre(basis.n_dim - 1, -1.0 + nodes)) / basis.endpoint_minus[:, None]
 
 
-def two_recurrence_reconstruction(basis, variant, weights_on, legendre):
-    """(entries, None), or (None, drift) when the xi-doubling check refuses."""
+def two_recurrence_reconstruction(basis, variant, weights_on, odd_imaginary, legendre):
+    """(entries, None), or (None, drift) when the xi-doubling check refuses.
+
+    The entries keep only the part of each parity block that the exact
+    operator has: the real part of the even-even block, and of the odd-odd
+    block the imaginary part for F_c (odd_imaginary) or the real part for
+    Q_c; the rest is +0.0."""
     q_xi = _default_q_xi(basis.c, basis.n_dim)
     half = 0.5 if variant == "folded" else 1.0
     integrals = []
@@ -380,7 +462,14 @@ def two_recurrence_reconstruction(basis, variant, weights_on, legendre):
     if not drift <= 1e-9:
         return None, drift
     entries = (basis.psi_coeffs * coarse) @ basis.psi_coeffs.T
-    return 0.5 * (entries + entries.T), None
+    entries = 0.5 * (entries + entries.T)
+    projected = np.zeros_like(entries)
+    projected.real[0::2, 0::2] = entries.real[0::2, 0::2]
+    if odd_imaginary:
+        projected.imag[1::2, 1::2] = entries.imag[1::2, 1::2]
+    else:
+        projected.real[1::2, 1::2] = entries.real[1::2, 1::2]
+    return projected, None
 
 
 # c = 0.5 and 4 give N = 64 and q = 73 and 76; c = 12.3 gives N = 65 and
@@ -406,13 +495,32 @@ class TestOneRecurrencePerDriftCheck:
     @pytest.mark.parametrize("c", BIT_GRID)
     def test_reconstructions_keep_their_bits(self, ops, c, variant, legendre_recurrence):
         basis = ops.basis(c)
-        for build, weights_on in ((reconstruct_fourier, _fourier_weights), (reconstruct_sinc, _sinc_weights)):
-            expected, drift = two_recurrence_reconstruction(basis, variant, weights_on, legendre_recurrence)
+        for build, weights_on, odd_imaginary in (
+            (reconstruct_fourier, _fourier_weights, True),
+            (reconstruct_sinc, _sinc_weights, False),
+        ):
+            expected, drift = two_recurrence_reconstruction(basis, variant, weights_on, odd_imaginary, legendre_recurrence)
             if expected is None:  # F_c at c = 20: both routes refuse on the same drift
                 with pytest.raises(XiQuadratureUnresolvedError, match=f"drift by {drift:.3e} "):
                     build(basis, variant)
             else:
                 assert build(basis, variant).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", BIT_GRID)
+    def test_a_shared_direct_pass_keeps_each_operators_bits(self, c):
+        n_dim = default_truncation(c)
+        alone = {"Fc": finite_fourier_direct(c, n_dim), "Qc": sinc_kernel_direct(c, n_dim)}
+        for names in (("Fc", "Qc"), ("Qc", "Fc")):
+            for name, shared in zip(names, direct_operators(c, n_dim, names), strict=True):
+                assert shared.entries.tobytes() == alone[name].entries.tobytes(), name
+
+    @pytest.mark.parametrize("c", BIT_GRID[:3])  # F_c refuses at c = 20
+    def test_one_ratio_call_for_both_variants_keeps_their_bits(self, ops, c):
+        basis = ops.basis(c)
+        for name, build in (("Fc", reconstruct_fourier), ("Qc", reconstruct_sinc)):
+            for variants in (("folded", "full"), ("full", "folded")):
+                for variant, shared in zip(variants, reconstructions(basis, name, variants), strict=True):
+                    assert shared.entries.tobytes() == build(basis, variant).entries.tobytes(), (name, variant)
 
     @pytest.mark.parametrize("c", BIT_GRID)
     def test_ratio_tables_per_rule_keep_their_bits(self, ops, c, legendre_recurrence):
@@ -437,7 +545,7 @@ class TestOneRecurrencePerDriftCheck:
 
             return wrapper
 
-        for module in (prolate_calculus.transforms, prolate_calculus.ucalc):
+        for module in (prolate_calculus.prolate, prolate_calculus.transforms, prolate_calculus.ucalc):
             monkeypatch.setattr(module, "legendre_table", counted(module.legendre_table))
         # At c = 4, N = 64 the direct rules have q = 76 and 152 nodes, 38 + 76
         # of them y >= 0, and the xi rules 44 and 88 nodes.
@@ -452,6 +560,15 @@ class TestOneRecurrencePerDriftCheck:
                 calls.clear()
                 build()
                 assert calls == [shape]
+        # A suite makes one table per pass: the xi rules of every variant it
+        # reconstructs (the fourier suite's two variants: 2 x 132 nodes), and
+        # the direct rules shared by every direct operator it builds.
+        suites = {"sinc": [(132,), (114,)], "fourier": [(264,), (114,)], "commutation": [(114,)]}
+        for suite, shapes in suites.items():
+            for variant in ("folded", "full"):
+                calls.clear()
+                assert run_suite(suite, RunConfig(c=4.0, variant=variant)).passed
+                assert calls == shapes, (suite, variant)
 
     def test_ratio_rules_are_validated_as_one_xi(self, ops):
         basis = ops.basis(1.0, 64)

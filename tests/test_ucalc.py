@@ -112,11 +112,13 @@ def reference_series_many(c, lambdas, xi, tol=1e-12, k_max=K_MAX):
         run = np.where(small, run + 1, 0)
         if np.all(run >= _RUN_LENGTH):
             tail = np.abs(term) * ratio / (1.0 - ratio)
+            values = np.asarray(total, dtype=float)
+            # Half an ulp of each returned double covers its rounding.
             return (
-                np.asarray(total, dtype=float),
+                values,
                 k + 1,
                 np.asarray(tail, dtype=float),
-                np.asarray(max_term * eps, dtype=float),
+                np.asarray(max_term * eps, dtype=float) + 0.5 * np.spacing(np.abs(values)),
             )
     raise SeriesStallError(
         f"series did not converge within {k_max} terms at xi={xi}",
@@ -359,6 +361,21 @@ class TestBoundaryRatios:
         all_modes = u_series_many(c, -basis.chi, xi, tol=_SERIES_TOL)[0]
         assert np.array_equal(certified[:CHECKED_MODES], all_modes[:CHECKED_MODES])
         assert np.all(np.abs(certified - all_modes[:m]) <= tail + cancel)
+
+    def test_two_stops_differ_within_both_bounds(self, ops):
+        # At c = 4, xi = 1.95 mode 2 of the nine-mode sum and of the
+        # certified-mode sum differ by one ulp (2.2e-16 at 1.0075), more than
+        # the extended-precision sums' bounds (4.5e-17 for the nine-mode
+        # call); the half ulp of rounding to double in each call's
+        # cancellation bound covers it.
+        basis = ops.basis(4.0)
+        nine, _, nine_tail, nine_cancel = u_series_many(4.0, -basis.chi[:CHECKED_MODES], 1.95, tol=_SERIES_TOL)
+        certified, _, tail, cancel = u_series_many(4.0, -basis.chi[: basis.n_certified], 1.95, tol=_SERIES_TOL)
+        gap = abs(nine[2] - certified[2])
+        assert gap == np.spacing(nine[2]) and 1.0 < nine[2] < 2.0
+        assert gap <= nine_tail[2] + nine_cancel[2] + tail[2] + cancel[2]
+        assert np.all(np.abs(nine - certified[:CHECKED_MODES]) <= nine_tail + nine_cancel + tail[:CHECKED_MODES] + cancel[:CHECKED_MODES])
+        assert np.all(nine_cancel >= 0.5 * np.spacing(np.abs(nine)))
 
     def test_a_sum_depends_on_its_batch(self, ops):
         # u_series_many stops every point at one shared term, so at c = 25,
