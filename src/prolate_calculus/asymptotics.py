@@ -85,12 +85,14 @@ def _small_c_terms(n_dim: int):
 def small_c_operator(c: float, n_dim: int) -> OperatorMatrix:
     """Order-(c^0, c^1) truncation of the finite Fourier transform.
 
-    Diagonal in the Legendre basis, on a block of at most 31 modes.
+    Diagonal in the Legendre basis, on a block of at most 31 modes: A_m on
+    the even degrees and -i c B_m on the odd ones, since A_m = 0 for odd m
+    and B_m = 0 for even m hold exactly.
     """
     if c > SMALL_C_MAX:
         raise DomainError(f"small-c expansion restricted to c <= {SMALL_C_MAX}")
     a, b = small_c_diagonal_terms(n_dim)
-    return OperatorMatrix(np.diag(a - 1j * c * b))
+    return OperatorMatrix(np.diag(a[0::2]), np.diag(-c * b[1::2]), 1j)
 
 
 def hermite_values(m_count: int, x) -> np.ndarray:

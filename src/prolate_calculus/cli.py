@@ -11,7 +11,8 @@ the default truncation):
                    --suite --c --n-trunc --variant --seed --out --format
   export-operator  write an operator matrix artifact
                    WHICH --c --n-trunc --variant --out --format
-  nystrom          write the independent oracle's mu_n, chi_n for n <= 8, c <= 340
+  nystrom          write the independent oracle's mu_n, chi_n for n <= 8, c <= 340,
+                   the rows with mu_n >= 1e-10 (``legendre.MIN_MU``)
                    --c --out --format
 
 Past its range a run FAILs or is refused (exit 2) today (ROADMAP items 3 and 4);
@@ -49,7 +50,7 @@ import time
 import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
-from .legendre import MAX_C, MAX_NODES, RITZ_BUFFER, default_truncation
+from .legendre import MAX_C, MAX_NODES, MIN_MU, RITZ_BUFFER, default_truncation
 from .verify import SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
@@ -108,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
         "within 5e-15 of the spectral mu_n up to c = 80 and 4.2e-14 up to 340 (1.2e-12 at 370). "
         "chi_n comes from a Rayleigh-Ritz step of T on the leading 2 ceil(c/pi) + "
         f"{RITZ_BUFFER} Nystrom eigenvectors: within 1.3e-13 of the spectral chi_n at c in "
-        "[4, 20], 1.4e-12 up to 80, 2.5e-11 up to 340. Where mu_n nears rounding chi_n is off: "
-        "chi_8 by 5e-10 at c = 3 and 8e-4 at c = 2.",
+        "[4, 20], 1.4e-12 up to 80, 2.5e-11 up to 340. Only the rows with mu_n >= "
+        f"{MIN_MU:g} are written: below it chi_n is off (chi_8 by 8e-4 at c = 2), above it within "
+        "3.3e-11 of the spectral chi_n at c in [0.25, 20]; a c that resolves no row is refused.",
     )
     flags(p_ny, "--c", "--out", "--format")
     return parser
@@ -126,12 +128,19 @@ def _enlarged_dim(config: RunConfig) -> int:
 
 def _largest_array_bytes(job: str, config: RunConfig) -> int:
     """Bytes of the largest dense array that ``job`` (a command, a suite or an
-    exported operator) allocates: the N x N float64 eigenvectors of T, a
-    complex N x N operator, or the direct operators' complex q x q kernels on
-    the nodes y >= 0 of their fine rule, q = N + ceil(c) + 8.  limits-large
-    solves at the default N of c; a reconstructed export on its enlarged
-    basis.  nystrom works on at most ``MAX_NODES`` = 400 nodes (two 200 x 200
-    parity blocks) and limits-small at a fixed size, both under 1 MiB.
+    exported operator) allocates: the N x N float64 eigenvectors of T, or
+    the direct operators' complex kernel exp(icyy') on the q nodes y >= 0 of
+    their fine rule, q = N + ceil(c) + 8, a q x q array.  limits-large solves
+    at the default N of c.  A reconstructed export is predicted at 16 Ne^2
+    bytes, twice the eigenvectors of its enlarged basis of size Ne, and T at
+    16 N^2, four times its two real N/2 x N/2 parity blocks: the sizes of the
+    complex N x N arrays they once were, kept so that no refusal moves.  T's
+    bound holds; a reconstruction's does not: the mode integrals copy the
+    fine xi rule's ratio table to complex, Ne x 2 q_xi with q_xi >= Ne/2 + 12,
+    past 16 Ne^2 bytes at every c, and the Legendre table over both xi rules
+    is Ne x 3 q_xi floats, with q_xi about 4c.  nystrom works on at most
+    ``MAX_NODES`` = 400 nodes (two 200 x 200 parity blocks) and limits-small
+    at a fixed size, both under 1 MiB.
     """
     c, n = config.c, config.n_dim
     if job in ("nystrom", "limits-small"):
@@ -192,7 +201,7 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
 
 
 def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
-    from .prolate import assemble_heun_matrix, solve_prolate
+    from .prolate import assemble_heun_matrix, parity_block, solve_prolate
     from .transforms import (
         OperatorMatrix,
         finite_fourier_direct,
@@ -203,7 +212,8 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
 
     n_dim = config.n_dim
     if which == "T":
-        return OperatorMatrix(assemble_heun_matrix(config.c, n_dim).to_dense())
+        bands = assemble_heun_matrix(config.c, n_dim).bands
+        return OperatorMatrix(parity_block(bands, 0), parity_block(bands, 1))
     if which == "Fc":
         return finite_fourier_direct(config.c, n_dim)
     if which == "Qc":
@@ -213,11 +223,8 @@ def build_operator(config: RunConfig, which: str) -> OperatorMatrix:
     # Reconstructions are assembled on an enlarged internal basis and cut
     # back, so every exported entry is converged (mode tails are not).
     basis = solve_prolate(config.c, _enlarged_dim(config))
-    if which == "Fc-reconstructed":
-        full = reconstruct_fourier(basis, config.variant)
-    else:
-        full = reconstruct_sinc(basis, config.variant)
-    return OperatorMatrix(full.entries[:n_dim, :n_dim].copy())
+    build = reconstruct_fourier if which == "Fc-reconstructed" else reconstruct_sinc
+    return build(basis, config.variant).leading(n_dim)
 
 
 def cmd_export_operator(config: RunConfig, which: str) -> None:
@@ -238,7 +245,10 @@ def cmd_nystrom(config: RunConfig) -> None:
     from .serialize import dump_json, table_to_csv, table_to_dict
 
     result = nystrom_sinc_eigen(config.c)
-    columns = {"n": np.arange(result.n_modes), "mu": result.mu, "chi": nystrom_chi(result)}
+    rows = np.flatnonzero(result.mu >= MIN_MU)
+    if not rows.size:
+        raise OutOfRangeError(f"nystrom at c = {config.c:g} resolves no mode: mu_0 < {MIN_MU:g}")
+    columns = {"n": rows, "mu": result.mu[rows], "chi": nystrom_chi(result)[rows]}
     params = {"c": config.c, "nodes": result.rule.nodes.size, "oracle": "nystrom"}
     if config.fmt == "json":
         dump_json(table_to_dict(columns, params), config.out)

@@ -23,12 +23,14 @@ MAX_RULE_ORDER = 1_000_000
 # certifies them).  Every layer that reads it loads this module.
 CHECKED_MODES = 9
 # The Nystrom oracle's grid: at most MAX_NODES Gauss nodes, run at c <= MAX_C,
-# and the Nystrom eigenvectors beyond the mu ~ 1 cluster that its Ritz span
-# keeps.  They live here, not in ``nystrom``, so the CLI states them in its
-# help without loading the solver.
+# the Nystrom eigenvectors beyond the mu ~ 1 cluster that its Ritz span
+# keeps, and the smallest mu_n whose row the nystrom command writes (see
+# ``nystrom.nystrom_chi``).  They live here, not in ``nystrom``, so the CLI
+# states them in its help without loading the solver.
 MAX_NODES = 400
 MAX_C = 340.0
 RITZ_BUFFER = 24
+MIN_MU = 1e-10
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 

@@ -129,8 +129,12 @@ def nystrom_chi(result: NystromResult) -> np.ndarray:
     for c in [4, 12], 1.3e-13 up to c = 20, 1.4e-12 up to 80 and 2.5e-11 up
     to 340; that is at most 0.27 eps N^2 (N = default_truncation(c)), where
     eps N^2 is the rounding of an eigenvalue of T's N x N matrix, whose norm
-    is about N^2.  chi_8 is 5.3e-10 off at c = 3 and 7.9e-4 at c = 2
-    (mu_8 = 2.8e-14); at c <= 1 modes 6 to 8 are unresolved.
+    is about N^2.  Where mu_n nears rounding, chi_n is off: chi_8 by 5.3e-10
+    at c = 3 and 7.9e-4 at c = 2 (mu_8 = 2.8e-14), chi_6..chi_8 by 2e2 to
+    6.3e2 at c = 0.5.  On c = 0.25, 0.3, ..., 20 every chi_n with
+    mu_n >= ``legendre.MIN_MU`` = 1e-10 is within 3.3e-11 of the spectral
+    chi_n (mu_n in [1e-11, 1e-10): up to 4.6e-9; [1e-12, 1e-11): 1.4e-7),
+    so the nystrom command writes only those rows.
     """
     n_legendre = result.rule.nodes.size // 2
     y, v = half_rule(result.rule)

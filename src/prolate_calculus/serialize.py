@@ -23,11 +23,16 @@ The byte layout of every written file is frozen:
 - CSV has ``\r\n`` line ends, a header row, and floats formatted ``%.17g``
   (``nan``, ``inf``, ``-inf`` for non-finite values, ``-0`` for -0.0).
 
-The operator body is written from the array: ``operator_to_dict`` keeps it
-as a (dim², 2) float array of (re, im) pairs, and ``dump_json`` and
-``operator_to_csv`` write it a block of ``_BLOCK_ROWS`` pairs at a time.
+An operator comes as its two real parity blocks (``transforms.OperatorMatrix``),
+and the file holds the whole complex matrix they stand for.
+``operator_to_dict`` scatters the blocks into a (dim², 2) float array of
+(re, im) pairs: the even block into the real parts of the even-even
+entries, the odd block into the real or, for F_c's phase 1j, the imaginary
+parts of the odd-odd entries, and +0.0 into every other part, the entries
+of mixed parity included.  ``dump_json`` and ``operator_to_csv`` write it a
+block of ``_BLOCK_ROWS`` pairs at a time.
 Each distinct nonzero value is formatted once per file (``repr`` or
-``%.17g``): every operator but T is exactly symmetric, so about half of its
+``%.17g``): F_c and Q_c are exactly symmetric, so about half of their
 nonzero values repeat (1444 distinct of 2813 for F_c at c = 17.27, N = 75).
 Nonzero values that compare equal have equal bits, NaNs aside, which all
 format alike.  Only the nonzero values are deduplicated: most entries of an
@@ -67,18 +72,19 @@ def operator_to_dict(op: OperatorMatrix, params: dict) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "operator",
-        "params": dict(params, dim=len(op.entries)),
+        "params": dict(params, dim=op.n_dim),
         "data": _entry_pairs(op),
     }
 
 
 def _entry_pairs(op: OperatorMatrix) -> np.ndarray:
-    """The (re, im) pairs of the entries, row-major, as a (dim², 2) float array."""
-    flat = op.entries.ravel()
-    pairs = np.empty((flat.size, 2))
-    pairs[:, 0] = flat.real
-    pairs[:, 1] = flat.imag
-    return pairs
+    """The (re, im) pairs of the entries, row-major, as a (dim², 2) float
+    array: the blocks scattered to the entries of their parity, the odd one
+    into the imaginary parts when its phase is 1j, and +0.0 elsewhere."""
+    pairs = np.zeros((op.n_dim, op.n_dim, 2))
+    pairs[0::2, 0::2, 0] = op.even
+    pairs[1::2, 1::2, int(op.odd_phase == 1j)] = op.odd
+    return pairs.reshape(-1, 2)
 
 
 def table_to_dict(columns: dict, params: dict) -> dict:
@@ -180,7 +186,7 @@ def operator_to_csv(op: OperatorMatrix, path) -> None:
     # The rows csv.writer would write: indices and %.17g floats never need
     # quoting, and its line end is \r\n.
     pairs = _entry_pairs(op)
-    dim = len(op.entries)
+    dim = op.n_dim
     # "i," for each row and column index i, picked per entry by index.
     prefixes = np.array([f"{i}," for i in range(dim)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:

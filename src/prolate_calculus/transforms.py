@@ -23,22 +23,24 @@ own table, and each drift check runs in the order the operators or
 variants are named, so a shared pass gives the same bits and the same
 refusals as one pass per operator.
 
-F_c and Q_c are functions of the self-adjoint prolate operator T, so their
-matrices in the real orthonormal Legendre basis are symmetric and commute
-with the reflection x -> -x: entries of mixed parity are 0, and F_c, whose
-eigenvalue on psi_n is i^n lambda_n, is real on the even-even block and
-imaginary on the odd-odd one.  Both routes build their entries per parity
-block.  The direct one folds each kernel onto y >= 0 (``_resolved_matrices``).
-A reconstruction sums its modes per block, the even modes into the even-even
-block and the odd modes into the odd-odd one, each a real half-size
-product; of each mode's integral it keeps, after the drift check, the part
-the exact operator has (real, or imaginary for the odd modes of F_c).  The
-folded variant's integrals have no other part, since the reflected weight
-cancels it exactly, so only the full variant's entries move: they lose the
-quadrature's and rounding's part.  Mixed-parity entries are exactly +0.0.
-Both routes return their matrices exactly symmetric: after its drift
-check, each replaces the entries A by (A + A^T) / 2, the reconstruction
-block by block.  That removes rounding-level asymmetry only (max|A - A^T|
+F_c and Q_c are functions of the self-adjoint prolate operator T, which
+commutes with the reflection x -> -x, so each of the three is two real
+half-size blocks in the real orthonormal Legendre basis (``OperatorMatrix``):
+entries of mixed parity are 0, and F_c, whose eigenvalue on psi_n is
+i^n lambda_n, is a real block on the even degrees and i times a real block
+on the odd ones.  Every layer works on the blocks, and no complex N x N
+array is built.  The direct route folds each kernel onto y >= 0
+(``_resolved_matrices``): F_c's folded kernel sums are 2 Re and 2 Im of
+exp(icyy'), bit for bit the sums K + conj K and (K - conj K) / i, so each
+block is a real product.  A reconstruction sums its modes per block, the
+even modes into the even block and the odd modes into the odd one, each a
+real half-size product; of each mode's integral it keeps, after the drift
+check, the part the exact operator has (real, or imaginary for the odd
+modes of F_c).  The folded variant's integrals have no other part, since
+the reflected weight cancels it exactly, so only the full variant loses
+the quadrature's and rounding's part.  Both routes return exactly
+symmetric blocks: after its drift check, each replaces a block B by
+(B + B^T) / 2.  That removes rounding-level asymmetry only (max|B - B^T|
 was at most 5e-16 at the default N, at seven c from 0.5 to 20) and moves
 no refusal.
 """
@@ -60,55 +62,82 @@ _DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix of an operator in the orthonormal Legendre basis; its
-    dimension is that of the square ``entries``.  The transforms build F_c
-    and Q_c with ``entries`` exactly equal to ``entries.T``."""
+    """An operator that commutes with x -> -x, in the orthonormal Legendre
+    basis, as its two real parity blocks: ``even`` on the degrees 0, 2, ...
+    and ``odd`` on 1, 3, ...; the matrix is ``even`` on the even-even entries,
+    ``odd_phase`` times ``odd`` on the odd-odd ones and 0 elsewhere.
+    ``odd_phase`` is 1 for T and Q_c and 1j for F_c.  The transforms build F_c
+    and Q_c with each block exactly equal to its transpose."""
 
-    entries: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    odd_phase: complex = 1
+
+    @property
+    def n_dim(self) -> int:
+        return len(self.even) + len(self.odd)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The complex n_dim x n_dim matrix, assembled on each read, with +0.0
+        in every part the blocks do not set; for readers outside the library."""
+        entries = np.zeros((self.n_dim,) * 2, dtype=complex)
+        entries.real[0::2, 0::2] = self.even
+        (entries.imag if self.odd_phase == 1j else entries.real)[1::2, 1::2] = self.odd
+        return entries
+
+    def leading(self, size: int) -> OperatorMatrix:
+        """The operator on the Legendre degrees below ``size``."""
+        even, odd = (size + 1) // 2, size // 2
+        return OperatorMatrix(self.even[:even, :even], self.odd[:odd, :odd], self.odd_phase)
+
+    def norm(self) -> float:
+        """Frobenius norm, from the blocks': the phase has modulus 1."""
+        return float(np.hypot(np.linalg.norm(self.even), np.linalg.norm(self.odd)))
+
+    def __sub__(self, other: OperatorMatrix) -> OperatorMatrix:
+        """A - B, block by block, for two operators of one odd phase."""
+        return OperatorMatrix(self.even - other.even, self.odd - other.odd, self.odd_phase)
 
 
-def _fourier_fold(c: float):
-    """F_c's kernel exp(icyy') on the nodes y >= 0, with its value at -y'
-    taken as its conjugate instead of a second evaluation.
-
-    That is exact: the argument at -y' is the negated one, because a sign
-    change rounds to nothing, and the complex exp is even in its cosine and
-    odd in its sine.  The two arrays differ only where y y' = 0: there the
-    evaluation gives the imaginary part +0.0 and the conjugate -0.0.  Both
-    folds add or subtract that zero to K(y, y')'s own 0.0, which gives +0.0
-    either way, so the blocks are the same bits as with two evaluations.
+def _fourier_fold(c: float, y, t):
+    """F_c's kernel K = exp(icyy') folded onto the nodes y >= 0: the real
+    arrays 2 Re K and 2 Im K.  They are the sums K(y, y') + K(y, -y') and
+    (K(y, y') - K(y, -y')) / i bit for bit, since K(y, -y') is conj K (a
+    sign change rounds to nothing) and x + x = 2x exactly.
     """
-
-    def fold(y, t):
-        k_plus = np.exp(1j * c * y * t)
-        return k_plus, k_plus.conj()
-
-    return fold
+    kernel = np.exp(1j * c * y * t)
+    return 2.0 * kernel.real, 2.0 * kernel.imag
 
 
-def _sinc_fold(c: float):
-    """Q_c's kernel on the nodes y >= 0 and at -y', two evaluations."""
-    return lambda y, t: (sinc_kernel(c, y, t), sinc_kernel(c, y, -t))
+def _sinc_fold(c: float, y, t):
+    """Q_c's kernel folded onto the nodes y >= 0: K(y, y') +- K(y, -y')."""
+    k_plus, k_minus = sinc_kernel(c, y, t), sinc_kernel(c, y, -t)
+    return k_plus + k_minus, k_plus - k_minus
 
 
-# Operator name -> its kernel fold, as ``direct_operators`` names them.
-_FOLDS = {"Fc": _fourier_fold, "Qc": _sinc_fold}
+# Operator name -> its kernel fold and the phase of its odd block, as
+# ``direct_operators`` names them.
+_FOLDS = {"Fc": (_fourier_fold, 1j), "Qc": (_sinc_fold, 1)}
 
 
-def _resolved_matrices(folds, n_dim: int, q_order: int) -> list[np.ndarray]:
-    """Entries <Pbar_m, K Pbar_n> of each kernel K by tensor Gauss
-    quadrature, checked for under-resolution by order doubling: the rules
-    of q_order and 2 q_order points each give a matrix per kernel, from one
-    Legendre table over the nodes of both rules, and the finer one is
-    returned, exactly symmetrised.  The drift checks run in the order of
-    ``folds``, so the first kernel that drifts is the one refused.
+def _resolved_matrices(c: float, folds, n_dim: int, q_order: int) -> list[OperatorMatrix]:
+    """The operators <Pbar_m, K Pbar_n> of the kernels K at bandwidth c by
+    tensor Gauss quadrature, checked for under-resolution by order doubling:
+    the rules of q_order and 2 q_order points each give the parity blocks
+    per kernel, from one Legendre table over the nodes of both rules, and
+    the finer ones are returned, each exactly symmetrised.  The drift checks
+    run in the order of ``folds``, so the first kernel that drifts is the
+    one refused; a drift is the largest over both blocks, as the entries of
+    mixed parity are exact zeros on both rules.
 
     Each kernel must satisfy K(-x, -t) = K(x, t), so its operator commutes
-    with x -> -x, and comes as its fold: fold(y, y') returns K(y, y') and
-    K(y, -y') on the rule's nodes y >= 0.  The sum is folded onto those
-    nodes: the even-even block is 2 A_e (K(y, y) + K(y, -y)) A_e^T and the
-    odd-odd block 2 A_o (K(y, y) - K(y, -y)) A_o^T, with A the weighted
-    Legendre rows of that parity.  Entries with m + n odd are exactly 0.
+    with x -> -x, and comes as (fold, p), p the odd block's phase:
+    fold(c, y, y') returns the real arrays K(y, y') + K(y, -y') and
+    (K(y, y') - K(y, -y')) / p on the rule's nodes y >= 0.  The even block
+    is 2 A_e (K(y, y) + K(y, -y)) A_e^T and the odd block
+    2 A_o (K(y, y) - K(y, -y)) A_o^T / p, with A the weighted Legendre rows
+    of that parity.
     """
     halves = [half_rule(gauss_legendre_rule(q)) for q in (q_order, 2 * q_order)]
     table = legendre_table(n_dim - 1, np.concatenate([y for y, _ in halves]))
@@ -117,39 +146,35 @@ def _resolved_matrices(folds, n_dim: int, q_order: int) -> list[np.ndarray]:
     for y, v in halves:
         pw = table[:, end : end + y.size] * v
         end += y.size
-        per_rule.append([_folded_entries(fold, y, pw) for fold in folds])
+        per_rule.append([_folded_blocks(fold(c, y[:, None], y[None, :]), pw) for fold, _ in folds])
     # Free the table before the drift check allocates its own arrays, which
     # can then reuse its memory; held, the rules' arrays slow F_c.
     del table, pw
     resolved = []
-    for coarse, fine in zip(*per_rule):
-        drift = float(np.max(np.abs(fine - coarse)))
+    for (_, phase), coarse, fine in zip(folds, *per_rule):
+        drift = float(np.max([np.max(np.abs(f - g), initial=0.0) for f, g in zip(fine, coarse)]))
         if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
             raise QuadratureUnresolvedError(
                 f"entries drift by {drift:.3e} when doubling q_order={q_order}"
             )
-        resolved.append(_symmetrised(fine))
+        resolved.append(OperatorMatrix(*map(_symmetrised, fine), phase))
     return resolved
 
 
-def _folded_entries(fold, y: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """One kernel's matrix on one rule: ``fold`` on the nodes y >= 0 and the
-    weighted Legendre rows ``pw`` there.  The kernel's arrays are freed on
-    return, before the next kernel is evaluated."""
-    k_plus, k_minus = fold(y[:, None], y[None, :])
+def _folded_blocks(kernels, pw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One kernel's (even, odd) blocks on one rule: real products of its
+    folded ``kernels`` on the nodes y >= 0 and the weighted Legendre rows
+    ``pw`` there.  The kernels are freed on return, before the next kernel
+    is evaluated."""
+    k_even, k_odd = kernels
     even, odd = pw[0::2], pw[1::2]
-    block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
-    block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
-    entries = np.zeros((pw.shape[0],) * 2, dtype=np.result_type(block_even, block_odd))
-    entries[0::2, 0::2] = block_even
-    entries[1::2, 1::2] = block_odd
-    return entries
+    return 2.0 * (even @ k_even @ even.T), 2.0 * (odd @ k_odd @ odd.T)
 
 
-def _symmetrised(entries: np.ndarray) -> np.ndarray:
-    """(A + A^T) / 2: exactly symmetric, since a + b and b + a are the same
+def _symmetrised(block: np.ndarray) -> np.ndarray:
+    """(B + B^T) / 2: exactly symmetric, since a + b and b + a are the same
     bits, and each entry that already equals its mirror keeps its bits."""
-    return 0.5 * (entries + entries.T)
+    return 0.5 * (block + block.T)
 
 
 def _q_order(c: float, n_dim: int) -> int:
@@ -162,19 +187,16 @@ def _q_order(c: float, n_dim: int) -> int:
 def direct_operators(c: float, n_dim: int, names: tuple[str, ...]) -> list[OperatorMatrix]:
     """The direct operators ``names`` ("Fc" for F_c, "Qc" for Q_c) at one
     (c, n_dim), in that order, from one pass: one rule pair and one Legendre
-    table serve them all, and their drift checks run in that order.  Q_c's
-    real entries are returned as complex.
+    table serve them all, and their drift checks run in that order.
     """
-    folds = [_FOLDS[name](c) for name in names]
-    matrices = _resolved_matrices(folds, n_dim, _q_order(c, n_dim))
-    return [OperatorMatrix(entries.astype(complex, copy=False)) for entries in matrices]
+    return _resolved_matrices(c, [_FOLDS[name] for name in names], n_dim, _q_order(c, n_dim))
 
 
 def finite_fourier_direct(c: float, n_dim: int) -> OperatorMatrix:
     """Matrix of phi -> integral exp(icxt) phi(t) dt by tensor quadrature.
 
-    Entries with m+n odd are exactly 0; the even-even block is real and the
-    odd-odd block purely imaginary (the cos and sin parts of the kernel).
+    Entries with m+n odd are exactly 0; the even block is real and the odd
+    block purely imaginary (the cos and sin parts of the kernel).
     """
     return direct_operators(c, n_dim, ("Fc",))[0]
 
@@ -204,9 +226,9 @@ def _sinc_weights(c: float, nodes: np.ndarray):
     return sinc_kernel(c, nodes, 0.0) + 0j, sinc_kernel(c, 2.0, nodes) + 0j
 
 
-# Operator name -> (its xi weights, whether its odd modes' integrals are
-# imaginary): F_c's eigenvalue on psi_n is i^n lambda_n, Q_c's mu_n is real.
-_WEIGHTS = {"Fc": (_fourier_weights, True), "Qc": (_sinc_weights, False)}
+# Operator name -> (its xi weights, its odd phase): F_c's eigenvalue on psi_n
+# is i^n lambda_n, Q_c's mu_n is real.
+_WEIGHTS = {"Fc": (_fourier_weights, 1j), "Qc": (_sinc_weights, 1)}
 
 
 def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weights, ratios) -> np.ndarray:
@@ -226,30 +248,22 @@ def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weight
     return values
 
 
-def _parity_assembled(psi: np.ndarray, values: np.ndarray, odd_imaginary: bool) -> np.ndarray:
+def _parity_assembled(psi: np.ndarray, values: np.ndarray, odd_phase: complex) -> OperatorMatrix:
     """sum_n values_n psi_n psi_n^T, one real product per parity block.
 
-    Mode n has parity n, so even modes fill the even-even block and odd
-    modes the odd-odd block, and the entries of mixed parity are exactly
-    +0.0.  Even modes keep the real part of their value; odd modes keep the
-    imaginary part when ``odd_imaginary`` (F_c, whose eigenvalue on psi_n is
-    i^n lambda_n) and the real part otherwise (Q_c).  Each block is
+    Mode n has parity n, so even modes fill the even block and odd modes the
+    odd block.  Even modes keep the real part of their value; odd modes keep
+    the imaginary part when ``odd_phase`` is 1j (F_c, whose eigenvalue on
+    psi_n is i^n lambda_n) and the real part otherwise (Q_c).  Each block is
     symmetrised on its own.
     """
-    n_dim = values.size
-    entries = np.zeros((n_dim, n_dim), dtype=complex)
     even, odd = psi[0::2, 0::2], psi[1::2, 1::2]
-    entries.real[0::2, 0::2] = _symmetrised((even * values[0::2].real) @ even.T)
-    part = values[1::2].imag if odd_imaginary else values[1::2].real
-    block = _symmetrised((odd * part) @ odd.T)
-    if odd_imaginary:
-        entries.imag[1::2, 1::2] = block
-    else:
-        entries.real[1::2, 1::2] = block
-    return entries
+    part = values[1::2].imag if odd_phase == 1j else values[1::2].real
+    blocks = ((even * values[0::2].real) @ even.T, (odd * part) @ odd.T)
+    return OperatorMatrix(*map(_symmetrised, blocks), odd_phase)
 
 
-def _reconstruct(basis, variants, q_xi, weights_on, odd_imaginary):
+def _reconstruct(basis, variants, q_xi, weights_on, odd_phase):
     """Generator of the mode-wise reconstructions of ``variants``, in turn,
     each with an xi-doubling drift check.
 
@@ -258,10 +272,10 @@ def _reconstruct(basis, variants, q_xi, weights_on, odd_imaginary):
     folded variant lie on [0, 1] and those of the full one on [0, 2].  A
     variant's drift is checked when it is reached, on the certified modes,
     so a caller can do other work between two variants and meet the
-    refusals in its own order.  Its entries are then assembled by parity
-    block from the coarse rule's integrals (``_parity_assembled``); the
-    part of each integral that the block drops is the quadrature's and
-    rounding's, since the exact integral of mode n is i^n lambda_n or mu_n.
+    refusals in its own order.  Its two blocks are then assembled from the
+    coarse rule's integrals (``_parity_assembled``); the part of each
+    integral that a block drops is the quadrature's and rounding's, since
+    the exact integral of mode n is i^n lambda_n or mu_n.
     """
     for variant in variants:
         if variant not in ("full", "folded"):
@@ -281,7 +295,7 @@ def _reconstruct(basis, variants, q_xi, weights_on, odd_imaginary):
             raise XiQuadratureUnresolvedError(
                 f"mode integrals drift by {drift:.3e} when doubling q_xi={q_xi}"
             )
-        yield OperatorMatrix(_parity_assembled(basis.psi_coeffs, coarse, odd_imaginary))
+        yield _parity_assembled(basis.psi_coeffs, coarse, odd_phase)
 
 
 def reconstructions(basis: ProlateBasis, name: str, variants: tuple[str, ...]):
@@ -312,16 +326,14 @@ def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMa
 
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:
-    """|| (AB - BA) ||_F / (||A||_F ||B||_F) on the leading block."""
-    if a.entries.shape != b.entries.shape:
+    """|| (AB - BA) ||_F / (||A||_F ||B||_F) on the leading block, from the
+    commutators of the parity blocks."""
+    if a.n_dim != b.n_dim:
         raise DomainError("operators must share a dimension")
-    if not 1 <= block <= len(a.entries):
-        raise DomainError(f"block must lie in 1..{len(a.entries)}")
-    comm = a.entries @ b.entries - b.entries @ a.entries
-    num = np.linalg.norm(comm[:block, :block])
-    den = np.linalg.norm(a.entries[:block, :block]) * np.linalg.norm(
-        b.entries[:block, :block]
-    )
+    if not 1 <= block <= a.n_dim:
+        raise DomainError(f"block must lie in 1..{a.n_dim}")
+    comm = OperatorMatrix(*(x @ y - y @ x for x, y in ((a.even, b.even), (a.odd, b.odd))))
+    den = a.leading(block).norm() * b.leading(block).norm()
     if den == 0:
         raise DomainError("an operator has norm 0 on the block; the relative commutator is undefined")
-    return float(num / den)
+    return comm.leading(block).norm() / den

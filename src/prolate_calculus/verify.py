@@ -5,7 +5,10 @@ checks and returns a VerificationReport.  Each check passes when its measured
 value is at most its tolerance, so the JSON artifact is self-describing.
 A suite builds every operator it needs at one (c, N) in one pass per route
 (``transforms.direct_operators``, ``transforms.reconstructions``), with its
-quadrature refusals in the order its docstring states.
+quadrature refusals in the order its docstring states.  Operators are
+compared on their real parity blocks (``transforms.OperatorMatrix``): a
+Frobenius norm combines the blocks' norms, and mode n, of parity n, is read
+off the block of its parity.
 """
 
 from __future__ import annotations
@@ -151,21 +154,27 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     recon = next(variants)
     direct = finite_fourier_direct(config.c, n_dim)
     block = n_dim // 2
-    rel = np.linalg.norm(
-        (recon.entries - direct.entries)[:block, :block]
-    ) / np.linalg.norm(direct.entries[:block, :block])
+    rel = (recon - direct).leading(block).norm() / direct.leading(block).norm()
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
     # <psi_n, R psi_n> on the reconstruction R is its xi integral on mode n.
     n = np.arange(CHECKED_MODES)
-    psi = basis.psi_coeffs[:, n]
-    worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - (1j) ** n * basis.lambdas[n]))
+    worst = np.max(np.abs(_mode_values(recon, basis.psi_coeffs[:, n]) - (1j) ** n * basis.lambdas[n]))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
     other = next(variants)
-    diff = np.linalg.norm((recon.entries - other.entries)[:block, :block])
-    rep.add("full vs folded variants", diff, _RECON_TOL)
+    rep.add("full vs folded variants", (recon - other).leading(block).norm(), _RECON_TOL)
     return rep
+
+
+def _mode_values(op, psi: np.ndarray) -> np.ndarray:
+    """<psi_n, A psi_n> for each column psi_n of ``psi``, mode n of parity n,
+    from the block of its parity."""
+    values = np.empty(psi.shape[1], dtype=complex)
+    for parity, block, phase in ((0, op.even, 1), (1, op.odd, op.odd_phase)):
+        modes = psi[parity::2, parity::2]
+        values[parity::2] = phase * np.einsum("ij,ij->j", modes, block @ modes)
+    return values
 
 
 def _suite_sinc(config: RunConfig) -> VerificationReport:
@@ -174,7 +183,7 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     Direct Q_c and F_c come from one pass; refusals come in the order the
     reconstruction's xi quadrature, Q_c's quadrature, F_c's."""
     from .prolate import solve_prolate
-    from .transforms import direct_operators, reconstruct_sinc
+    from .transforms import OperatorMatrix, direct_operators, reconstruct_sinc
 
     rep = _report("sinc", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
@@ -183,21 +192,21 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     direct, fourier = direct_operators(config.c, n_dim, ("Qc", "Fc"))
     block = n_dim // 2
     # Q_0 = 0, and for c below ~1e-160 the norm of Q_c underflows to 0.
-    reference = np.linalg.norm(direct.entries[:block, :block])
+    reference = direct.leading(block).norm()
     if reference == 0:
         raise DomainError(f"Q_c has norm 0 at c = {config.c:g}; its relative error is undefined")
-    rel = np.linalg.norm((recon.entries - direct.entries)[:block, :block]) / reference
+    rel = (recon - direct).leading(block).norm() / reference
     rep.add(f"{config.variant} reconstruction vs direct (block {block})", rel, _RECON_TOL)
 
     mu = basis.mus[:CHECKED_MODES]
-    psi = basis.psi_coeffs[:, :CHECKED_MODES]
-    worst = np.max(np.abs(np.diag(psi.T @ recon.entries @ psi) - mu))
+    worst = np.max(np.abs(_mode_values(recon, basis.psi_coeffs[:, :CHECKED_MODES]) - mu))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
-    fact = np.linalg.norm(
-        (config.c / (2 * np.pi)) * fourier.entries.conj().T @ fourier.entries
-        - direct.entries
-    )
+    # F_c is E on the even degrees and i O on the odd ones, so F_c* F_c is
+    # E^T E and O^T O.
+    scale = config.c / (2 * np.pi)
+    pairs = ((fourier.even, direct.even), (fourier.odd, direct.odd))
+    fact = OperatorMatrix(*(scale * f.T @ f - q for f, q in pairs)).norm()
     rep.add("factorization (c/2pi) F*F = Q", fact, 1e-9)
 
     rep.add("mu strictly decreasing", float(np.max(np.diff(mu))), 0.0)
@@ -222,7 +231,7 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
     for cc in (c / 2, c):
         approx = small_c_operator(cc, n_dim)
         direct = finite_fourier_direct(cc, n_dim)
-        errs[cc] = np.linalg.norm(approx.entries - direct.entries)
+        errs[cc] = (approx - direct).norm()
     ratio = errs[c / 2] / errs[c]
     rep.add("error ratio at c/2 vs c (target 1/4)", abs(ratio - 0.25), 0.08)
     return rep
@@ -282,18 +291,18 @@ def _suite_limits_large(config: RunConfig) -> VerificationReport:
 
 
 def _suite_commutation(config: RunConfig) -> VerificationReport:
-    """[T, F_c] and [T, Q_c] on the leading block, with direct F_c and Q_c
-    from one pass (F_c's quadrature checked first)."""
-    from .prolate import assemble_heun_matrix
+    """[T, F_c] and [T, Q_c] on the leading block, block by block: T as its
+    two tridiagonal parity blocks, and direct F_c and Q_c from one pass
+    (F_c's quadrature checked first)."""
+    from .prolate import assemble_heun_matrix, parity_block
     from .transforms import OperatorMatrix, commutator_report, direct_operators
 
     rep = _report("commutation", config)
     tol = 1e-8
     n_dim = config.n_dim
     block = n_dim // 2
-    # T as a complex matrix: with the real one the products round
-    # differently, and the records move in their last bit (at c = 4, 18.1, 40).
-    t_op = OperatorMatrix(assemble_heun_matrix(config.c, n_dim).to_dense().astype(complex))
+    bands = assemble_heun_matrix(config.c, n_dim).bands
+    t_op = OperatorMatrix(parity_block(bands, 0), parity_block(bands, 1))
     fourier, sinc = direct_operators(config.c, n_dim, ("Fc", "Qc"))
     rep.add("[T, F_c] relative commutator", commutator_report(t_op, fourier, block), tol)
     rep.add("[T, Q_c] relative commutator", commutator_report(t_op, sinc, block), tol)

@@ -63,8 +63,9 @@ def rng():
 
 @pytest.fixture(scope="session")
 def reflect():
-    """R: x -> -x as an operator builder; diagonal (-1)^n on the Legendre basis."""
-    return lambda n_dim: OperatorMatrix(np.diag((-1.0 + 0j) ** np.arange(n_dim)))
+    """R: x -> -x as an operator builder; diagonal (-1)^n on the Legendre
+    basis, so its blocks are I and -I."""
+    return lambda n_dim: OperatorMatrix(np.eye((n_dim + 1) // 2), -np.eye(n_dim // 2))
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -29,7 +30,8 @@ from prolate_calculus import (
     transforms,
 )
 from prolate_calculus.asymptotics import _small_c_terms
-from prolate_calculus.legendre import MAX_C, _build_rule
+from prolate_calculus.legendre import MAX_C, MIN_MU, _build_rule
+from prolate_calculus.nystrom import nystrom_chi, nystrom_sinc_eigen
 from prolate_calculus.verify import SUITES, VerificationReport
 
 
@@ -148,12 +150,38 @@ class TestExitCodes:
         assert captured.err == f"error[error]: {argv[0]} requires --out\n"
         assert captured.out == ""
 
-    def test_default_nystrom_writes_modes_0_to_8(self, tmp_path):
+    def test_default_nystrom_writes_the_modes_it_resolves(self, tmp_path):
+        # At c = 1, mu_5 = 9.5e-11 is the first below MIN_MU = 1e-10.
         out = tmp_path / "ny.json"
         assert cli.main(["nystrom", "--out", str(out)]) == 0
         payload = _load_json(out)
         assert payload["params"] == {"c": 1.0, "nodes": 128, "oracle": "nystrom"}
-        assert payload["data"]["n"] == list(range(9))
+        assert payload["data"]["n"] == list(range(5))
+
+    @pytest.mark.parametrize("c, rows", [("0.25", 4), ("0.5", 4), ("1", 5), ("2", 7), ("20", 9)])
+    def test_nystrom_writes_only_the_rows_whose_mu_is_resolved(self, c, rows, tmp_path, capsys):
+        # Each written chi_n is within 1e-8 of the spectral chi_n; below
+        # c = 20 the Nystrom chi_n of the dropped rows are not (up to 6.3e2
+        # off at c = 0.5, 7.9e-4 at c = 2).
+        out = tmp_path / "ny.json"
+        assert cli.main(["nystrom", "--c", c, "--out", str(out)]) == 0
+        capsys.readouterr()
+        data = _load_json(out)["data"]
+        result = nystrom_sinc_eigen(float(c))
+        assert data["n"] == list(range(rows)) == np.flatnonzero(result.mu >= MIN_MU).tolist()
+        assert data["mu"] == result.mu[:rows].tolist()
+        spectral = solve_prolate(float(c)).chi[:9]
+        assert np.max(np.abs(np.array(data["chi"]) - spectral[:rows])) <= 1e-8
+        if rows < 9:
+            assert np.max(np.abs(nystrom_chi(result) - spectral)) > 1e-8
+
+    def test_nystrom_refuses_a_c_that_resolves_no_mode(self, tmp_path, capsys):
+        out = tmp_path / "ny.json"
+        assert cli.main(["nystrom", "--c", "1e-11", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error[out-of-range]: nystrom at c = 1e-11 resolves no mode: mu_0 < 1e-10\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_nystrom_refuses_a_c_above_its_grid_before_any_work(self, monkeypatch, capsys, tmp_path):
         def no_work(*args, **kwargs):
@@ -643,6 +671,40 @@ class TestExportOperator:
         )
         assert proc.returncode == 0
         assert out.read_text().splitlines()[0] == "row,col,re,im"
+
+
+# Each verify suite at a c it runs at, and each exported operator in both
+# formats (the reconstructed ones in both variants), with its exit code.
+_BLOCK_ONLY_RUNS = [
+    *[(("verify", "--suite", suite, "--c", {"limits-small": "0.05", "limits-large": "4"}.get(suite, "1")),
+       1 if suite == "limits-large" else 0) for suite in SUITES],
+    *[(("export-operator", which, "--c", "1", "--variant", variant, "--format", fmt), 0)
+      for which in cli.OPERATOR_NAMES for variant in ("folded", "full") for fmt in ("json", "csv")
+      if variant == "folded" or which in cli.RECONSTRUCTED],
+]
+
+
+def test_no_command_reads_the_assembled_matrix(monkeypatch, tmp_path):
+    # The library works on parity blocks only: with OperatorMatrix.entries
+    # raising, every run ends with its usual exit code, output and file.
+    def outcomes():
+        results = []
+        for argv, _ in _BLOCK_ONLY_RUNS:
+            out = tmp_path / "out"
+            out.unlink(missing_ok=True)
+            code, stdout, stderr = _main_in_process([*argv, "--out", str(out)])
+            stdout = re.sub(r"checks, [0-9.]+s\)", "checks)", stdout)
+            results.append((code, stdout, stderr, out.read_bytes()))
+        return results
+
+    usual = outcomes()
+    assert [code for code, *_ in usual] == [code for _, code in _BLOCK_ONLY_RUNS]
+
+    def assembled(op):
+        raise AssertionError("the library read OperatorMatrix.entries")
+
+    monkeypatch.setattr(transforms.OperatorMatrix, "entries", property(assembled))
+    assert outcomes() == usual
 
 
 def _read_operator_json(path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prolate_calculus import OperatorMatrix, assemble_heun_matrix, default_truncation
+from prolate_calculus.prolate import parity_block
 from prolate_calculus.serialize import (
     _BLOCK_ROWS,
     SCHEMA,
@@ -20,8 +21,7 @@ from prolate_calculus.serialize import (
 
 @pytest.fixture
 def random_operator(rng):
-    entries = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    return OperatorMatrix(entries)
+    return OperatorMatrix(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), 1j)
 
 
 def _reread(path):
@@ -80,7 +80,8 @@ class TestTables:
 
 
 # The writers as they were before the operator body was formatted from the
-# array: the byte-identity oracle for ``dump_json`` and ``operator_to_csv``.
+# array: the byte-identity oracle for ``dump_json`` and ``operator_to_csv``,
+# writing from the complex matrix the blocks assemble to.
 def _oracle_json(op, params):
     payload = {
         "schema": SCHEMA,
@@ -92,12 +93,13 @@ def _oracle_json(op, params):
 
 
 def _oracle_csv(op):
+    entries = op.entries
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["row", "col", "re", "im"])
-    for i in range(len(op.entries)):
-        for j in range(len(op.entries)):
-            z = op.entries[i, j]
+    for i in range(len(entries)):
+        for j in range(len(entries)):
+            z = entries[i, j]
             writer.writerow([i, j, "%.17g" % z.real, "%.17g" % z.imag])
     return buf.getvalue().encode()
 
@@ -109,57 +111,52 @@ _EDGE_FLOATS = [
 _entries = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
 
 
-def _operator(re, im):
-    # Set the parts directly: re + 1j*im would turn inf into NaN and -0.0 into 0.0.
-    entries = np.empty(re.shape, dtype=complex)
-    entries.real, entries.imag = re, im
-    return OperatorMatrix(entries)
-
-
-def _mirrored(parts):
-    """The matrices with each entry below the diagonal a copy of its mirror."""
-    below = np.tril_indices(parts.shape[-1], -1)
-    parts[..., below[0], below[1]] = parts[..., below[1], below[0]]
-    return parts
+def _mirrored(block):
+    """The block with each entry below the diagonal a copy of its mirror."""
+    below = np.tril_indices(block.shape[-1], -1)
+    block[below[0], below[1]] = block[below[1], below[0]]
+    return block
 
 
 @st.composite
 def _operators(draw):
+    """Parity-block operators of dimension 1 to 9, of either odd phase, with
+    edge values anywhere in the blocks."""
     dim = draw(st.integers(1, 9))
-    parts = np.array(draw(st.lists(_entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
-    re, im = parts.reshape(2, dim, dim)
-    if draw(st.booleans()):  # symmetric, as every exported operator but T is
-        re, im = _mirrored(re), _mirrored(im)
-    if draw(st.booleans()):
-        return OperatorMatrix(re)  # a real matrix, as export-operator T writes
-    return _operator(re, im)
+    blocks = []
+    for size in ((dim + 1) // 2, dim // 2):
+        values = draw(st.lists(_entries, min_size=size * size, max_size=size * size))
+        blocks.append(np.array(values, dtype=float).reshape(size, size))
+    if draw(st.booleans()):  # symmetric, as every exported operator is
+        blocks = [_mirrored(block) for block in blocks]
+    return OperatorMatrix(*blocks, draw(st.sampled_from([1, 1j])))
 
 
-_SPECIAL_OP = _operator(
-    np.array(_EDGE_FLOATS + [2.5, -1.0, 3.0, 0.1]).reshape(4, 4),
-    np.array(_EDGE_FLOATS[::-1] + [7.0, -0.0, 1e300, -1e-300]).reshape(4, 4),
+_SPECIAL_OP = OperatorMatrix(
+    np.array(_EDGE_FLOATS[:9]).reshape(3, 3),
+    np.array(_EDGE_FLOATS[9:] + [2.5, -1.0, 3.0, 0.1, 7.0, 1e300]).reshape(3, 3),
+    1j,
 )
 
 # More entries than one write block holds, with edge values on both sides of
-# the block boundary.
+# the block boundary: pair 511 is in the odd block and pair 512 in the even one.
 _rng = np.random.default_rng(7)
-_TWO_BLOCK_OP = _operator(_rng.standard_normal((25, 25)), _rng.standard_normal((25, 25)) * 1e-17)
-_TWO_BLOCK_OP.entries.ravel()[[0, 511, 512, 624]] = [
-    complex(-0.0, 1e16), float("nan"), complex(5e-324, -np.inf), np.inf,
-]
+_TWO_BLOCK_OP = OperatorMatrix(_rng.standard_normal((16, 16)), _rng.standard_normal((16, 16)) * 1e-17, 1j)
+_TWO_BLOCK_OP.even[[0, 8, 15], [0, 0, 15]] = [-0.0, 5e-324, np.inf]
+_TWO_BLOCK_OP.odd[[7, 15], [15, 15]] = [float("nan"), -np.inf]
 
-# Symmetric, with each value on several entries.
-_REPEATED_OP = _operator(
-    _mirrored(np.resize([0.1, -2.5, 1e300, 0.1, 5e-324, -0.0], (6, 6))),
-    _mirrored(np.resize([3.0, 0.0, 0.1, -2.5, float("inf")], (6, 6))),
+# Symmetric, with each value on several entries of both blocks.
+_REPEATED_OP = OperatorMatrix(
+    _mirrored(np.resize([0.1, -2.5, 1e300, 0.1, 5e-324, -0.0], (3, 3))),
+    _mirrored(np.resize([3.0, 0.0, 0.1, -2.5, float("inf")], (3, 3))),
 )
 # Mirror pairs equal but for the sign of a zero ...
-_SIGNED_ZERO_OP = _operator(np.array([[1.0, 0.0], [-0.0, 1.0]]), np.array([[-0.0, 2.0], [2.0, 0.0]]))
+_SIGNED_ZERO_OP = OperatorMatrix(np.array([[1.0, 0.0], [-0.0, 1.0]]), np.array([[-0.0, 2.0], [2.0, 0.0]]), 1j)
 # ... or NaNs with different payloads (and signs).
-_NAN_PAYLOAD_OP = _operator(
+_NAN_PAYLOAD_OP = OperatorMatrix(
     np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000000],
              dtype=np.uint64).view(float).reshape(2, 2),
-    np.zeros((2, 2)),
+    np.array([[0xFFF8000000000003]], dtype=np.uint64).view(float),
 )
 
 
@@ -180,14 +177,14 @@ class TestByteLayout:
     @example(op=_NAN_PAYLOAD_OP, c=4.0)
     @given(op=_operators(), c=st.floats(allow_nan=False))
     def test_operator_files_match_oracle(self, op, c, tmp_path):
-        params = {"c": c, "N": len(op.entries), "which": "T", "variant": "folded"}
+        params = {"c": c, "N": op.n_dim, "which": "T", "variant": "folded"}
         json_path, csv_path = tmp_path / "op.json", tmp_path / "op.csv"
         dump_json(operator_to_dict(op, params), json_path)
         operator_to_csv(op, csv_path)
         assert json_path.read_bytes() == _oracle_json(op, params)
         assert csv_path.read_bytes() == _oracle_csv(op)
-        # A real matrix re-reads with +0.0 imaginary parts.
-        expected = op.entries.astype(complex).view(float)
+        # Every part the blocks do not set re-reads as +0.0.
+        expected = op.entries.view(float)
         loaded = _reread(json_path).view(float)
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(loaded), nan)
@@ -203,7 +200,8 @@ class TestByteLayout:
         assert n_dim == 75 and len(starts) == 11
         assert sum(start % n_dim != 0 for start in starts) == 10
         if which == "T":
-            op = OperatorMatrix(assemble_heun_matrix(c, n_dim).to_dense())
+            bands = assemble_heun_matrix(c, n_dim).bands
+            op = OperatorMatrix(parity_block(bands, 0), parity_block(bands, 1))
         else:
             op = {"Fc": ops.fourier, "Qc": ops.sinc}[which](c, n_dim)
         params = {"c": c, "N": n_dim, "which": which}
@@ -220,4 +218,4 @@ class TestByteLayout:
         for token in ("NaN", "Infinity", "-Infinity", "-0.0", "5e-324", "1e-05", "0.0001", "1e+16"):
             assert f"   {token}," in text or f"   {token}\n" in text
         operator_to_csv(_SPECIAL_OP, path)
-        assert path.read_bytes().count(b"\r\n") == 17
+        assert path.read_bytes().count(b"\r\n") == 37

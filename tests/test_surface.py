@@ -86,6 +86,12 @@ def test_export_table_resolves_each_name_in_its_module():
         from prolate_calculus import no_such_name  # noqa: F401
 
 
+# Members kept only for ``perfbench/bench_jobs.check_operator``, which reads
+# the whole matrix of an exported operator and of T, and which a code change
+# does not edit (ROADMAP item 14).  The package itself works on parity blocks.
+BENCHMARK_ONLY = {"legendre.py:BandedSymMatrix.to_dense", "transforms.py:OperatorMatrix.entries"}
+
+
 def test_every_public_method_is_loaded_by_the_package():
     # By name, as for the exports: a method or property counts as used when
     # some module loads an attribute of that name.
@@ -96,10 +102,23 @@ def test_every_public_method_is_loaded_by_the_package():
         if isinstance(cls, ast.ClassDef)
         for item in cls.body
         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-    }
+    } - BENCHMARK_ONLY
     loaded = _loaded_names()
     unused = sorted(name for name in defined if name.rsplit(".", 1)[1] not in loaded)
     assert not unused, f"public methods the package never calls: {unused}"
+
+
+def test_benchmark_only_members_are_read_by_the_benchmark_alone():
+    names = {name.rsplit(".", 1)[1] for name in BENCHMARK_ONLY}
+    read = {
+        node.attr
+        for _, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert not names & read
+    bench = (PACKAGE.parents[1] / "perfbench" / "bench_jobs.py").read_text(encoding="utf-8")
+    assert all(f".{name}" in bench for name in names)
 
 
 # Each command's argument slots: its positionals by dest, its options by flag.

@@ -24,7 +24,7 @@ from prolate_calculus import (
 import prolate_calculus.transforms
 import prolate_calculus.ucalc
 from prolate_calculus.legendre import default_truncation, half_rule
-from prolate_calculus.prolate import sinc_kernel
+from prolate_calculus.prolate import parity_block, sinc_kernel
 from prolate_calculus.transforms import (
     _FOLDS,
     _default_q_xi,
@@ -58,10 +58,10 @@ def _kernels(c):
 
 
 def _resolved(c, n_dim, q_order, names=("Fc", "Qc")):
-    """Name -> the matrix ``_resolved_matrices`` returns for it, all of
-    ``names`` from one pass."""
-    matrices = _resolved_matrices([_FOLDS[name](c) for name in names], n_dim, q_order)
-    return dict(zip(names, matrices, strict=True))
+    """Name -> the complex matrix of the operator ``_resolved_matrices``
+    returns for it, all of ``names`` from one pass."""
+    operators = _resolved_matrices(c, [_FOLDS[name] for name in names], n_dim, q_order)
+    return {name: op.entries for name, op in zip(names, operators, strict=True)}
 
 
 class TestFoldedQuadrature:
@@ -97,7 +97,7 @@ class TestFoldedQuadrature:
         # Mixed-parity entries are exactly 0, the even-even block of F_c is
         # real and its odd-odd block imaginary, and R commutes with both
         # operators exactly, at the drift check's orders (q, 2q) and
-        # (q + 1, 2q + 2).
+        # (q + 1, 2q + 2); each block is exactly symmetric and real.
         n_dim = 40
         q_order = _q_order(c, n_dim) + extra
         m, n = np.meshgrid(np.arange(n_dim), np.arange(n_dim), indexing="ij")
@@ -106,10 +106,11 @@ class TestFoldedQuadrature:
         odd = (m % 2 == 1) & (n % 2 == 1)
         refl = reflect(n_dim).entries
         matrices = _resolved(c, n_dim, q_order)
-        matrices["Fc direct"] = finite_fourier_direct(c, n_dim).entries
-        matrices["Qc direct"] = sinc_kernel_direct(c, n_dim).entries
+        for name, op in (("Fc direct", finite_fourier_direct(c, n_dim)), ("Qc direct", sinc_kernel_direct(c, n_dim))):
+            for block in (op.even, op.odd):
+                assert block.dtype == float and np.array_equal(block, block.T), name
+            matrices[name] = op.entries
         for name, entries in matrices.items():
-            entries = entries.astype(complex)
             assert np.all(entries[mixed] == 0), name
             assert np.array_equal(refl @ entries @ refl, entries), name
             if name.startswith("Fc"):
@@ -280,19 +281,19 @@ class TestReconstructions:
     def test_unresolved_xi_quadrature_raises(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(XiQuadratureUnresolvedError):
-            next(_reconstruct(basis, ("folded",), 6, _fourier_weights, True))
+            next(_reconstruct(basis, ("folded",), 6, _fourier_weights, 1j))
 
     def test_each_variant_is_checked_when_it_is_reached(self, ops):
         # At c = 1, N = 64 and q_xi = 16 the folded rules resolve the mode
         # integrals and the full ones, on twice the interval, do not: the
         # folded operator comes out before the full one refuses.
         basis = ops.basis(1.0, 64)
-        variants = _reconstruct(basis, ("folded", "full"), 16, _fourier_weights, True)
+        variants = _reconstruct(basis, ("folded", "full"), 16, _fourier_weights, 1j)
         assert next(variants).entries.shape == (64, 64)
         with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
             next(variants)
         with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
-            next(_reconstruct(basis, ("full", "folded"), 16, _fourier_weights, True))
+            next(_reconstruct(basis, ("full", "folded"), 16, _fourier_weights, 1j))
 
     @pytest.mark.parametrize("suite, first", [("sinc", "Qc"), ("commutation", "Fc")])
     def test_a_shared_direct_pass_refuses_in_the_suites_order(self, monkeypatch, suite, first):
@@ -320,21 +321,28 @@ class TestReconstructions:
             run_suite("fourier", config)
 
     def test_nan_drifts_are_refused(self, ops):
-        # NaN > tol is False; both drift guards must still refuse.
-        with pytest.raises(QuadratureUnresolvedError):
-            _resolved_matrices([lambda x, t: (np.full(np.broadcast(x, t).shape, np.nan),) * 2], 8, 16)
+        # NaN > tol is False; both drift guards must still refuse, the
+        # direct one on either block of a block fold.
+        for parity in (0, 1):
+            def fold(c, x, t):
+                kernels = [np.zeros(np.broadcast(x, t).shape) for _ in range(2)]
+                kernels[parity][...] = np.nan
+                return kernels
+
+            with pytest.raises(QuadratureUnresolvedError):
+                _resolved_matrices(1.0, [(fold, 1)], 8, 16)
         with pytest.raises(XiQuadratureUnresolvedError):
             next(_reconstruct(
                 ops.basis(1.0, 64), ("folded",), 16,
-                lambda c, nodes: (np.full(nodes.shape, np.nan + 0j),) * 2, True,
+                lambda c, nodes: (np.full(nodes.shape, np.nan + 0j),) * 2, 1j,
             ))
 
     def test_graceful_degradation(self, ops):
         # Halving the node count changes the answer beyond tolerance only
         # when the internal doubling check fires (and raises).
         basis = ops.basis(1.0, 64)
-        full = next(_reconstruct(basis, ("folded",), 44, _fourier_weights, True))
-        half = next(_reconstruct(basis, ("folded",), 22, _fourier_weights, True))
+        full = next(_reconstruct(basis, ("folded",), 44, _fourier_weights, 1j))
+        half = next(_reconstruct(basis, ("folded",), 22, _fourier_weights, 1j))
         drift = np.linalg.norm((full.entries - half.entries)[:32, :32])
         assert drift <= 1e-7
 
@@ -372,8 +380,16 @@ class TestReconstructedParityBlocks:
 
 
 def _heun(c, n_dim):
-    """T as the dense complex matrix the commutation suite builds."""
-    return OperatorMatrix(assemble_heun_matrix(c, n_dim).to_dense().astype(complex))
+    """T as its two tridiagonal parity blocks, as the commutation suite builds it."""
+    bands = assemble_heun_matrix(c, n_dim).bands
+    return OperatorMatrix(parity_block(bands, 0), parity_block(bands, 1))
+
+
+def _dense_commutator(a, b, block):
+    """Oracle: the relative commutator of the complex matrices on the leading block."""
+    a, b = a.entries, b.entries
+    comm = (a @ b - b @ a)[:block, :block]
+    return np.linalg.norm(comm) / (np.linalg.norm(a[:block, :block]) * np.linalg.norm(b[:block, :block]))
 
 
 class TestCommutators:
@@ -387,14 +403,20 @@ class TestCommutators:
         t_op = _heun(2.0, 64)
         assert commutator_report(reflect(64), t_op, 32) <= 1e-12
 
-    def test_commutator_detects_noncommuting_pair(self):
-        # Position multiplication does not commute with T.
+    @pytest.mark.parametrize("phase", [1, 1j])
+    def test_commutator_detects_noncommuting_pair(self, phase):
+        # Multiplication by x^2 commutes with x -> -x but not with T; the
+        # block commutators give the complex matrices' commutator.
         from prolate_calculus.legendre import position_offdiag
 
         t_op = _heun(2.0, 64)
         a = position_offdiag(63)
-        x_op = OperatorMatrix((np.diag(a, 1) + np.diag(a, -1)).astype(complex))
-        assert commutator_report(t_op, x_op, 32) > 1e-3
+        x_squared = np.linalg.matrix_power(np.diag(a, 1) + np.diag(a, -1), 2)
+        x_op = OperatorMatrix(x_squared[0::2, 0::2], x_squared[1::2, 1::2], phase)
+        for block in (32, 33, 64):
+            value = commutator_report(t_op, x_op, block)
+            assert value > 1e-3
+            assert abs(value - _dense_commutator(t_op, x_op, block)) <= 1e-14 * value
 
     def test_block_validation(self, ops):
         # The bound is the side of the entries.
@@ -413,35 +435,35 @@ class TestCommutators:
 # Legendre table and evaluates both kernel folds, and each xi rule asks for
 # its own ratio table.  The operators must keep its bits.
 
-def two_recurrence_direct(kernel, n_dim, q_order, legendre):
-    matrices = []
+def two_recurrence_direct(kernel, odd_phase, n_dim, q_order, legendre):
+    """The (even, odd) blocks, each rule with its own Legendre table and two
+    kernel evaluations, K(y, y') and K(y, -y'), whose sum and difference /
+    odd_phase are taken as real arrays and multiplied as real products."""
+    blocks = []
     for order in (q_order, 2 * q_order):
         y, v = half_rule(gauss_legendre_rule(order))
         k_plus = kernel(y[:, None], y[None, :])
         k_minus = kernel(y[:, None], -y[None, :])
+        k_even = (k_plus + k_minus).real
+        k_odd = (k_plus - k_minus).imag if odd_phase == 1j else (k_plus - k_minus).real
         pw = legendre(n_dim - 1, y) * v
         even, odd = pw[0::2], pw[1::2]
-        block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
-        block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
-        entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
-        entries[0::2, 0::2] = block_even
-        entries[1::2, 1::2] = block_odd
-        matrices.append(entries)
-    coarse, fine = matrices
-    assert np.max(np.abs(fine - coarse)) <= 1e-9
-    return 0.5 * (fine + fine.T)
+        blocks.append((2.0 * (even @ k_even @ even.T), 2.0 * (odd @ k_odd @ odd.T)))
+    coarse, fine = blocks
+    assert max(np.max(np.abs(f - g)) for f, g in zip(fine, coarse)) <= 1e-9
+    return [0.5 * (f + f.T) for f in fine]
 
 
 def two_recurrence_ratios(basis, nodes, legendre):
     return (basis.psi_coeffs.T @ legendre(basis.n_dim - 1, -1.0 + nodes)) / basis.endpoint_minus[:, None]
 
 
-def two_recurrence_reconstruction(basis, variant, weights_on, odd_imaginary, legendre):
+def two_recurrence_reconstruction(basis, variant, weights_on, odd_phase, legendre):
     """(entries, None), or (None, drift) when the xi-doubling check refuses.
 
     The entries keep only the part of each parity block that the exact
     operator has: the real part of the even-even block, and of the odd-odd
-    block the imaginary part for F_c (odd_imaginary) or the real part for
+    block the imaginary part for F_c (odd_phase 1j) or the real part for
     Q_c; the rest is +0.0."""
     q_xi = _default_q_xi(basis.c, basis.n_dim)
     half = 0.5 if variant == "folded" else 1.0
@@ -465,11 +487,48 @@ def two_recurrence_reconstruction(basis, variant, weights_on, odd_imaginary, leg
     entries = 0.5 * (entries + entries.T)
     projected = np.zeros_like(entries)
     projected.real[0::2, 0::2] = entries.real[0::2, 0::2]
-    if odd_imaginary:
+    if odd_phase == 1j:
         projected.imag[1::2, 1::2] = entries.imag[1::2, 1::2]
     else:
         projected.real[1::2, 1::2] = entries.real[1::2, 1::2]
     return projected, None
+
+
+def complex_matrix_direct(kernel, n_dim, q_order, legendre):
+    """The direct route as it was when every operator was a complex N x N
+    array: each rule's blocks from products with the kernel sums as they
+    come (complex for F_c), placed in an N x N matrix of zeros, the drift
+    checked on the whole matrix, (A + A^T) / 2 taken of it and the result
+    cast to complex."""
+    matrices = []
+    for order in (q_order, 2 * q_order):
+        y, v = half_rule(gauss_legendre_rule(order))
+        k_plus = kernel(y[:, None], y[None, :])
+        k_minus = kernel(y[:, None], -y[None, :])
+        pw = legendre(n_dim - 1, y) * v
+        even, odd = pw[0::2], pw[1::2]
+        block_even = 2.0 * (even @ (k_plus + k_minus) @ even.T)
+        block_odd = 2.0 * (odd @ (k_plus - k_minus) @ odd.T)
+        entries = np.zeros((n_dim, n_dim), dtype=np.result_type(block_even, block_odd))
+        entries[0::2, 0::2] = block_even
+        entries[1::2, 1::2] = block_odd
+        matrices.append(entries)
+    coarse, fine = matrices
+    assert np.max(np.abs(fine - coarse)) <= 1e-9
+    return (0.5 * (fine + fine.T)).astype(complex)
+
+
+def assert_blocks_are_its_parts(op, entries):
+    """The blocks of ``op`` are the parts of the complex matrix ``entries``
+    bit for bit, the real even-even part and the odd-odd part of its phase,
+    and every other part of ``entries`` is +0.0."""
+    odd_part = entries.imag if op.odd_phase == 1j else entries.real
+    assert op.even.tobytes() == entries.real[0::2, 0::2].tobytes()
+    assert op.odd.tobytes() == odd_part[1::2, 1::2].tobytes()
+    rest = entries.copy()
+    rest.real[0::2, 0::2] = 0.0
+    (rest.imag if op.odd_phase == 1j else rest.real)[1::2, 1::2] = 0.0
+    assert np.all(_plus_zero(rest.view(float)))
 
 
 # c = 0.5 and 4 give N = 64 and q = 73 and 76; c = 12.3 gives N = 65 and
@@ -482,29 +541,52 @@ class TestOneRecurrencePerDriftCheck:
     def test_direct_operators_keep_their_bits(self, c, legendre_recurrence):
         n_dim = default_truncation(c)
         q_order = _q_order(c, n_dim)
-        fourier = two_recurrence_direct(
-            lambda x, t: np.exp(1j * c * x * t), n_dim, q_order, legendre_recurrence
-        )
-        sinc = two_recurrence_direct(
-            lambda x, t: sinc_kernel(c, x, t), n_dim, q_order, legendre_recurrence
-        ).astype(complex)
-        assert finite_fourier_direct(c, n_dim).entries.tobytes() == fourier.tobytes()
-        assert sinc_kernel_direct(c, n_dim).entries.tobytes() == sinc.tobytes()
+        for build, kernel, phase in (
+            (finite_fourier_direct, lambda x, t: np.exp(1j * c * x * t), 1j),
+            (sinc_kernel_direct, lambda x, t: sinc_kernel(c, x, t), 1),
+        ):
+            op = build(c, n_dim)
+            expected = two_recurrence_direct(kernel, phase, n_dim, q_order, legendre_recurrence)
+            assert op.odd_phase == phase
+            assert [op.even.tobytes(), op.odd.tobytes()] == [block.tobytes() for block in expected]
 
     @pytest.mark.parametrize("variant", ["folded", "full"])
     @pytest.mark.parametrize("c", BIT_GRID)
     def test_reconstructions_keep_their_bits(self, ops, c, variant, legendre_recurrence):
         basis = ops.basis(c)
-        for build, weights_on, odd_imaginary in (
-            (reconstruct_fourier, _fourier_weights, True),
-            (reconstruct_sinc, _sinc_weights, False),
+        for build, weights_on, odd_phase in (
+            (reconstruct_fourier, _fourier_weights, 1j),
+            (reconstruct_sinc, _sinc_weights, 1),
         ):
-            expected, drift = two_recurrence_reconstruction(basis, variant, weights_on, odd_imaginary, legendre_recurrence)
+            expected, drift = two_recurrence_reconstruction(basis, variant, weights_on, odd_phase, legendre_recurrence)
             if expected is None:  # F_c at c = 20: both routes refuse on the same drift
                 with pytest.raises(XiQuadratureUnresolvedError, match=f"drift by {drift:.3e} "):
                     build(basis, variant)
             else:
                 assert build(basis, variant).entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", BIT_GRID)
+    def test_blocks_keep_the_complex_matrix_bits(self, ops, c, legendre_recurrence):
+        # Q_c's blocks and both reconstructions' are the parts of the complex
+        # N x N matrices the library built before it held blocks, bit for
+        # bit.  F_c's real block products round differently from the
+        # complex ones, by at most 3.4e-16 of max|F_c| on this grid.
+        n_dim = default_truncation(c)
+        q_order = _q_order(c, n_dim)
+        sinc = complex_matrix_direct(lambda x, t: sinc_kernel(c, x, t), n_dim, q_order, legendre_recurrence)
+        assert_blocks_are_its_parts(sinc_kernel_direct(c, n_dim), sinc)
+        fourier = complex_matrix_direct(lambda x, t: np.exp(1j * c * x * t), n_dim, q_order, legendre_recurrence)
+        moved = np.max(np.abs(finite_fourier_direct(c, n_dim).entries - fourier))
+        assert moved <= 4 * np.finfo(float).eps * np.max(np.abs(fourier))
+        basis = ops.basis(c)
+        for variant in ("folded", "full"):
+            for build, weights_on, odd_phase in (
+                (reconstruct_fourier, _fourier_weights, 1j),
+                (reconstruct_sinc, _sinc_weights, 1),
+            ):
+                expected, _ = two_recurrence_reconstruction(basis, variant, weights_on, odd_phase, legendre_recurrence)
+                if expected is not None:  # F_c at c = 20 refuses
+                    assert_blocks_are_its_parts(build(basis, variant), expected)
 
     @pytest.mark.parametrize("c", BIT_GRID)
     def test_a_shared_direct_pass_keeps_each_operators_bits(self, c):
