@@ -6,8 +6,12 @@ the default truncation):
                    --c --n-trunc --out --format
   verify           run one suite: translation c <= 12, fourier c <= 18, sinc c <= 18,
                    commutation c <= 40 (largest c measured); limits-small runs at c
-                   in [1e-6, 0.1], limits-large at c >= 4 and passes at no c, and
-                   refuses c > 680, where its Nystrom oracle at c/2 is past 340
+                   in [1e-6, 0.1], limits-large at c >= 4 and refuses c > 680,
+                   where its Nystrom oracle at c/2 is past 340; on the grid
+                   c = 4, 4.25, ..., 40 limits-large FAILs at every c up to 31.25
+                   and at 40, and passes from 31.5 to 36.5 and at scattered c up
+                   to 39.75 (exit 0 at 32 and 36, 1 at 31 and 40), a window that
+                   says nothing about its convergence (ROADMAP item 4)
                    --suite --c --n-trunc --variant --seed --out --format
   export-operator  write an operator matrix artifact
                    WHICH --c --n-trunc --variant --out --format
@@ -17,7 +21,7 @@ the default truncation):
 
 Past its range a run FAILs or is refused (exit 2) today (ROADMAP items 3 and 4);
 limits-small, limits-large and nystrom refuse any other c before any work.  A
-run whose largest dense array would pass ``MAX_ARRAY_BYTES`` is refused (exit 2)
+run whose largest dense arrays would pass ``MAX_ARRAY_BYTES`` is refused (exit 2)
 before any work too.  The checked modes n <= 8 are ``legendre.CHECKED_MODES``,
 and the Nystrom grid and its c <= ``legendre.MAX_C`` range are decided in
 ``nystrom.nystrom_sinc_eigen``, which refuses a larger c for both the nystrom
@@ -55,10 +59,12 @@ from .verify import SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
-# Largest dense array one run may allocate.  256 MiB holds the N x N
-# eigenvectors up to N = 5792 (c = 2876 at the default N) and the direct
-# operators' complex kernels up to q = 4096 (c = 1349), far past every range
-# the commands state; a run predicted to need more is refused before any work.
+# Largest dense arrays one run may allocate.  256 MiB holds the N x N
+# eigenvectors up to N = 5792 (c = 2876 at the default N), the direct
+# operators' complex kernels up to q = 4096 (c = 1349) and a reconstruction's
+# Legendre table with its recurrence's coefficients up to c = 664 (an export;
+# c = 470 for the fourier suite's two variants), far past every range the
+# commands state; a run predicted to need more is refused before any work.
 MAX_ARRAY_BYTES = 2**28
 
 _FLAGS = {
@@ -92,8 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=SUITES, required=True,
         help="passes (measured) at translation c <= 12, fourier c <= 18, sinc c <= 18, commutation "
-        "c <= 40; limits-small runs at c in [1e-6, 0.1], limits-large at c >= 4 (passes at no c; "
-        f"refuses c > {2 * MAX_C:g}, where its Nystrom oracle at c/2 is out of range)",
+        "c <= 40; limits-small runs at c in [1e-6, 0.1], limits-large at c >= 4 (measured on c = 4, "
+        "4.25, ..., 40: FAILs up to c = 31.25 and at 40, passes from 31.5 to 36.5 and at scattered "
+        "c up to 39.75, a window that says nothing about convergence, see ROADMAP item 4; refuses "
+        f"c > {2 * MAX_C:g}, where its Nystrom oracle at c/2 is out of range)",
     )
 
     p_export = sub.add_parser("export-operator", help="write an operator matrix")
@@ -127,20 +135,24 @@ def _enlarged_dim(config: RunConfig) -> int:
 
 
 def _largest_array_bytes(job: str, config: RunConfig) -> int:
-    """Bytes of the largest dense array that ``job`` (a command, a suite or an
-    exported operator) allocates: the N x N float64 eigenvectors of T, or
-    the direct operators' complex kernel exp(icyy') on the q nodes y >= 0 of
-    their fine rule, q = N + ceil(c) + 8, a q x q array.  limits-large solves
-    at the default N of c.  A reconstructed export is predicted at 16 Ne^2
-    bytes, twice the eigenvectors of its enlarged basis of size Ne, and T at
-    16 N^2, four times its two real N/2 x N/2 parity blocks: the sizes of the
-    complex N x N arrays they once were, kept so that no refusal moves.  T's
-    bound holds; a reconstruction's does not: the mode integrals copy the
-    fine xi rule's ratio table to complex, Ne x 2 q_xi with q_xi >= Ne/2 + 12,
-    past 16 Ne^2 bytes at every c, and the Legendre table over both xi rules
-    is Ne x 3 q_xi floats, with q_xi about 4c.  nystrom works on at most
-    ``MAX_NODES`` = 400 nodes (two 200 x 200 parity blocks) and limits-small
-    at a fixed size, both under 1 MiB.
+    """Bytes of the largest dense arrays that ``job`` (a command, a suite or
+    an exported operator) holds at once, one of:
+    - the N x N float64 eigenvectors of T (pswf, translation, and
+      limits-large at the default N of c);
+    - the direct operators' complex kernel exp(icyy') on the q nodes y >= 0
+      of their fine rule, q = N + ceil(c) + 8, a q x q array (Fc, Qc and
+      the commutation, fourier and sinc suites);
+    - a reconstruction's Legendre table over every xi rule with the
+      recurrence's coefficient array (``_xi_table_bytes``): the fourier and
+      sinc suites are predicted at the larger of these and their kernel,
+      and a reconstructed export at these alone, on its enlarged basis of
+      size Ne.  No other array of a reconstruction has a row per mode and a
+      column per node, and its Ne x Ne arrays are smaller.
+    T is predicted at 16 N^2, four times its two real N/2 x N/2 parity
+    blocks: the size of the complex N x N array it once was, kept so that no
+    refusal moves.  nystrom works on at most ``MAX_NODES`` = 400 nodes (two
+    200 x 200 parity blocks) and limits-small at a fixed size, both under
+    1 MiB.
     """
     c, n = config.c, config.n_dim
     if job in ("nystrom", "limits-small"):
@@ -148,14 +160,26 @@ def _largest_array_bytes(job: str, config: RunConfig) -> int:
     if job == "limits-large":
         return 8 * default_truncation(c) ** 2
     if job in RECONSTRUCTED:
-        return 16 * _enlarged_dim(config) ** 2
+        return _xi_table_bytes(c, _enlarged_dim(config), 1)
     if job in ("pswf", "translation"):
         return 8 * n * n
     if job == "T":
         return 16 * n * n
     from .transforms import _q_order
 
-    return 16 * _q_order(c, n) ** 2  # Fc, Qc and the fourier, sinc, commutation suites
+    kernel = 16 * _q_order(c, n) ** 2  # Fc, Qc and the commutation suite
+    variants = {"fourier": 2, "sinc": 1}.get(job, 0)
+    return max(kernel, _xi_table_bytes(c, n, variants))
+
+
+def _xi_table_bytes(c: float, n_dim: int, variants: int) -> int:
+    """Bytes of the Legendre table that ``variants`` reconstructions on a
+    basis of n_dim modes share, with its recurrence's coefficient array: the
+    rules of q_xi and 2 q_xi nodes of each variant, n_dim values a node in
+    the table and 2 n_dim in the coefficients, 8 bytes each."""
+    from .transforms import _default_q_xi
+
+    return 24 * n_dim * 3 * _default_q_xi(c, n_dim) * variants
 
 
 def cmd_pswf(config: RunConfig) -> VerificationReport:

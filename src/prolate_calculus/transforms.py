@@ -13,15 +13,18 @@ makes one pass per route for every operator it needs at one (N, q).  A
 direct pass (``direct_operators``) evaluates each kernel on the nodes
 y >= 0 of both of its rules, with the weighted Legendre rows sliced from one
 table over those nodes, so F_c and Q_c at one (c, N) share the rules and the
-recurrence.  A reconstruction pass (``reconstructions``) makes one
-``boundary_ratios`` call for the two xi rules of every variant it builds,
-which returns one (modes x xi) table of spectral boundary ratios
-psi_n(-1 + xi) / psi_n(-1) per rule; the mode integrals are then
-matrix-vector products with the quadrature-weighted xi weights, one per
-rule.  Every product keeps the operands it had when each rule built its
-own table, and each drift check runs in the order the operators or
-variants are named, so a shared pass gives the same bits and the same
-refusals as one pass per operator.
+recurrence.  A reconstruction pass (``reconstructions``) evaluates one
+Legendre table at -1 + xi over the nodes of the two xi rules of every
+variant it builds, and integrates it against real weights: each mode's
+integral of w(xi) psi_n(-1 + xi) / psi_n(-1) is a moment product, the
+table's rows on one rule times a few real weight columns (the weight's
+real and imaginary parts), then psi_n's coefficients, then a division by
+psi_n(-1).  No (modes x xi) ratio table and no complex array is built,
+and the spectral ratios of ``ucalc.boundary_ratios`` are not read.  Every
+product keeps the operands it had when each rule built its own table,
+and each drift check runs in the order the operators or variants are
+named, so a shared pass gives the same bits and the same refusals as one
+pass per operator.
 
 F_c and Q_c are functions of the self-adjoint prolate operator T, which
 commutes with the reflection x -> -x, so each of the three is two real
@@ -55,7 +58,10 @@ import numpy as np
 from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
 from .legendre import gauss_legendre_rule, half_rule, legendre_table
 from .prolate import ProlateBasis, sinc_kernel
-from .ucalc import boundary_ratios
+# boundary_ratios is bound here, though no reconstruction calls it, for the
+# benchmark's tracer (perfbench/bench_trace.py), whose smoke test reads it
+# off this module.
+from .ucalc import boundary_ratios, ratio_denominators  # noqa: F401
 
 _DRIFT_TOL = 1e-9
 
@@ -213,17 +219,20 @@ def _default_q_xi(c: float, n_dim: int) -> int:
 
 
 def _fourier_weights(c: float, nodes: np.ndarray):
-    """(weight_plus, weight_minus) of the Fourier reconstruction at xi nodes:
+    """(weight_plus, weight_minus) of the Fourier reconstruction at xi nodes,
+    each a (nodes, 2) array of its real and imaginary parts:
     exp(ic(1-xi)) and, for the reflected part, exp(-ic(1-xi))."""
-    phase = np.exp(1j * c * (1.0 - nodes))
-    return phase, np.conj(phase)
+    angle = c * (1.0 - nodes)
+    cos, sin = np.cos(angle), np.sin(angle)
+    return np.stack((cos, sin), axis=1), np.stack((cos, -sin), axis=1)
 
 
 def _sinc_weights(c: float, nodes: np.ndarray):
-    """(weight_plus, weight_minus) of the sinc reconstruction at xi nodes:
-    sin(c xi)/(pi xi), with its limit c/pi at xi = 0, and, for the reflected
-    part, sin(c(2-xi))/(pi(2-xi))."""
-    return sinc_kernel(c, nodes, 0.0) + 0j, sinc_kernel(c, 2.0, nodes) + 0j
+    """(weight_plus, weight_minus) of the sinc reconstruction at xi nodes,
+    each a (nodes, 1) array, as the weights are real: sin(c xi)/(pi xi),
+    with its limit c/pi at xi = 0, and, for the reflected part,
+    sin(c(2-xi))/(pi(2-xi))."""
+    return sinc_kernel(c, nodes, 0.0)[:, None], sinc_kernel(c, 2.0, nodes)[:, None]
 
 
 # Operator name -> (its xi weights, its odd phase): F_c's eigenvalue on psi_n
@@ -231,35 +240,12 @@ def _sinc_weights(c: float, nodes: np.ndarray):
 _WEIGHTS = {"Fc": (_fourier_weights, 1j), "Qc": (_sinc_weights, 1)}
 
 
-def _mode_integrals(basis: ProlateBasis, weights_on, variant: str, nodes, weights, ratios) -> np.ndarray:
-    """Integrals int w(xi) ratio_n(xi) dxi for every mode, complex array.
-
-    ``ratios`` is the spectral ratio table at the xi rule's nodes, on [0, 1]
-    (folded) or [0, 2] (full).  weights_on(c, nodes) returns both parts of
-    the weight, (weight_plus, weight_minus).  full integrates weight_plus
-    alone over [0, 2]; folded adds the reflected part, weight_minus scaled
-    per mode by parity (-1)^n, over [0, 1].
-    """
-    w_plus, w_minus = weights_on(basis.c, nodes)
-    values = ratios @ (weights * w_plus)
-    if variant == "folded":
-        parity = (-1.0) ** np.arange(basis.n_dim)
-        values += parity * (ratios @ (weights * w_minus))
-    return values
-
-
-def _parity_assembled(psi: np.ndarray, values: np.ndarray, odd_phase: complex) -> OperatorMatrix:
-    """sum_n values_n psi_n psi_n^T, one real product per parity block.
-
-    Mode n has parity n, so even modes fill the even block and odd modes the
-    odd block.  Even modes keep the real part of their value; odd modes keep
-    the imaginary part when ``odd_phase`` is 1j (F_c, whose eigenvalue on
-    psi_n is i^n lambda_n) and the real part otherwise (Q_c).  Each block is
-    symmetrised on its own.
-    """
-    even, odd = psi[0::2, 0::2], psi[1::2, 1::2]
-    part = values[1::2].imag if odd_phase == 1j else values[1::2].real
-    blocks = ((even * values[0::2].real) @ even.T, (odd * part) @ odd.T)
+def _parity_assembled(psi, kept, odd_phase: complex) -> OperatorMatrix:
+    """sum_n kept_n psi_n psi_n^T, one real product per parity block:
+    ``psi`` holds the coefficient blocks (even, odd) and ``kept`` the kept
+    part of each mode's integral, per parity.  Each block is symmetrised on
+    its own."""
+    blocks = ((psi_p * values) @ psi_p.T for psi_p, values in zip(psi, kept))
     return OperatorMatrix(*map(_symmetrised, blocks), odd_phase)
 
 
@@ -267,41 +253,74 @@ def _reconstruct(basis, variants, q_xi, weights_on, odd_phase):
     """Generator of the mode-wise reconstructions of ``variants``, in turn,
     each with an xi-doubling drift check.
 
-    Before the first, one ``boundary_ratios`` call gives the ratio tables of
-    every variant's two rules, q_xi and 2 q_xi nodes; the nodes of the
-    folded variant lie on [0, 1] and those of the full one on [0, 2].  A
-    variant's drift is checked when it is reached, on the certified modes,
-    so a caller can do other work between two variants and meet the
-    refusals in its own order.  Its two blocks are then assembled from the
-    coarse rule's integrals (``_parity_assembled``); the part of each
-    integral that a block drops is the quadrature's and rounding's, since
-    the exact integral of mode n is i^n lambda_n or mu_n.
+    Each variant integrates over two rules, q_xi and 2 q_xi nodes, on
+    [0, 1] (folded) or [0, 2] (full).  Before the first variant one
+    Legendre table at -1 + xi over the nodes of every rule gives all the
+    mode integrals, as real moment products per rule and mode parity p:
+
+        integrals_p = Psi_p^T (L_p (v W_p)) / psi_p(-1),
+
+    with L_p the table's rows of parity p on the rule's nodes, v the rule's
+    weights, Psi_p and psi_p(-1) the coefficients and endpoint values of
+    the modes of parity p, and W_p the weight's parts, one real column each
+    (``weights_on`` gives weight_plus and weight_minus so): weight_plus for
+    full, and weight_plus + (-1)^p weight_minus for folded.  Column j of
+    integrals_p is then part j of each mode's integral, and no ratio table
+    or complex array is built.  The table is freed before the first yield.
+    A variant's drift, the largest modulus of a certified mode's change
+    over the two rules, is checked when the variant is reached, so a caller
+    can do other work between two variants and meet the refusals in its own
+    order.  Its two blocks are then assembled from the parts of the coarse
+    rule's integrals that the exact operator has (``_parity_assembled``);
+    the part a block drops is the quadrature's and rounding's, since the
+    exact integral of mode n is i^n lambda_n or mu_n.
     """
     for variant in variants:
         if variant not in ("full", "folded"):
             raise DomainError(f"variant must be 'full' or 'folded', got {variant!r}")
     rules = [gauss_legendre_rule(q) for q in (q_xi, 2 * q_xi)]
-    halves = [0.5 if variant == "folded" else 1.0 for variant in variants]  # xi in [0, 1] or [0, 2]
-    nodes = tuple(half * (rule.nodes + 1.0) for half in halves for rule in rules)
-    tables = boundary_ratios(basis, nodes, method="spectral")
+    # Each variant's two rules, with the half length of its xi interval.
+    per_rule = [
+        (variant, 0.5 if variant == "folded" else 1.0, rule) for variant in variants for rule in rules
+    ]
+    nodes = [half * (rule.nodes + 1.0) for _, half, rule in per_rule]
+    endpoints = ratio_denominators(basis)
+    table = legendre_table(basis.n_dim - 1, -1.0 + np.concatenate(nodes))
+    psi = [basis.psi_coeffs[p::2, p::2] for p in (0, 1)]
+    integrals = []
+    end = 0
+    for (variant, half, rule), x in zip(per_rule, nodes):
+        start, end = end, end + x.size
+        plus, minus = weights_on(basis.c, x)
+        weights = (half * rule.weights)[:, None]
+        integrals.append([
+            (psi_p.T @ (table[p::2, start:end] @ (weights * columns))) / endpoints[p::2, None]
+            for p, psi_p, columns in zip(
+                (0, 1), psi, (plus, plus) if variant == "full" else (plus + minus, plus - minus)
+            )
+        ])
+    del table
     certified = basis.n_certified
-    for k, (variant, half) in enumerate(zip(variants, halves)):
-        coarse, fine = (
-            _mode_integrals(basis, weights_on, variant, x, half * rule.weights, table)
-            for x, rule, table in zip(nodes[2 * k :], rules, tables[2 * k :])
-        )
-        drift = float(np.max(np.abs(coarse[:certified] - fine[:certified])))
+    counts = ((certified + 1) // 2, certified // 2)  # certified modes of each parity
+    for k in range(len(variants)):
+        coarse, fine = integrals[2 * k : 2 * k + 2]
+        drift = float(np.max([
+            np.max(np.linalg.norm(f[:m] - g[:m], axis=1), initial=0.0)
+            for f, g, m in zip(fine, coarse, counts)
+        ]))
         if not drift <= _DRIFT_TOL:  # also refuses a NaN drift
             raise XiQuadratureUnresolvedError(
                 f"mode integrals drift by {drift:.3e} when doubling q_xi={q_xi}"
             )
-        yield _parity_assembled(basis.psi_coeffs, coarse, odd_phase)
+        # The imaginary parts of F_c's odd modes, the real parts of the rest.
+        kept = (coarse[0][:, 0], coarse[1][:, 1 if odd_phase == 1j else 0])
+        yield _parity_assembled(psi, kept, odd_phase)
 
 
 def reconstructions(basis: ProlateBasis, name: str, variants: tuple[str, ...]):
     """Generator of the reconstructed F_c (name "Fc") or Q_c ("Qc") of each
-    of ``variants`` in turn, from one ratio-table call before the first;
-    each variant's xi quadrature is checked when it is reached."""
+    of ``variants`` in turn, from one Legendre table before the first; each
+    variant's xi quadrature is checked when it is reached."""
     yield from _reconstruct(basis, variants, _default_q_xi(basis.c, basis.n_dim), *_WEIGHTS[name])
 
 

@@ -17,14 +17,15 @@ endpoint ratio psi_n(-1 + xi) / psi_n(-1).
 Two independent paths to the boundary ratio are kept deliberately, and
 ``boundary_ratios`` takes exactly these two: "series" sums the power series
 for one xi in (-2, 2) over the checked modes n < ``legendre.CHECKED_MODES``
-(n <= 8), "spectral" goes through the eigenbasis for a scalar xi, a whole
-xi-grid in (0, 2] or a tuple of grids (the rules of a drift check, from one
-Legendre table) and returns all N modes.  Their agreement on the checked
-modes is the sharpest numerical test of the translation property, and the
-translation suite's record.  The spectral (modes x xi) table is what the
-F_c / Q_c reconstructions integrate, every mode of it; the series runs only
-where it is itself under test (translation and limits-large suites, and the
-tests).
+(n <= 8), "spectral" goes through the eigenbasis for a scalar xi or a
+whole xi-grid in (0, 2] and returns all N modes.  Their agreement on the
+checked modes is the sharpest numerical test of the translation property,
+and the translation suite's record.  The F_c / Q_c reconstructions read
+neither path: they integrate the Legendre table at -1 + xi against real
+weights and divide by psi_n(-1) after (``transforms``), sharing only
+``ratio_denominators``, the one refusal of a psi_n(-1) that rounds to 0.
+The series runs only where it is itself under test (translation and
+limits-large suites, and the tests).
 
 ``u_series_terms`` is the one unrolling of the recurrence, in the scaled
 form t_k = xi^k U_k / k!; it produces the terms in blocks of ``_BLOCK`` rows.
@@ -190,20 +191,17 @@ def u_series_scalar(c: float, lam: float, xi: float) -> float:
     return float(u_series_many(c, [lam], xi, tol=1e-14)[0][0])
 
 
-def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray | tuple, method: str = "spectral"):
+def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "spectral"):
     """Per-mode factors psi_n(-1 + xi) / psi_n(-1).
 
     "spectral" takes a scalar or 1-D xi in (0, 2] and returns all N modes,
     shape (n_dim,) + shape(xi), from one Legendre table and one matrix
-    product.  A tuple of 1-D xi arrays, one per xi rule, gives a tuple of
-    such tables, from one Legendre table over all their nodes and one matrix
-    product per rule; each table equals, bit for bit, the one its rule gets
-    alone.  The path raises OutOfRangeError where some psi_n(-1) rounds to 0
-    (c = 40).  "series" sums U(xi; lambda) at lambda = -chi_n for one scalar
-    xi in (-2, 2) over the checked modes, shape (CHECKED_MODES,); the
-    slowest mode summed sets the stop term of all, so it sums no other mode.
-    A basis that certifies fewer than those modes (N < 18) and any other
-    method raise DomainError.
+    product.  The path raises OutOfRangeError where some psi_n(-1) rounds to
+    0 (c = 40; ``ratio_denominators``).  "series" sums U(xi; lambda) at
+    lambda = -chi_n for one scalar xi in (-2, 2) over the checked modes,
+    shape (CHECKED_MODES,); the slowest mode summed sets the stop term of
+    all, so it sums no other mode.  A basis that certifies fewer than those
+    modes (N < 18) and any other method raise DomainError.
     """
     if method == "spectral":
         return _spectral_ratios(basis, xi)
@@ -219,31 +217,27 @@ def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray | tuple, method:
     return u_series_many(basis.c, -basis.chi[:CHECKED_MODES], xi, tol=_SERIES_TOL)[0]
 
 
-def _spectral_ratios(basis: ProlateBasis, xi):
-    """psi_n(-1 + xi) / psi_n(-1), shape (n_modes,) + shape(xi), xi in (0, 2];
-    a tuple of such tables for a tuple of 1-D xi arrays."""
-    if isinstance(xi, tuple):
-        rules = [np.asarray(nodes, dtype=float) for nodes in xi]
-        if not rules or any(nodes.ndim != 1 for nodes in rules):
-            raise DomainError("a tuple of xi rules must hold one or more 1-D arrays")
-        points = np.concatenate(rules)
-    else:
-        points = np.asarray(xi, dtype=float)
-        if points.ndim > 1:
-            raise DomainError(f"xi must be a scalar or a 1-D array, got {points.ndim} dims")
-    if not np.all((points > 0.0) & (points <= 2.0)):
-        raise DomainError("spectral ratio path needs every xi in (0, 2]")
+def ratio_denominators(basis: ProlateBasis) -> np.ndarray:
+    """psi_n(-1) of every mode, the denominators of the spectral ratios
+    psi_n(-1 + xi) / psi_n(-1), which the spectral path and the F_c and Q_c
+    reconstructions divide by; raises OutOfRangeError where some psi_n(-1)
+    rounds to 0 (c = 40)."""
     if not np.all(basis.endpoint_minus):
         n = int(np.argmin(np.abs(basis.endpoint_minus)))
         raise OutOfRangeError(
             f"psi_{n}(-1) rounds to 0 at c = {basis.c:g}; the spectral ratios "
             "psi_n(-1 + xi) / psi_n(-1) are not representable"
         )
+    return basis.endpoint_minus
+
+
+def _spectral_ratios(basis: ProlateBasis, xi):
+    """psi_n(-1 + xi) / psi_n(-1), shape (n_modes,) + shape(xi), xi in (0, 2]."""
+    points = np.asarray(xi, dtype=float)
+    if points.ndim > 1:
+        raise DomainError(f"xi must be a scalar or a 1-D array, got {points.ndim} dims")
+    if not np.all((points > 0.0) & (points <= 2.0)):
+        raise DomainError("spectral ratio path needs every xi in (0, 2]")
+    scale = ratio_denominators(basis).reshape((-1,) + (1,) * points.ndim)
     table = legendre_table(basis.n_dim - 1, -1.0 + points)
-    scale = basis.endpoint_minus.reshape((-1,) + (1,) * points.ndim)
-    if not isinstance(xi, tuple):
-        return (basis.psi_coeffs.T @ table) / scale
-    # One product per rule, on a column slice of the table: a product over
-    # all the columns at once is not always the same bits as the rule's own.
-    splits = np.cumsum([nodes.size for nodes in rules])[:-1]
-    return tuple((basis.psi_coeffs.T @ part) / scale for part in np.split(table, splits, axis=1))
+    return (basis.psi_coeffs.T @ table) / scale

@@ -139,7 +139,7 @@ def _identity_dim(config: RunConfig) -> int:
 def _suite_fourier(config: RunConfig) -> VerificationReport:
     """F_c reconstructed in the chosen variant against direct quadrature, on
     the checked modes, and against the other variant.  Both variants come
-    from one ratio-table call; refusals come in the order the variant's xi
+    from one Legendre table; refusals come in the order the variant's xi
     quadrature, the direct F_c's quadrature, the other variant's."""
     from .prolate import solve_prolate
     from .transforms import finite_fourier_direct, reconstructions

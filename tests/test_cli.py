@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,11 +24,13 @@ from prolate_calculus import (
     RunConfig,
     asymptotics,
     cli,
+    legendre,
     nystrom,
     prolate,
     run_suite,
     solve_prolate,
     transforms,
+    ucalc,
 )
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import MAX_C, MIN_MU, _build_rule
@@ -114,22 +117,32 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "argv",
+        "argv, n",
         [
-            ("--suite", "fourier"),
-            ("--suite", "fourier", "--variant", "full"),
-            ("--suite", "sinc"),
-            ("--suite", "sinc", "--variant", "full"),
-            ("--suite", "translation"),
+            (("verify", "--suite", "fourier", "--c", "40"), 0),
+            (("verify", "--suite", "fourier", "--variant", "full", "--c", "40"), 0),
+            (("verify", "--suite", "sinc", "--c", "40"), 0),
+            (("verify", "--suite", "sinc", "--variant", "full", "--c", "40"), 0),
+            (("verify", "--suite", "translation", "--c", "40"), 0),
+            # An export's enlarged basis (N = 154 at c = 45) loses psi_2(-1).
+            (("export-operator", "Fc-reconstructed", "--c", "45"), 2),
+            (("export-operator", "Qc-reconstructed", "--variant", "full", "--c", "45"), 2),
         ],
     )
-    def test_zero_endpoint_value_exits_two(self, argv, capsys):
-        # psi_0(-1) rounds to exactly 0.0 at c = 40: the spectral ratios are
-        # refused instead of carried into NaN records.
-        assert cli.main(["verify", *argv, "--c", "40"]) == 2
+    def test_zero_endpoint_value_exits_two(self, argv, n, capsys, tmp_path):
+        # Some psi_n(-1) rounds to exactly 0.0 at c = 40 (at the default
+        # N): the spectral ratios and the reconstructions' mode integrals
+        # are refused, by one owner, instead of carried into NaN records.
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "error[out-of-range]" in captured.err
+        c = argv[-1]
+        assert captured.err == (
+            f"error[out-of-range]: psi_{n}(-1) rounds to 0 at c = {c}; the spectral ratios "
+            "psi_n(-1 + xi) / psi_n(-1) are not representable\n"
+        )
         assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, module, stage",
@@ -419,6 +432,62 @@ def test_a_run_past_the_array_limit_is_refused_before_any_work(argv, monkeypatch
 def test_every_stated_range_fits_the_array_limit(job):
     # nystrom's c <= 340 is the largest range any command states.
     assert cli._largest_array_bytes(job, RunConfig(c=MAX_C)) <= cli.MAX_ARRAY_BYTES
+
+
+def _recorded_tables(monkeypatch, on_table=None):
+    """Patch every layer's legendre_table to record 24 bytes a value of each
+    table it returns: the table's 8 and its recurrence's coefficients' 16."""
+    tables = []
+
+    def recorded(n_max, x):
+        table = legendre.legendre_table(n_max, x)
+        tables.append(24 * table.size)
+        if on_table is not None:
+            on_table()
+        return table
+
+    for module in (prolate, transforms, ucalc):
+        monkeypatch.setattr(module, "legendre_table", recorded)
+    return tables
+
+
+@pytest.mark.parametrize("which", cli.RECONSTRUCTED)
+@pytest.mark.parametrize("c", [0.5, 7.0, 12.0])
+def test_the_array_prediction_bounds_a_reconstructed_export(which, c, monkeypatch):
+    # The prediction is the Legendre table over every xi rule, with its
+    # recurrence's coefficients.  Every table the export builds fits in it,
+    # and from the table on the build never holds a (modes x q_xi) array
+    # more: no ratio table and no complex copy of one.
+    config = RunConfig(c=c)
+    predicted = cli._largest_array_bytes(which, config)
+    n_dim = cli._enlarged_dim(config)
+    ratio_table = 8 * n_dim * transforms._default_q_xi(c, n_dim)
+    held = []
+
+    def from_here():
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+
+    tables = _recorded_tables(monkeypatch, from_here)
+    tracemalloc.start()
+    try:
+        cli.build_operator(config, which)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables and sum(tables) <= predicted
+    assert len(held) == 1 and peak - held[0] < ratio_table
+
+
+@pytest.mark.parametrize("suite", ["fourier", "sinc"])
+@pytest.mark.parametrize("c", [0.5, 7.0, 12.0])
+def test_the_array_prediction_bounds_a_suites_tables(suite, c, monkeypatch):
+    # The suites reconstruct on their own basis (the fourier suite both
+    # variants, from one table) and build the direct operators.
+    config = RunConfig(c=c)
+    tables = _recorded_tables(monkeypatch)
+    run_suite(suite, config)
+    assert len(tables) == 2 and max(tables) <= cli._largest_array_bytes(suite, config)
 
 
 @pytest.mark.parametrize("c", ["1e-6", "0.05", "0.1"])
