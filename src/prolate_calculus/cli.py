@@ -195,7 +195,7 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
         "lambda": basis.lambdas,
         "mu": basis.mus,
         "psi_plus1": basis.endpoint_plus[:n_rows],
-        "psi_minus1": basis.endpoint_minus[:n_rows],
+        "psi_minus1": (-1.0) ** np.arange(n_rows) * basis.endpoint_plus[:n_rows],
     }
     params = {"c": config.c, "N": basis.n_dim}
     report = VerificationReport(suite="pswf", params=params)
@@ -206,7 +206,7 @@ def cmd_pswf(config: RunConfig) -> VerificationReport:
     for n in range(n_rows):
         worst = max(worst, np.linalg.norm(resid[:, n]) / (1.0 + basis.chi[n]))
     report.add("spectral residual / (1 + chi), n <= N/2", worst, 1e-10)
-    smallest = float(np.min(np.abs(basis.endpoint_minus[:n_rows])))
+    smallest = float(np.min(np.abs(basis.endpoint_plus[:n_rows])))
     report.add(
         "conditioning max 1/|psi_n(-1)|, n < N/2",
         1.0 / smallest if smallest else math.inf,
@@ -289,8 +289,11 @@ def main(argv=None) -> int:
         job = vars(args).get("suite") or vars(args).get("which") or args.command
         predicted = _largest_array_bytes(job, config)
         if predicted > MAX_ARRAY_BYTES:
+            # An int division raises where its quotient passes the largest
+            # float; such a size reads inf.
+            gib = predicted / 2**30 if predicted >> 30 <= sys.float_info.max else math.inf
             raise OutOfRangeError(
-                f"{job} at c = {config.c:g} would allocate a {predicted / 2**30:.3g} GiB "
+                f"{job} at c = {config.c:g} would allocate a {gib:.3g} GiB "
                 f"array, past the {MAX_ARRAY_BYTES / 2**20:g} MiB limit"
             )
         if args.command == "pswf":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RuleTooLargeError
+from .errors import DomainError, OutOfRangeError, RuleTooLargeError
 
 MAX_RULE_ORDER = 1_000_000
 # The modes n <= 8 that the suites check, the series path of
@@ -207,4 +207,6 @@ def default_truncation(c: float) -> int:
     Legendre coefficients of the eigenfunctions decay super-exponentially
     beyond index ~ 2c/pi; the margin keeps the tail below 1e-14.
     """
+    if not math.isfinite(2 * c):
+        raise OutOfRangeError(f"c = {c:g} has no basis size: 2c = {2 * c:g} is not a finite float")
     return max(64, math.ceil(2 * c) + 40)

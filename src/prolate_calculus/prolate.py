@@ -75,6 +75,8 @@ class ProlateBasis:
     psi_n under the conventions: unit L2 norm, psi_n(1) > 0, chi ascending.
     Where |psi_n(1)| < 1e-8 the sign is read off the equivalent condition on
     the leading coefficient of psi_n's parity, which survives rounding.
+    ``endpoint_plus`` holds psi_n(1); mode n has parity n, so psi_n(-1) is
+    (-1)^n psi_n(1).
     Only modes n < N/2 are certified; the tail is truncation-polluted.
     ``lambdas`` and ``mus`` hold lambda_n and mu_n for the certified modes,
     each to a relative accuracy, so the exponentially small tail is resolved
@@ -86,7 +88,6 @@ class ProlateBasis:
     n_dim: int
     psi_coeffs: np.ndarray
     chi: np.ndarray
-    endpoint_minus: np.ndarray
     endpoint_plus: np.ndarray
     lambdas: np.ndarray
     mus: np.ndarray
@@ -180,17 +181,15 @@ def solve_prolate(c: float, n_dim: int | None = None) -> ProlateBasis:
     sign = np.where(sign >= 0, 1.0, -1.0)
     v = v * sign
     plus = plus * sign
-    minus = (norms * (-1.0) ** np.arange(n_dim)) @ v
     lambdas = _fourier_magnitudes(c, v, plus)
     mus = c / (2 * np.pi) * lambdas**2
-    for array in (v, chi, minus, plus, lambdas, mus):
+    for array in (v, chi, plus, lambdas, mus):
         array.flags.writeable = False
     return ProlateBasis(
         c=float(c),
         n_dim=int(n_dim),
         psi_coeffs=v,
         chi=chi,
-        endpoint_minus=minus,
         endpoint_plus=plus,
         lambdas=lambdas,
         mus=mus,

@@ -24,7 +24,8 @@ and the spectral ratios of ``ucalc.boundary_ratios`` are not read.  Every
 product keeps the operands it had when each rule built its own table,
 and each drift check runs in the order the operators or variants are
 named, so a shared pass gives the same bits and the same refusals as one
-pass per operator.
+pass per operator.  Both passes check every operator they build before
+they return the list of them.
 
 F_c and Q_c are functions of the self-adjoint prolate operator T, which
 commutes with the reflection x -> -x, so each of the three is two real
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
+from .errors import DomainError, OutOfRangeError, QuadratureUnresolvedError, XiQuadratureUnresolvedError
 from .legendre import gauss_legendre_rule, half_rule, legendre_table
 from .prolate import ProlateBasis, sinc_kernel
 # boundary_ratios is bound here, though no reconstruction calls it, for the
@@ -215,6 +216,8 @@ def sinc_kernel_direct(c: float, n_dim: int) -> OperatorMatrix:
 def _default_q_xi(c: float, n_dim: int) -> int:
     # Oscillation floor plus enough nodes to integrate the certified modes'
     # endpoint-ratio polynomials exactly.
+    if not math.isfinite(4 * c):
+        raise OutOfRangeError(f"c = {c:g} has no xi rule: 4c = {4 * c:g} is not a finite float")
     return max(math.ceil(16 + 4 * c), n_dim // 2 + 12)
 
 
@@ -240,23 +243,14 @@ def _sinc_weights(c: float, nodes: np.ndarray):
 _WEIGHTS = {"Fc": (_fourier_weights, 1j), "Qc": (_sinc_weights, 1)}
 
 
-def _parity_assembled(psi, kept, odd_phase: complex) -> OperatorMatrix:
-    """sum_n kept_n psi_n psi_n^T, one real product per parity block:
-    ``psi`` holds the coefficient blocks (even, odd) and ``kept`` the kept
-    part of each mode's integral, per parity.  Each block is symmetrised on
-    its own."""
-    blocks = ((psi_p * values) @ psi_p.T for psi_p, values in zip(psi, kept))
-    return OperatorMatrix(*map(_symmetrised, blocks), odd_phase)
-
-
-def _reconstruct(basis, variants, q_xi, weights_on, odd_phase):
-    """Generator of the mode-wise reconstructions of ``variants``, in turn,
-    each with an xi-doubling drift check.
+def _reconstruct(basis, variants, q_xi, weights_on, odd_phase) -> list[OperatorMatrix]:
+    """The mode-wise reconstructions of ``variants``, in that order, each
+    with an xi-doubling drift check.
 
     Each variant integrates over two rules, q_xi and 2 q_xi nodes, on
-    [0, 1] (folded) or [0, 2] (full).  Before the first variant one
-    Legendre table at -1 + xi over the nodes of every rule gives all the
-    mode integrals, as real moment products per rule and mode parity p:
+    [0, 1] (folded) or [0, 2] (full).  One Legendre table at -1 + xi over
+    the nodes of every rule gives all the mode integrals, as real moment
+    products per rule and mode parity p:
 
         integrals_p = Psi_p^T (L_p (v W_p)) / psi_p(-1),
 
@@ -266,14 +260,15 @@ def _reconstruct(basis, variants, q_xi, weights_on, odd_phase):
     (``weights_on`` gives weight_plus and weight_minus so): weight_plus for
     full, and weight_plus + (-1)^p weight_minus for folded.  Column j of
     integrals_p is then part j of each mode's integral, and no ratio table
-    or complex array is built.  The table is freed before the first yield.
+    or complex array is built.  The table is freed before the drift checks.
     A variant's drift, the largest modulus of a certified mode's change
-    over the two rules, is checked when the variant is reached, so a caller
-    can do other work between two variants and meet the refusals in its own
-    order.  Its two blocks are then assembled from the parts of the coarse
-    rule's integrals that the exact operator has (``_parity_assembled``);
-    the part a block drops is the quadrature's and rounding's, since the
-    exact integral of mode n is i^n lambda_n or mu_n.
+    over the two rules, is checked in the order of ``variants``, so the
+    first variant that drifts is the one refused.  Its two blocks are then
+    sum_n kept_n psi_n psi_n^T, one real product per parity block, each
+    symmetrised on its own, with kept_n the part of the coarse rule's
+    integral of mode n that the exact operator has; the part a block drops
+    is the quadrature's and rounding's, since the exact integral of mode n
+    is i^n lambda_n or mu_n.
     """
     for variant in variants:
         if variant not in ("full", "folded"):
@@ -302,8 +297,8 @@ def _reconstruct(basis, variants, q_xi, weights_on, odd_phase):
     del table
     certified = basis.n_certified
     counts = ((certified + 1) // 2, certified // 2)  # certified modes of each parity
-    for k in range(len(variants)):
-        coarse, fine = integrals[2 * k : 2 * k + 2]
+    resolved = []
+    for coarse, fine in zip(integrals[0::2], integrals[1::2]):
         drift = float(np.max([
             np.max(np.linalg.norm(f[:m] - g[:m], axis=1), initial=0.0)
             for f, g, m in zip(fine, coarse, counts)
@@ -314,14 +309,16 @@ def _reconstruct(basis, variants, q_xi, weights_on, odd_phase):
             )
         # The imaginary parts of F_c's odd modes, the real parts of the rest.
         kept = (coarse[0][:, 0], coarse[1][:, 1 if odd_phase == 1j else 0])
-        yield _parity_assembled(psi, kept, odd_phase)
+        blocks = ((psi_p * values) @ psi_p.T for psi_p, values in zip(psi, kept))
+        resolved.append(OperatorMatrix(*map(_symmetrised, blocks), odd_phase))
+    return resolved
 
 
 def reconstructions(basis: ProlateBasis, name: str, variants: tuple[str, ...]):
-    """Generator of the reconstructed F_c (name "Fc") or Q_c ("Qc") of each
-    of ``variants`` in turn, from one Legendre table before the first; each
-    variant's xi quadrature is checked when it is reached."""
-    yield from _reconstruct(basis, variants, _default_q_xi(basis.c, basis.n_dim), *_WEIGHTS[name])
+    """The reconstructed F_c (name "Fc") or Q_c ("Qc") of each of
+    ``variants``, in that order, from one Legendre table; their xi drift
+    checks run in that order."""
+    return _reconstruct(basis, variants, _default_q_xi(basis.c, basis.n_dim), *_WEIGHTS[name])
 
 
 def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
@@ -331,7 +328,7 @@ def reconstruct_fourier(basis: ProlateBasis, variant: str = "folded") -> Operato
     folded: integral over xi in [0, 1] of
             (exp(ic(1-xi)) + R exp(-ic(1-xi))) U(xi; T)
     """
-    return next(reconstructions(basis, "Fc", (variant,)))
+    return reconstructions(basis, "Fc", (variant,))[0]
 
 
 def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMatrix:
@@ -341,7 +338,7 @@ def reconstruct_sinc(basis: ProlateBasis, variant: str = "folded") -> OperatorMa
     folded: integral over [0, 1] of
             (sin(c xi)/(pi xi) + sin(c(2-xi))/(pi(2-xi)) R) U(xi; T)
     """
-    return next(reconstructions(basis, "Qc", (variant,)))
+    return reconstructions(basis, "Qc", (variant,))[0]
 
 
 def commutator_report(a: OperatorMatrix, b: OperatorMatrix, block: int) -> float:

@@ -220,15 +220,15 @@ def boundary_ratios(basis: ProlateBasis, xi: float | np.ndarray, method: str = "
 def ratio_denominators(basis: ProlateBasis) -> np.ndarray:
     """psi_n(-1) of every mode, the denominators of the spectral ratios
     psi_n(-1 + xi) / psi_n(-1), which the spectral path and the F_c and Q_c
-    reconstructions divide by; raises OutOfRangeError where some psi_n(-1)
-    rounds to 0 (c = 40)."""
-    if not np.all(basis.endpoint_minus):
-        n = int(np.argmin(np.abs(basis.endpoint_minus)))
+    reconstructions divide by: (-1)^n psi_n(1), as mode n has parity n.
+    Raises OutOfRangeError where some psi_n(-1) rounds to 0 (c = 40)."""
+    if not np.all(basis.endpoint_plus):
+        n = int(np.argmin(np.abs(basis.endpoint_plus)))
         raise OutOfRangeError(
             f"psi_{n}(-1) rounds to 0 at c = {basis.c:g}; the spectral ratios "
             "psi_n(-1 + xi) / psi_n(-1) are not representable"
         )
-    return basis.endpoint_minus
+    return (-1.0) ** np.arange(basis.n_dim) * basis.endpoint_plus
 
 
 def _spectral_ratios(basis: ProlateBasis, xi):

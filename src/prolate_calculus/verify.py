@@ -4,11 +4,12 @@ Each suite builds the objects it needs from a RunConfig, measures a list of
 checks and returns a VerificationReport.  Each check passes when its measured
 value is at most its tolerance, so the JSON artifact is self-describing.
 A suite builds every operator it needs at one (c, N) in one pass per route
-(``transforms.direct_operators``, ``transforms.reconstructions``), with its
-quadrature refusals in the order its docstring states.  Operators are
-compared on their real parity blocks (``transforms.OperatorMatrix``): a
-Frobenius norm combines the blocks' norms, and mode n, of parity n, is read
-off the block of its parity.
+(``transforms.reconstructions``, ``transforms.direct_operators``), in that
+order, so it meets every xi refusal of its reconstructions before any direct
+quadrature, and each pass refuses in the order its operators are named.
+Operators are compared on their real parity blocks
+(``transforms.OperatorMatrix``): a Frobenius norm combines the blocks'
+norms, and mode n, of parity n, is read off the block of its parity.
 """
 
 from __future__ import annotations
@@ -139,19 +140,16 @@ def _identity_dim(config: RunConfig) -> int:
 def _suite_fourier(config: RunConfig) -> VerificationReport:
     """F_c reconstructed in the chosen variant against direct quadrature, on
     the checked modes, and against the other variant.  Both variants come
-    from one Legendre table; refusals come in the order the variant's xi
-    quadrature, the direct F_c's quadrature, the other variant's."""
+    from one pass before the direct F_c, so refusals come in the order the
+    variant's xi quadrature, the other variant's, the direct F_c's."""
     from .prolate import solve_prolate
     from .transforms import finite_fourier_direct, reconstructions
 
     rep = _report("fourier", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
-    # Each variant's xi quadrature is checked when it is read, so the chosen
-    # variant's refusal skips the direct operator's two rules.
     other_variant = "full" if config.variant == "folded" else "folded"
-    variants = reconstructions(basis, "Fc", (config.variant, other_variant))
-    recon = next(variants)
+    recon, other = reconstructions(basis, "Fc", (config.variant, other_variant))
     direct = finite_fourier_direct(config.c, n_dim)
     block = n_dim // 2
     rel = (recon - direct).leading(block).norm() / direct.leading(block).norm()
@@ -162,7 +160,6 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     worst = np.max(np.abs(_mode_values(recon, basis.psi_coeffs[:, n]) - (1j) ** n * basis.lambdas[n]))
     rep.add("per-mode scalar identity, n<=8", worst, 1e-8)
 
-    other = next(variants)
     rep.add("full vs folded variants", (recon - other).leading(block).norm(), _RECON_TOL)
     return rep
 
@@ -180,15 +177,16 @@ def _mode_values(op, psi: np.ndarray) -> np.ndarray:
 def _suite_sinc(config: RunConfig) -> VerificationReport:
     """Q_c reconstructed against direct quadrature and on the checked modes,
     the factorization (c/2pi) F_c* F_c = Q_c and the order and range of mu_n.
-    Direct Q_c and F_c come from one pass; refusals come in the order the
-    reconstruction's xi quadrature, Q_c's quadrature, F_c's."""
+    Direct Q_c and F_c come from one pass after the reconstruction, so
+    refusals come in the order the reconstruction's xi quadrature, Q_c's
+    quadrature, F_c's."""
     from .prolate import solve_prolate
     from .transforms import OperatorMatrix, direct_operators, reconstruct_sinc
 
     rep = _report("sinc", config, {"variant": config.variant})
     n_dim = _identity_dim(config)
     basis = solve_prolate(config.c, n_dim)
-    recon = reconstruct_sinc(basis, config.variant)  # first, as in the fourier suite
+    recon = reconstruct_sinc(basis, config.variant)
     direct, fourier = direct_operators(config.c, n_dim, ("Qc", "Fc"))
     block = n_dim // 2
     # Q_0 = 0, and for c below ~1e-160 the norm of Q_c underflows to 0.

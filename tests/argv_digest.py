@@ -2,11 +2,14 @@
 
 One line per argv: the exit code, then the sha256 of stdout (with the wall
 time of a suite's summary line stripped), of stderr and of the file the run
-wrote ("-" when it wrote none), then the argv.  The output path is replaced
-by ``OUT`` before hashing, so two checkouts give equal lines exactly when
-they behave the same.  Below each line come the run's check records: for a
-written JSON report, one line per check as ``name repr(value) tol passed``;
-otherwise the check lines the run printed.  Below a ``nystrom`` line come
+wrote ("-" when it wrote none), then the argv.  A run that ends in an
+uncaught exception gives the exception's type in place of the exit code,
+and its type and message are hashed with stderr, so the digest goes on to
+the next argv.  The output path is replaced by ``OUT`` before hashing, so
+two checkouts give equal lines exactly when they behave the same.  Below
+each line come the run's check records: for a written JSON report, one line
+per check as ``name repr(value) tol passed``; otherwise the check lines the
+run printed.  Below a ``nystrom`` line come
 max|mu - spectral mu| and max|chi - spectral chi| over the written rows
 (n <= 8), against ``solve_prolate(c)``, so a diff that moves a table's bytes
 also shows whether its values moved toward the spectral ones.  Below an
@@ -74,10 +77,13 @@ _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """238 argvs (31 per value of C_GRID, and 21 more), each written with
-    ``--out``, ``--format`` json unless given.  The last two run just past
-    the Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large at
-    c = 700, whose oracle runs at c/2 = 350."""
+    """248 argvs (31 per value of C_GRID, and 31 more), each written with
+    ``--out``, ``--format`` json unless given.  Two run just past the
+    Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large at
+    c = 700, whose oracle runs at c/2 = 350.  Eight more take a finite c
+    or N whose predicted array size, basis size 2c + 40 or xi rule
+    16 + 4c overflows a float.  The last two write the pswf table at
+    c = 40, where psi_0(+-1) rounds to 0."""
     for c in C_GRID:
         for which in OPERATORS:
             for variant in ("folded", "full"):
@@ -102,6 +108,16 @@ def argv_grid():
         yield ("verify", "--suite", "translation", "--c", c)
     yield ("nystrom", "--c", "341")
     yield ("verify", "--suite", "limits-large", "--c", "700")
+    yield ("pswf", "--c", "1e158")
+    yield ("pswf", "--n-trunc", "1" + "0" * 160)
+    yield ("export-operator", "Fc-reconstructed", "--c", "1e300")
+    yield ("verify", "--suite", "limits-large", "--c", "1e200")
+    yield ("verify", "--suite", "limits-small", "--c", "1e308")
+    yield ("nystrom", "--c", "1e308")
+    yield ("pswf", "--c", "1e308")
+    yield ("verify", "--suite", "fourier", "--c", "5e307", "--n-trunc", "64")
+    for fmt in FORMATS:
+        yield ("pswf", "--c", "40", "--format", fmt)
 
 
 def _sha(data: bytes) -> str:
@@ -118,6 +134,9 @@ def digest(argv, work: Path) -> str:
             code = cli.main([*argv, "--out", str(out)])
         except SystemExit as exc:  # usage errors
             code = exc.code
+        except Exception as exc:  # a traceback
+            code = type(exc).__name__
+            print(f"{code}: {exc}", file=sys.stderr)
     texts = [s.getvalue().replace(str(out), "OUT") for s in (stdout, stderr)]
     texts[0] = _WALL_TIME.sub(r"\1<wall>)", texts[0])
     written = _sha(out.read_bytes()) if out.exists() else "-"

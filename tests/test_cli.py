@@ -98,6 +98,16 @@ class TestExitCodes:
             ("nystrom", "--c", "nan", "--out", "unused.json"),
             ("nystrom", "--c", "1e300", "--out", "unused.csv", "--format", "csv"),
             ("nystrom", "--c", "400", "--out", "unused.json"),
+            # A finite c or N whose predicted array size, basis size or xi
+            # rule overflows a float.
+            ("pswf", "--c", "1e158"),
+            ("pswf", "--n-trunc", "1" + "0" * 160),
+            ("export-operator", "Fc-reconstructed", "--c", "1e300", "--out", "unused.json"),
+            ("verify", "--suite", "limits-large", "--c", "1e200"),
+            ("verify", "--suite", "limits-small", "--c", "1e308"),
+            ("nystrom", "--c", "1e308", "--out", "unused.json"),
+            ("pswf", "--c", "1e308"),
+            ("verify", "--suite", "fourier", "--c", "5e307", "--n-trunc", "64"),
         ],
     )
     def test_invalid_input_exits_two(self, argv, capsys):
@@ -630,14 +640,14 @@ class TestPswfCommand:
         report = cli.cmd_pswf(RunConfig(c=c))
         (record,) = [r for r in report.records if r.name.startswith("conditioning")]
         basis = solve_prolate(c)
-        assert record.value == 1.0 / np.min(np.abs(basis.endpoint_minus[: basis.n_certified]))
+        assert record.value == 1.0 / np.min(np.abs(basis.endpoint_plus[: basis.n_certified]))
         assert record.passed is passed
 
     def test_conditioning_reads_inf_where_an_endpoint_is_zero(self):
-        # Some psi_n(-1) is exactly 0 at c = 40.  Warnings are errors here,
+        # Some psi_n(+-1) is exactly 0 at c = 40.  Warnings are errors here,
         # so the record is computed without a numpy division warning.
         basis = solve_prolate(40.0)
-        assert np.min(np.abs(basis.endpoint_minus[: basis.n_certified])) == 0
+        assert np.min(np.abs(basis.endpoint_plus[: basis.n_certified])) == 0
         report = cli.cmd_pswf(RunConfig(c=40.0))
         (record,) = [r for r in report.records if r.name.startswith("conditioning")]
         assert record.value == math.inf

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 from prolate_calculus import (
     ConventionViolationError,
     DomainError,
+    OutOfRangeError,
+    RunConfig,
     assemble_heun_matrix,
     gauss_legendre_rule,
     pswf_eval,
     solve_prolate,
 )
-from prolate_calculus import prolate
+from prolate_calculus import cli, prolate
 from prolate_calculus.nystrom import nystrom_chi
 from prolate_calculus.prolate import sinc_kernel
+from prolate_calculus.ucalc import ratio_denominators
 
 # The bandwidths of the CLI's exit-code contract, and c = 0.
 CONTRACT_C = (0.0, 0.5, 4.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0, 22.0, 25.0, 30.0, 40.0)
@@ -114,7 +118,7 @@ class TestSolveProlate:
 
     def test_endpoints_nonzero_and_sign_convention(self, ops):
         basis = ops.basis(1.0, 64)
-        assert np.all(np.abs(basis.endpoint_minus[:32]) > 0)
+        assert np.all(np.abs(ratio_denominators(basis)[:32]) > 0)
         assert np.all(basis.endpoint_plus > 0)
 
     def test_spectral_residual(self, ops):
@@ -294,6 +298,32 @@ class TestEagerEigenvalues:
             basis.chi = np.zeros(64)
         with pytest.raises(ValueError):
             basis.lambdas[0] = 0.0
+
+
+class TestOneEndpointArray:
+    def test_the_basis_keeps_one_endpoint_array(self):
+        names = [field.name for field in dataclasses.fields(prolate.ProlateBasis)]
+        assert [name for name in names if name.startswith("endpoint")] == ["endpoint_plus"]
+
+    def test_readers_form_the_summed_endpoint_values(self, tmp_path):
+        # Mode n has parity n, so psi_n(-1) = (-1)^n psi_n(1): as the spectral
+        # ratios and the pswf table form it, it equals in value the Legendre
+        # sum of the coefficients with the signs (-1)^k, for every mode, on
+        # c = 0, 0.25, ..., 40, 60 and 100 at the default N.  The two can
+        # differ in the sign of a zero (psi_0(-1) rounds to 0 from c = 39.25).
+        out = tmp_path / "pswf.json"
+        for c in (*(k / 4 for k in range(161)), 60.0, 100.0):
+            basis = solve_prolate(c)
+            k = np.arange(basis.n_dim)
+            summed = (np.sqrt((2 * k + 1) / 2.0) * (-1.0) ** k) @ basis.psi_coeffs
+            if np.all(summed):
+                np.testing.assert_array_equal(ratio_denominators(basis), summed)
+            else:
+                with pytest.raises(OutOfRangeError):
+                    ratio_denominators(basis)
+            cli.cmd_pswf(RunConfig(c=c, out=str(out)))
+            table = json.loads(out.read_text(encoding="utf-8"))["data"]
+            np.testing.assert_array_equal(table["psi_minus1"], summed[: basis.n_certified])
 
 
 class TestPswfEval:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import re
 
@@ -36,7 +37,7 @@ from prolate_calculus.transforms import (
     direct_operators,
     reconstructions,
 )
-from prolate_calculus.ucalc import boundary_ratios
+from prolate_calculus.ucalc import boundary_ratios, ratio_denominators
 from prolate_calculus.verify import RunConfig, run_suite
 
 
@@ -281,19 +282,26 @@ class TestReconstructions:
     def test_unresolved_xi_quadrature_raises(self, ops):
         basis = ops.basis(1.0, 64)
         with pytest.raises(XiQuadratureUnresolvedError):
-            next(_reconstruct(basis, ("folded",), 6, _fourier_weights, 1j))
+            _reconstruct(basis, ("folded",), 6, _fourier_weights, 1j)
+
+    def test_reconstructions_return_checked_lists(self, ops):
+        # Like direct_operators, a reconstruction pass checks every variant
+        # before it returns, one operator per variant in the order named.
+        assert not inspect.isgeneratorfunction(reconstructions)
+        assert not inspect.isgeneratorfunction(_reconstruct)
+        built = reconstructions(ops.basis(1.0, 64), "Fc", ("folded", "full"))
+        assert isinstance(built, list)
+        assert [op.odd_phase for op in built] == [1j, 1j]
 
     def test_each_variant_is_checked_when_it_is_reached(self, ops):
         # At c = 1, N = 64 and q_xi = 16 the folded rules resolve the mode
-        # integrals and the full ones, on twice the interval, do not: the
-        # folded operator comes out before the full one refuses.
+        # integrals and the full ones, on twice the interval, do not: a call
+        # that names both refuses at the full variant, in either order.
         basis = ops.basis(1.0, 64)
-        variants = _reconstruct(basis, ("folded", "full"), 16, _fourier_weights, 1j)
-        assert next(variants).entries.shape == (64, 64)
-        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
-            next(variants)
-        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
-            next(_reconstruct(basis, ("full", "folded"), 16, _fourier_weights, 1j))
+        assert len(_reconstruct(basis, ("folded",), 16, _fourier_weights, 1j)) == 1
+        for variants in (("folded", "full"), ("full", "folded")):
+            with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
+                _reconstruct(basis, variants, 16, _fourier_weights, 1j)
 
     @pytest.mark.parametrize("suite, first", [("sinc", "Qc"), ("commutation", "Fc")])
     def test_a_shared_direct_pass_refuses_in_the_suites_order(self, monkeypatch, suite, first):
@@ -309,16 +317,38 @@ class TestReconstructions:
     def test_the_fourier_suite_refuses_in_its_order(self, monkeypatch):
         # At c = 1, N = 64 and q_xi = 16 the folded rules resolve and the
         # full ones refuse.  The chosen variant is checked first, then the
-        # direct F_c, then the other variant.
-        monkeypatch.setattr(prolate_calculus.transforms, "_default_q_xi", lambda c, n_dim: 16)
+        # other variant, then the direct F_c.
+        transforms = prolate_calculus.transforms
+        monkeypatch.setattr(transforms, "_default_q_xi", lambda c, n_dim: 16)
+        monkeypatch.setattr(transforms, "_q_order", lambda c, n_dim: 4)
         config = RunConfig(c=1.0, n_trunc=64)
-        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
-            run_suite("fourier", dataclasses.replace(config, variant="full"))
-        with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
-            run_suite("fourier", config)
-        monkeypatch.setattr(prolate_calculus.transforms, "_q_order", lambda c, n_dim: 4)
+        for variant in ("full", "folded"):
+            with pytest.raises(XiQuadratureUnresolvedError, match="drift by 1.405e-01 "):
+                run_suite("fourier", dataclasses.replace(config, variant=variant))
+        monkeypatch.undo()
+        monkeypatch.setattr(transforms, "_q_order", lambda c, n_dim: 4)
         with pytest.raises(QuadratureUnresolvedError, match="when doubling q_order=4"):
             run_suite("fourier", config)
+
+    def test_the_fourier_suite_refuses_before_the_direct_pass(self, monkeypatch):
+        # At c = 20 the full variant's xi quadrature refuses: both variants'
+        # refusals come before any direct quadrature.
+        def no_direct_pass(*args):
+            raise AssertionError("the direct F_c was built before a refusal")
+
+        monkeypatch.setattr(prolate_calculus.transforms, "finite_fourier_direct", no_direct_pass)
+        for variant in ("folded", "full"):
+            with pytest.raises(XiQuadratureUnresolvedError):
+                run_suite("fourier", RunConfig(c=20.0, variant=variant))
+
+    @pytest.mark.parametrize("n_trunc", [18, 0], ids=["N=18", "default N"])
+    @pytest.mark.parametrize("c", [0.5, 10.0, 20.0, 40.0])
+    def test_the_direct_fc_is_resolved_on_the_fourier_suites_inputs(self, monkeypatch, c, n_trunc):
+        # The direct F_c drifts by at most 1e-12, far inside its 1e-9
+        # tolerance, on the fourier suite's inputs, so running it after
+        # both variants cannot move a refusal on an input it accepts.
+        monkeypatch.setattr(prolate_calculus.transforms, "_DRIFT_TOL", 1e-12)
+        finite_fourier_direct(c, RunConfig(c=c, n_trunc=n_trunc).n_dim)
 
     def test_nan_drifts_are_refused(self, ops):
         # NaN > tol is False; both drift guards must still refuse, the
@@ -332,17 +362,17 @@ class TestReconstructions:
             with pytest.raises(QuadratureUnresolvedError):
                 _resolved_matrices(1.0, [(fold, 1)], 8, 16)
         with pytest.raises(XiQuadratureUnresolvedError):
-            next(_reconstruct(
+            _reconstruct(
                 ops.basis(1.0, 64), ("folded",), 16,
                 lambda c, nodes: (np.full((nodes.size, 1), np.nan),) * 2, 1j,
-            ))
+            )
 
     def test_graceful_degradation(self, ops):
         # Halving the node count changes the answer beyond tolerance only
         # when the internal doubling check fires (and raises).
         basis = ops.basis(1.0, 64)
-        full = next(_reconstruct(basis, ("folded",), 44, _fourier_weights, 1j))
-        half = next(_reconstruct(basis, ("folded",), 22, _fourier_weights, 1j))
+        (full,) = _reconstruct(basis, ("folded",), 44, _fourier_weights, 1j)
+        (half,) = _reconstruct(basis, ("folded",), 22, _fourier_weights, 1j)
         drift = np.linalg.norm((full.entries - half.entries)[:32, :32])
         assert drift <= 1e-7
 
@@ -455,7 +485,7 @@ def two_recurrence_direct(kernel, odd_phase, n_dim, q_order, legendre):
 
 
 def two_recurrence_ratios(basis, nodes, legendre):
-    return (basis.psi_coeffs.T @ legendre(basis.n_dim - 1, -1.0 + nodes)) / basis.endpoint_minus[:, None]
+    return (basis.psi_coeffs.T @ legendre(basis.n_dim - 1, -1.0 + nodes)) / ratio_denominators(basis)[:, None]
 
 
 def two_recurrence_reconstruction(basis, variant, weights_on, odd_phase, legendre):
@@ -470,6 +500,7 @@ def two_recurrence_reconstruction(basis, variant, weights_on, odd_phase, legendr
     q_xi = _default_q_xi(basis.c, basis.n_dim)
     half = 0.5 if variant == "folded" else 1.0
     psi = [basis.psi_coeffs[p::2, p::2] for p in (0, 1)]
+    endpoints = ratio_denominators(basis)
     integrals = []
     for order in (q_xi, 2 * q_xi):
         rule = gauss_legendre_rule(order)
@@ -479,7 +510,7 @@ def two_recurrence_reconstruction(basis, variant, weights_on, odd_phase, legendr
         plus, minus = weights_on(basis.c, nodes)
         columns = (plus, plus) if variant == "full" else (plus + minus, plus - minus)
         integrals.append([
-            (psi[p].T @ (table[p::2] @ (weights[:, None] * columns[p]))) / basis.endpoint_minus[p::2, None]
+            (psi[p].T @ (table[p::2] @ (weights[:, None] * columns[p]))) / endpoints[p::2, None]
             for p in (0, 1)
         ])
     coarse, fine = integrals
@@ -618,7 +649,7 @@ class TestOneRecurrencePerDriftCheck:
         # at the default N and an export's N + 24, the routes differ by at
         # most 1.11 times eps max|entry| / min|psi_n(-1)|.
         basis = ops.basis(c, default_truncation(c) + extra)
-        scale = np.finfo(float).eps / np.min(np.abs(basis.endpoint_minus))
+        scale = np.finfo(float).eps / np.min(np.abs(basis.endpoint_plus))
         built = 0
         for name, build in (("Fc", reconstruct_fourier), ("Qc", reconstruct_sinc)):
             try:

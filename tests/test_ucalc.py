@@ -20,6 +20,7 @@ from prolate_calculus.ucalc import (
     _SERIES_TOL,
     K_MAX,
     SERIES_DTYPE,
+    ratio_denominators,
     u_series_many,
     u_series_terms,
 )
@@ -292,7 +293,7 @@ class TestUSeriesScalar:
     def test_against_pswf_ratio_at_c_one(self, ops):
         basis = ops.basis(1.0, 64)
         series = u_series_scalar(1.0, -basis.chi[0], 0.7)
-        oracle = pswf_eval(basis, 0, -0.3) / basis.endpoint_minus[0]
+        oracle = pswf_eval(basis, 0, -0.3) / ratio_denominators(basis)[0]
         assert abs(series - oracle) <= 1e-8
 
     def test_tail_estimate_covers_truth(self):
@@ -499,7 +500,7 @@ class TestUOperatorApply:
         basis = ops.basis(1.0, 64)
         f = basis.psi_coeffs[:, 2].astype(float)
         out = u_apply(basis, 0.4, f)
-        scale = pswf_eval(basis, 2, -0.6) / basis.endpoint_minus[2]
+        scale = pswf_eval(basis, 2, -0.6) / ratio_denominators(basis)[2]
         assert np.max(np.abs(out - scale * f)) <= 1e-10
 
     def test_reflection_via_spectral_path(self, ops, rng, reflect):
