@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionViolationError, DomainError, SpectralFailureError
+from .errors import ConventionViolationError, DomainError, OutOfRangeError, SpectralFailureError
 from .legendre import (
     BandedSymMatrix,
     default_truncation,
@@ -44,6 +44,8 @@ def assemble_heun_matrix(c: float, n_dim: int) -> BandedSymMatrix:
         raise DomainError("bandwidth c must be >= 0")
     if n_dim < 4:
         raise DomainError("need dimension >= 4")
+    if not math.isfinite(float(c) * float(c)):  # c > 1.34e154
+        raise OutOfRangeError(f"c = {c:g} has no matrix of T: c^2 is not a finite float")
     a = position_offdiag(n_dim - 1)  # couplings inside the truncation
     sq_diag = np.zeros(n_dim)
     sq_diag[:-1] = a * a

@@ -5,7 +5,9 @@ time of a suite's summary line stripped), of stderr and of the file the run
 wrote ("-" when it wrote none), then the argv.  A run that ends in an
 uncaught exception gives the exception's type in place of the exit code,
 and its type and message are hashed with stderr, so the digest goes on to
-the next argv.  The output path is replaced by ``OUT`` before hashing, so
+the next argv.  A ``RuntimeWarning`` in a run (numpy's overflow and
+invalid-value warnings) is raised as an error, so it shows as that argv's
+exception.  The output path is replaced by ``OUT`` before hashing, so
 two checkouts give equal lines exactly when they behave the same.  Below
 each line come the run's check records: for a written JSON report, one line
 per check as ``name repr(value) tol passed``; otherwise the check lines the
@@ -46,6 +48,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +80,15 @@ _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """248 argvs (31 per value of C_GRID, and 31 more), each written with
+    """251 argvs (31 per value of C_GRID, and 34 more), each written with
     ``--out``, ``--format`` json unless given.  Two run just past the
     Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large at
     c = 700, whose oracle runs at c/2 = 350.  Eight more take a finite c
     or N whose predicted array size, basis size 2c + 40 or xi rule
-    16 + 4c overflows a float.  The last two write the pswf table at
-    c = 40, where psi_0(+-1) rounds to 0."""
+    16 + 4c overflows a float.  The next two write the pswf table at
+    c = 40, where psi_0(+-1) rounds to 0.  The last three take a c whose
+    square in T's matrix overflows a float, with an explicit N small
+    enough for every other size to fit."""
     for c in C_GRID:
         for which in OPERATORS:
             for variant in ("folded", "full"):
@@ -118,6 +123,9 @@ def argv_grid():
     yield ("verify", "--suite", "fourier", "--c", "5e307", "--n-trunc", "64")
     for fmt in FORMATS:
         yield ("pswf", "--c", "40", "--format", fmt)
+    yield ("export-operator", "T", "--c", "1e200", "--n-trunc", "8")
+    yield ("pswf", "--c", "1e200", "--n-trunc", "64")
+    yield ("verify", "--suite", "translation", "--c", "1e200", "--n-trunc", "64")
 
 
 def _sha(data: bytes) -> str:
@@ -129,7 +137,8 @@ def digest(argv, work: Path) -> str:
     out = work / f"out.{fmt}"
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = cli.main([*argv, "--out", str(out)])
         except SystemExit as exc:  # usage errors

@@ -55,6 +55,23 @@ def _load_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+# A finite c or N whose predicted array size, basis size, xi rule or c^2 in
+# T's matrix overflows a float.
+OVERFLOWING_ARGVS = (
+    ("pswf", "--c", "1e158"),
+    ("pswf", "--n-trunc", "1" + "0" * 160),
+    ("export-operator", "Fc-reconstructed", "--c", "1e300", "--out", "unused.json"),
+    ("verify", "--suite", "limits-large", "--c", "1e200"),
+    ("verify", "--suite", "limits-small", "--c", "1e308"),
+    ("nystrom", "--c", "1e308", "--out", "unused.json"),
+    ("pswf", "--c", "1e308"),
+    ("verify", "--suite", "fourier", "--c", "5e307", "--n-trunc", "64"),
+    ("export-operator", "T", "--c", "1e200", "--n-trunc", "8", "--out", "t.json"),
+    ("pswf", "--c", "1e200", "--n-trunc", "64"),
+    ("verify", "--suite", "translation", "--c", "1e200", "--n-trunc", "64"),
+)
+
+
 class TestExitCodes:
     def test_passing_suite_exits_zero(self):
         proc = run_cli("verify", "--suite", "commutation", "--c", "2")
@@ -98,23 +115,18 @@ class TestExitCodes:
             ("nystrom", "--c", "nan", "--out", "unused.json"),
             ("nystrom", "--c", "1e300", "--out", "unused.csv", "--format", "csv"),
             ("nystrom", "--c", "400", "--out", "unused.json"),
-            # A finite c or N whose predicted array size, basis size or xi
-            # rule overflows a float.
-            ("pswf", "--c", "1e158"),
-            ("pswf", "--n-trunc", "1" + "0" * 160),
-            ("export-operator", "Fc-reconstructed", "--c", "1e300", "--out", "unused.json"),
-            ("verify", "--suite", "limits-large", "--c", "1e200"),
-            ("verify", "--suite", "limits-small", "--c", "1e308"),
-            ("nystrom", "--c", "1e308", "--out", "unused.json"),
-            ("pswf", "--c", "1e308"),
-            ("verify", "--suite", "fourier", "--c", "5e307", "--n-trunc", "64"),
+            *OVERFLOWING_ARGVS,
         ],
     )
-    def test_invalid_input_exits_two(self, argv, capsys):
+    def test_invalid_input_exits_two(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert cli.main(list(argv)) == 2
         captured = capsys.readouterr()
         assert "error[" in captured.err
         assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+        if argv in OVERFLOWING_ARGVS:
+            assert "error[out-of-range]" in captured.err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("c", ["0", "1e-200"])

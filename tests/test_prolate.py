@@ -61,6 +61,14 @@ class TestHeunMatrix:
         with pytest.raises(DomainError):
             assemble_heun_matrix(1.0, 3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_c_squared_is_out_of_range(self):
+        # c^2 passes the largest float at c = 1.34e154.
+        assert np.isfinite(assemble_heun_matrix(1.3e154, 8).bands).all()
+        for c in (1.35e154, np.float64(1e200)):
+            with pytest.raises(OutOfRangeError, match="c = 1.*e\\+.* has no matrix of T"):
+                assemble_heun_matrix(c, 8)
+
 
 class TestSolveProlate:
     def test_legendre_limit(self, ops):

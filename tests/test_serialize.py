@@ -1,15 +1,16 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from prolate_calculus import OperatorMatrix, assemble_heun_matrix, default_truncation
+from prolate_calculus import OperatorMatrix, assemble_heun_matrix, default_truncation, serialize
 from prolate_calculus.prolate import parity_block
 from prolate_calculus.serialize import (
-    _BLOCK_ROWS,
+    _CHUNK_ROWS,
     SCHEMA,
     dump_json,
     operator_to_csv,
@@ -49,7 +50,7 @@ class TestOperatorRoundtrip:
         assert payload["schema"] == "prolate-calculus/v1"
         assert payload["kind"] == "operator"
         assert payload["params"]["dim"] == 6
-        assert len(payload["data"]) == 36
+        assert payload["data"] is random_operator
 
     def test_csv_roundtrip_exact(self, random_operator, tmp_path):
         path = tmp_path / "op.csv"
@@ -138,12 +139,13 @@ _SPECIAL_OP = OperatorMatrix(
     1j,
 )
 
-# More entries than one write block holds, with edge values on both sides of
-# the block boundary: pair 511 is in the odd block and pair 512 in the even one.
+# Two write chunks of rows, with edge values on both sides of the chunk
+# boundary: row 15 (odd block row 7) ends the first and row 16 (even block
+# row 8) starts the second.
 _rng = np.random.default_rng(7)
-_TWO_BLOCK_OP = OperatorMatrix(_rng.standard_normal((16, 16)), _rng.standard_normal((16, 16)) * 1e-17, 1j)
-_TWO_BLOCK_OP.even[[0, 8, 15], [0, 0, 15]] = [-0.0, 5e-324, np.inf]
-_TWO_BLOCK_OP.odd[[7, 15], [15, 15]] = [float("nan"), -np.inf]
+_TWO_CHUNK_OP = OperatorMatrix(_rng.standard_normal((16, 16)), _rng.standard_normal((16, 16)) * 1e-17, 1j)
+_TWO_CHUNK_OP.even[[0, 8, 15], [0, 0, 15]] = [-0.0, 5e-324, np.inf]
+_TWO_CHUNK_OP.odd[[7, 15], [15, 15]] = [float("nan"), -np.inf]
 
 # Symmetric, with each value on several entries of both blocks.
 _REPEATED_OP = OperatorMatrix(
@@ -171,7 +173,7 @@ class TestByteLayout:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @example(op=_SPECIAL_OP, c=1.0)
-    @example(op=_TWO_BLOCK_OP, c=0.5)
+    @example(op=_TWO_CHUNK_OP, c=0.5)
     @example(op=_REPEATED_OP, c=2.0)
     @example(op=_SIGNED_ZERO_OP, c=3.0)
     @example(op=_NAN_PAYLOAD_OP, c=4.0)
@@ -192,13 +194,13 @@ class TestByteLayout:
 
     @pytest.mark.parametrize("which", ["T", "Fc", "Qc"])
     def test_exported_operators_at_a_real_size_match_oracle(self, which, ops, tmp_path):
-        # N = 75 at c = 17.27: 5625 entries in 11 write blocks, all but the
-        # first starting inside a row.
+        # N = 75 at c = 17.27: 75 rows in 5 write chunks, the last of an odd
+        # number of rows.
         c = 17.27
         n_dim = default_truncation(c)
-        starts = range(0, n_dim * n_dim, _BLOCK_ROWS)
-        assert n_dim == 75 and len(starts) == 11
-        assert sum(start % n_dim != 0 for start in starts) == 10
+        starts = range(0, n_dim, _CHUNK_ROWS)
+        assert n_dim == 75 and len(starts) == 5
+        assert (n_dim - starts[-1]) % 2 == 1
         if which == "T":
             bands = assemble_heun_matrix(c, n_dim).bands
             op = OperatorMatrix(parity_block(bands, 0), parity_block(bands, 1))
@@ -219,3 +221,120 @@ class TestByteLayout:
             assert f"   {token}," in text or f"   {token}\n" in text
         operator_to_csv(_SPECIAL_OP, path)
         assert path.read_bytes().count(b"\r\n") == 37
+
+    @pytest.mark.parametrize("phase", [1, 1j])
+    @pytest.mark.parametrize("dim", [0, *(2 * _CHUNK_ROWS + k for k in (-1, 0, 1, 2))])
+    def test_chunk_boundaries_at_odd_and_even_dimensions(self, dim, phase, tmp_path):
+        # Edge values on the last row of each chunk, the first row of the
+        # next and the last row of the matrix, in both blocks; and a matrix
+        # with no rows.
+        rng = np.random.default_rng(dim)
+        even, odd = (dim + 1) // 2, dim // 2
+        op = OperatorMatrix(rng.standard_normal((even, even)), rng.standard_normal((odd, odd)), phase)
+        edges = [(_CHUNK_ROWS - 1, -0.0), (_CHUNK_ROWS, float("nan")), (2 * _CHUNK_ROWS - 1, 5e-324),
+                 (2 * _CHUNK_ROWS, -np.inf), (dim - 1, 1e16)]
+        for row, value in edges:
+            if 0 <= row < dim:
+                block = op.odd if row % 2 else op.even
+                block[row // 2, [0, -1]] = value
+        params = {"c": 1.0, "N": dim}
+        json_path, csv_path = tmp_path / "op.json", tmp_path / "op.csv"
+        dump_json(operator_to_dict(op, params), json_path)
+        operator_to_csv(op, csv_path)
+        assert json_path.read_bytes() == _oracle_json(op, params)
+        assert csv_path.read_bytes() == _oracle_csv(op)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_large_write_holds_one_chunk_not_the_file(self, fmt, ops, tmp_path, monkeypatch):
+        # A direct F_c at c = 10, N = 200: 40000 entries, 1.3 MB in JSON and
+        # 0.9 MB in CSV.  Its writer's peak with the default chunk is below
+        # its peak with the whole matrix as one chunk by more than the file.
+        op = ops.fourier(10.0, 200)
+        path = tmp_path / f"op.{fmt}"
+
+        def write():
+            if fmt == "json":
+                dump_json(operator_to_dict(op, {"c": 10.0}), path)
+            else:
+                operator_to_csv(op, path)
+
+        def peak():
+            write()  # imports and caches settle outside the traced write
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        chunked = peak()
+        monkeypatch.setattr(serialize, "_CHUNK_ROWS", op.n_dim)
+        whole = peak()
+        assert chunked + path.stat().st_size < whole
+
+
+# The table writers as they were before the columns were formatted as arrays:
+# the byte-identity oracle for ``dump_json`` and ``table_to_csv``.
+def _oracle_scalar(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    return float(v)
+
+
+def _oracle_table_json(columns, params):
+    data = {name: [_oracle_scalar(v) for v in values] for name, values in columns.items()}
+    payload = {"schema": SCHEMA, "kind": "table", "params": dict(params), "data": data}
+    return (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode()
+
+
+def _oracle_table_csv(columns):
+    names = list(columns)
+    length = len(next(iter(columns.values())))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(names)
+    for i in range(length):
+        row = []
+        for name in names:
+            v = columns[name][i]
+            row.append(int(v) if isinstance(v, (np.integer, int)) else "%.17g" % float(v))
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+@st.composite
+def _tables(draw):
+    """1 to 4 integer or float columns of one length, 0 to 12, under distinct
+    names; the floats with edge values anywhere."""
+    name = st.sampled_from(["n", "chi", "lambda", "mu", "psi_plus1", "psi_minus1"]) | st.text(max_size=4)
+    names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    length = draw(st.integers(0, 12))
+    columns = {}
+    for name in names:
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=length, max_size=length))
+            columns[name] = np.array(values, dtype=np.int64)
+        else:
+            values = draw(st.lists(_entries, min_size=length, max_size=length))
+            columns[name] = np.array(values, dtype=float)
+    return columns
+
+
+class TestTableByteLayout:
+    """``dump_json`` and ``table_to_csv`` write the frozen byte layout."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(columns={"n": np.arange(len(_EDGE_FLOATS)), "chi": np.array(_EDGE_FLOATS)})
+    @example(columns={"n": np.arange(0), "mu": np.zeros(0)})
+    @given(columns=_tables())
+    def test_table_files_match_oracle(self, columns, tmp_path):
+        params = {"c": 2.5, "N": 64}
+        json_path, csv_path = tmp_path / "t.json", tmp_path / "t.csv"
+        dump_json(table_to_dict(columns, params), json_path)
+        table_to_csv(columns, csv_path)
+        assert json_path.read_bytes() == _oracle_table_json(columns, params)
+        assert csv_path.read_bytes() == _oracle_table_csv(columns)
