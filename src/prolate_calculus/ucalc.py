@@ -28,11 +28,13 @@ The series runs only where it is itself under test (translation and
 limits-large suites, and the tests).
 
 ``u_series_terms`` is the one unrolling of the recurrence, in the scaled
-form t_k = xi^k U_k / k!; it produces the terms in blocks of ``_BLOCK`` rows.
+form t_k = xi^k U_k / k!; it produces the terms in blocks, the first of
+``_BLOCK`` rows and each next one of the rows its caller sends.
 ``u_series_many`` sums them over an array of spectral points, applying its
 stop rule to a whole block at a time with the same result, bit for bit, as
-a term-by-term loop, and returns the sums with their error bounds;
-``u_series_scalar`` returns the bare float at one point.
+a term-by-term loop, and asks after the first block only for the terms
+before the earliest possible stop; it returns the sums with their error
+bounds.  ``u_series_scalar`` returns the bare float at one point.
 
 The module sits below ``prolate``, whose ``ProlateBasis`` it names in
 annotations only, so ``prolate`` may call the series.
@@ -52,12 +54,15 @@ if TYPE_CHECKING:
 
 K_MAX = 2000
 _RUN_LENGTH = 20  # consecutive small terms required before stopping
-# Terms computed per block before the stop rule runs on them.  The
-# translation suite's series calls use 67 terms on average (34 to 114 over
-# the 120 calls of three benchmark passes), of which blocks of 32 compute
-# 83.5; blocks of 24 to 64 time those calls within 10% of each other, the
-# surplus past the stop being bounded by one block.
-_BLOCK = 32
+# Rows of the first block of terms, before the stop rule first runs; later
+# blocks hold only the rows before the earliest possible stop.  The
+# translation suite's series calls use 67.4 terms on average (34 to 114 over
+# the 120 calls of three benchmark passes).  With a first block of 64 they
+# compute 73.1 terms in 1.73 blocks.  Timed in one process on 80 such calls
+# (c in [5, 20], xi in [0.05, 1.5]), that is 16% less time than fixed
+# blocks of 32 (83.5 terms in 2.61 blocks); first blocks of 32 and 96 save
+# 7% and 3%, and 128 costs 21% more.
+_BLOCK = 64
 # Relative term size at which boundary_ratios' series path stops summing.
 _SERIES_TOL = 1e-13
 # Extended precision where available; the cancellation bound below uses the
@@ -68,8 +73,11 @@ SERIES_DTYPE = np.longdouble
 
 def u_series_terms(c: float, lambdas, xi: float, k_max: int):
     """Generator of the scaled terms t_k = xi^k U_k(lambda) / k!, k = 0..k_max,
-    in blocks of up to ``_BLOCK`` rows: each block has shape
-    (rows, len(lambdas)), and the blocks stacked in order are t_0..t_{k_max}.
+    in blocks of shape (rows, len(lambdas)); the blocks stacked in order are
+    t_0..t_{k_max}.  The first block has up to ``_BLOCK`` rows, and each next
+    one the row count sent to the generator (``generator.send``), or
+    ``_BLOCK`` rows when none is sent, as in plain iteration; the last block
+    stops at t_{k_max}.
 
     Uses the recurrence rewritten for t_k directly,
 
@@ -95,8 +103,9 @@ def u_series_terms(c: float, lambdas, xi: float, k_max: int):
     p_m2, p_m1, p_0 = products
     n_terms = max(k_max, 0) + 1
     history = np.zeros((3, lam.size), dtype=dtype)  # t_{s-3}, t_{s-2}, t_{s-1}
-    for s in range(0, n_terms, _BLOCK):
-        buf = np.empty((3 + min(_BLOCK, n_terms - s), lam.size), dtype=dtype)
+    s, rows = 0, _BLOCK
+    while s < n_terms:
+        buf = np.empty((3 + min(rows, n_terms - s), lam.size), dtype=dtype)
         buf[:3] = history
         first = 3
         if s == 0:
@@ -115,7 +124,8 @@ def u_series_terms(c: float, lambdas, xi: float, k_max: int):
             out += p_m2
             out *= a
         history = buf[-3:].copy()
-        yield buf[3:]
+        s += buf.shape[0] - 3
+        rows = (yield buf[3:]) or _BLOCK
 
 
 def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int = K_MAX):
@@ -123,12 +133,16 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
 
     Stops once ``_RUN_LENGTH`` consecutive terms fall below tol times the
     running sum for every point; single-term smallness is unreliable because
-    the decay ratio approaches 1 as |xi| -> 2.  The terms arrive in blocks
-    from ``u_series_terms`` and the rule is applied to each block at once,
-    stopping at the same term, with the same running sums, as a term-by-term
-    loop; a series that has not stopped after the k_max + 1 terms
-    t_0..t_{k_max} raises SeriesStallError naming the point with the
-    shortest run.
+    the decay ratio approaches 1 as |xi| -> 2.  Every point's run reaches
+    that length at row r exactly when no point had a term that was not
+    small in the last ``_RUN_LENGTH`` rows, so the rule reads one flag per
+    row, and stops at the same term, with the same running sums, as a
+    term-by-term loop.  The terms arrive in blocks from ``u_series_terms``:
+    after the first, each block asks only for the rows before the earliest
+    term at which the series could stop, so a call computes
+    max(min(``_BLOCK``, k_max + 1), terms_used) terms.  A series that has
+    not stopped after the k_max + 1 terms t_0..t_{k_max} raises
+    SeriesStallError naming the point with the shortest run.
 
     Returns (values, terms_used, tail, cancellation): ``tail`` bounds the
     dropped tail geometrically with ratio |xi|/2, and ``cancellation`` is
@@ -137,7 +151,8 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     for the rounding of the extended-precision sum to double.  So
     tail + cancellation bounds the error of the returned double, and two
     sums of one series that stop at different terms differ by at most the
-    sum of their two bounds.
+    sum of their two bounds.  A sum or bound past the double range raises
+    OutOfRangeError.
     """
     if not -2.0 < xi < 2.0:
         raise DomainError(f"xi = {xi} outside the open interval (-2, 2)")
@@ -151,34 +166,52 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     ratio = abs(xi) / 2.0
     total = np.zeros(lam.size, dtype=SERIES_DTYPE)
     max_term = np.zeros(lam.size, dtype=SERIES_DTYPE)
-    last_big = np.full(lam.size, -1)  # index of each point's last term that was not small
+    # Index of the last row where some point's term was not small; with no
+    # points every run is long enough at once, so the first term stops.
+    last_big = -1 if lam.size else -_RUN_LENGTH
+    masks = []  # each block's small-term flags, read only to name a stall
     start = 0
-    for block in u_series_terms(c, lam, xi, k_max):
+    terms = u_series_terms(c, lam, xi, k_max)
+    rows = None  # the first block has _BLOCK rows
+    while True:
+        try:
+            block = terms.send(rows)
+        except StopIteration:
+            break
         # add.accumulate adds in order, so each row is the loop's `total += term`.
         sums = np.add.accumulate(np.vstack((total, block)))[1:]
         size = np.abs(block)
         small = size <= tol * np.maximum(np.abs(sums), 1e-300)
         index = np.arange(start, start + block.shape[0])
-        big = np.where(small, -1, index[:, None])
-        np.maximum(big[0], last_big, out=big[0])
-        np.maximum.accumulate(big, axis=0, out=big)
-        done = np.all(index[:, None] - big >= _RUN_LENGTH, axis=1)
+        last = np.maximum.accumulate(np.where(small.all(axis=1), last_big, index))
+        done = index - last >= _RUN_LENGTH
         if done.any():
             stop = int(np.argmax(done))
             np.maximum(max_term, size[: stop + 1].max(axis=0), out=max_term)
             tail = size[stop] * ratio / (1.0 - ratio)
+            cancel = max_term * eps
+            largest = np.maximum(np.abs(sums[stop]), np.maximum(tail, cancel))
+            if not np.all(largest <= np.finfo(float).max):
+                raise OutOfRangeError(
+                    f"U(xi; lambda) at xi = {xi}, c = {c:g} or its error bound exceeds the double range"
+                )
             values = np.asarray(sums[stop], dtype=float)
             return (
                 values,
                 start + stop + 1,
                 np.asarray(tail, dtype=float),
-                np.asarray(max_term * eps, dtype=float) + 0.5 * np.spacing(np.abs(values)),
+                np.asarray(cancel, dtype=float) + 0.5 * np.spacing(np.abs(values)),
             )
         np.maximum(max_term, size.max(axis=0), out=max_term)
+        masks.append(small)
         total = sums[-1]
-        last_big = big[-1]
+        last_big = int(last[-1])
         start += block.shape[0]
-    run = start - 1 - last_big
+        rows = last_big + _RUN_LENGTH + 1 - start
+    # Each point's run of small terms at t_{k_max}: the rows after its last
+    # term that was not small.
+    small = np.vstack(masks)
+    run = np.where(small.all(axis=0), small.shape[0], np.argmin(small[::-1], axis=0))
     raise SeriesStallError(
         f"series did not converge within {k_max} terms at xi={xi}",
         worst_index=int(np.argmin(run)),

@@ -109,11 +109,12 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
     if config.seed < 0:
         raise DomainError(f"seed must be >= 0, got {config.seed}")
     from .prolate import solve_prolate
-    from .ucalc import boundary_ratios
+    from .ucalc import boundary_ratios, ratio_denominators
 
     rep = _report("translation", config, {"seed": config.seed})
     tol = 1e-10 if config.c == 0 else 1e-8
     basis = solve_prolate(config.c, _identity_dim(config))
+    ratio_denominators(basis)  # refuses a psi_n(-1) that rounds to 0 before any series work
     rng = np.random.default_rng(config.seed)
     xis = rng.uniform(0.05, 1.5, size=10)
     worst = 0.0

@@ -29,9 +29,12 @@ the order printed, so repeated runs also cover the cached quadrature rules.
 With ``--series`` it prints instead one line per c in SERIES_C: c, then the
 sha256 of the ``float.hex`` values of ``boundary_ratios(..., method="series")``
 (the nine checked modes, which the translation suite compares) at each xi of
-SERIES_XI, a refusal hashed as its error class and message.  Diffing it
-between two checkouts shows whether a change to the series kernel moved a
-bit:
+SERIES_XI, together with the terms used, tail and cancellation bounds of the
+same nine-mode ``u_series_many`` sum, and then the sha256 of
+``u_series_scalar`` of mode 0 at the limits-large suite's points
+xi = 2/c^2 and 30/c^2 (c > 0).  A refusal is hashed as its error class and
+message.  Diffing it between two checkouts shows whether a change to the
+series kernel moved a bit or a stop term:
 
     PYTHONPATH=<checkout>/src python tests/argv_digest.py --series > series.txt
 """
@@ -60,17 +63,21 @@ from prolate_calculus import (
     finite_fourier_direct,
     sinc_kernel_direct,
     solve_prolate,
+    u_series_scalar,
 )
+from prolate_calculus.legendre import CHECKED_MODES
+from prolate_calculus.ucalc import _SERIES_TOL, u_series_many
 
 # N = default_truncation(c) is 64 up to c = 12, then 65 at 12.3, 71 at 15.5 and
 # 80 at 20: odd parity blocks and fractional c, like the benchmark's draws.
 C_GRID = ("0.5", "4", "10", "12", "12.3", "15.5", "20")
 # The translation suite at the benchmark's range-edge draws of c (seed 1),
-# each with three seeds, and past its stated range, where the series has the
-# most terms.
+# each with three seeds, and past its stated range: where the series has the
+# most terms, and from c = 450, where some psi_n(-1) rounds to 0 and the
+# series sums pass the double range.
 TRANSLATION_C = ("6.1894", "11.2764", "14.8696", "17.6658")
 TRANSLATION_SEEDS = ("1", "2", "3")
-TRANSLATION_C_LARGE = ("25", "30", "34.5")
+TRANSLATION_C_LARGE = ("25", "30", "34.5", "450", "500", "700")
 # The series grid: c = 0, 0.5, ..., 40 and xi = 0.05, 0.06, ..., 1.5.
 SERIES_C = tuple(i / 2 for i in range(81))
 SERIES_XI = tuple(i / 100 for i in range(5, 151))
@@ -80,8 +87,10 @@ _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 
 
 def argv_grid():
-    """251 argvs (31 per value of C_GRID, and 34 more), each written with
-    ``--out``, ``--format`` json unless given.  Two run just past the
+    """254 argvs (31 per value of C_GRID, and 37 more), each written with
+    ``--out``, ``--format`` json unless given.  Three run the translation
+    suite at c = 450, 500 and 700, where it is refused before any series
+    work.  Two run just past the
     Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large at
     c = 700, whose oracle runs at c/2 = 350.  Eight more take a finite c
     or N whose predicted array size, basis size 2c + 40 or xi rule
@@ -214,16 +223,27 @@ def _records(out: Path, fmt: str, stdout: str) -> list[str]:
     return [line.strip() for line in stdout.splitlines() if line.startswith("  [")]
 
 
+def _hex(values) -> str:
+    return " ".join(float(v).hex() for v in np.ravel(values))
+
+
 def series_digest(c: float) -> str:
     basis = solve_prolate(c)
     lines = []
     for xi in SERIES_XI:
         try:
             values = boundary_ratios(basis, xi, method="series")
-            lines.append(" ".join(float(v).hex() for v in values))
+            _, terms_used, tail, cancel = u_series_many(c, -basis.chi[:CHECKED_MODES], xi, tol=_SERIES_TOL)
+            lines.append(f"{_hex(values)} {terms_used} {_hex(tail)} {_hex(cancel)}")
         except ProlateCalculusError as exc:
             lines.append(f"{type(exc).__name__}: {exc}")
-    return f"{c!r} {_sha(chr(10).join(lines).encode())}"
+    scalars = []
+    for eps in (2.0, 30.0) if c > 0 else ():
+        try:
+            scalars.append(_hex(u_series_scalar(c, -basis.chi[0], eps / (c * c))))
+        except ProlateCalculusError as exc:
+            scalars.append(f"{type(exc).__name__}: {exc}")
+    return f"{c!r} {_sha(chr(10).join(lines).encode())} {_sha(chr(10).join(scalars).encode())}"
 
 
 def main() -> int:

@@ -146,6 +146,11 @@ class TestExitCodes:
             (("verify", "--suite", "sinc", "--c", "40"), 0),
             (("verify", "--suite", "sinc", "--variant", "full", "--c", "40"), 0),
             (("verify", "--suite", "translation", "--c", "40"), 0),
+            # Refused before any series work, whose sums pass the double
+            # range at these c.
+            (("verify", "--suite", "translation", "--c", "450"), 1),
+            (("verify", "--suite", "translation", "--c", "500"), 3),
+            (("verify", "--suite", "translation", "--c", "700"), 34),
             # An export's enlarged basis (N = 154 at c = 45) loses psi_2(-1).
             (("export-operator", "Fc-reconstructed", "--c", "45"), 2),
             (("export-operator", "Qc-reconstructed", "--variant", "full", "--c", "45"), 2),

@@ -13,7 +13,7 @@ from prolate_calculus import (
     u_series_scalar,
 )
 from prolate_calculus import RunConfig, assemble_heun_matrix, run_suite, ucalc
-from prolate_calculus.errors import ProlateCalculusError
+from prolate_calculus.errors import OutOfRangeError, ProlateCalculusError
 from prolate_calculus.ucalc import (
     _BLOCK,
     _RUN_LENGTH,
@@ -155,6 +155,44 @@ def block_rows(c, lambdas, xi, k_max):
     return np.concatenate(list(u_series_terms(c, lambdas, xi, k_max)))
 
 
+def recording_terms(calls):
+    """A u_series_terms that passes each sent row count on and appends, for
+    each call, the list of the row counts of the blocks it yields to calls."""
+
+    def terms(*args):
+        blocks = []
+        calls.append(blocks)
+        gen = u_series_terms(*args)
+        rows = None
+        while True:
+            try:
+                block = gen.send(rows)
+            except StopIteration:
+                return
+            blocks.append(len(block))
+            rows = yield block
+
+    return terms
+
+
+def blocks_and_stop(monkeypatch, c, lambdas, xi, tol, k_max=K_MAX):
+    """assert_same_series' terms_used (None for a stall) and the row counts
+    of the blocks u_series_many took from u_series_terms."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ucalc, "u_series_terms", recording_terms(calls))
+        terms_used = assert_same_series(c, lambdas, xi, tol, k_max)
+    return terms_used, calls[0]
+
+
+def last_big_rows(c, lambdas, xi, tol, k_max):
+    """Per point, the index of the last term t_0..t_{k_max} that is not
+    small against its running sum (-1 if none), term by term."""
+    terms = np.array(list(reference_series_terms(c, lambdas, xi, k_max)))
+    small = np.abs(terms) <= tol * np.maximum(np.abs(np.add.accumulate(terms)), 1e-300)
+    return np.array([np.flatnonzero(~column).max(initial=-1) for column in small.T])
+
+
 class TestBlockedSeries:
     """u_series_many against the term-by-term reference, bit for bit."""
 
@@ -189,21 +227,54 @@ class TestBlockedSeries:
         assert negative_zeros > 0
 
     def test_blocks_have_the_stated_shape(self):
-        shapes = [b.shape for b in u_series_terms(1.0, [-1.0, -2.0], 0.5, 2 * _BLOCK + 4)]
-        assert shapes == [(_BLOCK, 2), (_BLOCK, 2), (5, 2)]
+        # Plain iteration gives blocks of _BLOCK rows; a row count sent to
+        # the generator sets the next block's rows, None meaning _BLOCK, and
+        # the last block stops at t_{k_max}.
+        lam, k_max = [-1.0, -2.0], 2 * _BLOCK + 4
+        assert [b.shape for b in u_series_terms(1.0, lam, 0.5, k_max)] == [(_BLOCK, 2), (_BLOCK, 2), (5, 2)]
+        k_max = 3 * _BLOCK + 7
+        terms = u_series_terms(1.0, lam, 0.5, k_max)
+        blocks = [next(terms), terms.send(1), terms.send(None), terms.send(5), terms.send(k_max)]
+        assert [len(b) for b in blocks] == [_BLOCK, 1, _BLOCK, 5, _BLOCK + 2]
+        with pytest.raises(StopIteration):
+            terms.send(1)
+        assert np.array_equal(np.concatenate(blocks), np.array(list(reference_series_terms(1.0, lam, 0.5, k_max))))
 
-    def test_stops_on_and_around_block_edges(self):
-        # The stop row, terms_used - 1, is the last row of a block (offset 0),
-        # the first row of the next (offset 1) or the row before the last.
-        wanted = {0, 1, _BLOCK - 1}
+    def test_stops_on_and_around_block_edges(self, monkeypatch):
+        # The first block has _BLOCK rows; each later one holds the rows up
+        # to the earliest possible stop, at most _RUN_LENGTH of them, so a
+        # call computes max(_BLOCK, terms_used) terms.  The grid stops inside
+        # the first block, on its last row, on the first row after it, and
+        # at the end of the second and of a later sent block.
         found = set()
         for xi in np.linspace(0.3, 1.8, 151):
-            terms_used = assert_same_series(1.0, [-2.5, 7.0], float(xi), 1e-12)
-            if terms_used > _BLOCK and terms_used % _BLOCK in wanted:
-                found.add(terms_used % _BLOCK)
-                if found == wanted:
-                    break
-        assert found == wanted
+            terms_used, blocks = blocks_and_stop(monkeypatch, 1.0, [-2.5, 7.0], float(xi), 1e-12)
+            assert sum(blocks) == max(_BLOCK, terms_used)
+            assert blocks[0] == _BLOCK and all(0 < rows <= _RUN_LENGTH for rows in blocks[1:])
+            offset = terms_used - _BLOCK
+            found.add(offset if offset in (0, 1) else "first" if offset < 0 else min(len(blocks), 4))
+        assert found == {"first", 0, 1, 2, 3, 4}
+        # With no points every run is long enough at once: the first term.
+        terms_used, blocks = blocks_and_stop(monkeypatch, 1.0, [], 0.5, 1e-12)
+        assert terms_used == 1 and blocks == [_BLOCK]
+
+    @pytest.mark.parametrize("c", [0.5, 4.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0, 22.0, 25.0, 30.0])
+    def test_translation_suite_computes_no_term_past_the_stop(self, monkeypatch, c):
+        # Each of the suite's series calls computes max(min(_BLOCK,
+        # k_max + 1), terms_used) terms, over three seeds' draws of xi.
+        blocks, stops = [], []
+
+        def counting(*args, **kwargs):
+            result = u_series_many(*args, **kwargs)
+            stops.append((result[1], kwargs.get("k_max", K_MAX)))
+            return result
+
+        monkeypatch.setattr(ucalc, "u_series_terms", recording_terms(blocks))
+        monkeypatch.setattr(ucalc, "u_series_many", counting)
+        for seed in (1234, 1, 2):
+            run_suite("translation", RunConfig(c=c, seed=seed))
+        assert len(blocks) == len(stops) == 30
+        assert [sum(rows) for rows in blocks] == [max(min(_BLOCK, k_max + 1), used) for used, k_max in stops]
 
     def test_k_max_caps_the_terms_exactly(self):
         c, lam, xi, tol = 1.0, [-2.5, 7.0], 1.2, 1e-12
@@ -217,6 +288,17 @@ class TestBlockedSeries:
     def test_stall_after_exactly_k_max_plus_one_terms(self, k_max):
         assert len(block_rows(1.0, [-2.0], 1.99, k_max)) == k_max + 1
         assert_same_series(1.0, [-2.0], 1.99, 1e-13, k_max=k_max)
+
+    @pytest.mark.parametrize("k_max, xi", [(_BLOCK + 5, 1.17), (3 * _BLOCK + 7, 1.755), (400, 1.887)])
+    @pytest.mark.parametrize("lambdas", [[7.0, -2.5], [-2.5, 7.0]])
+    def test_stall_named_from_an_earlier_block(self, monkeypatch, k_max, xi, lambdas):
+        # k_max cuts the last block short of the earliest possible stop, and
+        # every point's last term that was not small lies in an earlier
+        # block: the stall names the worst point from the kept flags, with
+        # the reference's index and message.
+        terms_used, blocks = blocks_and_stop(monkeypatch, 1.0, lambdas, xi, 1e-12, k_max)
+        assert terms_used is None and sum(blocks) == k_max + 1
+        assert last_big_rows(1.0, lambdas, xi, 1e-12, k_max).max() < k_max + 1 - blocks[-1]
 
 
 class TestUPolyTable:
@@ -265,6 +347,15 @@ class TestUSeriesScalar:
                 u_series_scalar(1.0, -1.0, xi)
         with pytest.raises(DomainError):
             u_series_many(1.0, [-1.0], 0.5, tol=0.0)
+
+    def test_a_sum_past_the_double_range_is_refused(self):
+        # U(1; 0) at c = 600 sums to -7.1e316 in extended precision, past the
+        # largest double: refused, not cast to -inf with a RuntimeWarning.
+        with pytest.raises(OutOfRangeError, match="exceeds the double range"):
+            u_series_many(600.0, [-2.0, 0.0], 1.0)
+        with pytest.raises(OutOfRangeError):
+            u_series_scalar(600.0, 0.0, 1.0)
+        assert np.all(np.isfinite(u_series_many(500.0, [-2.0, 0.0], 1.0)[0]))
 
     def test_series_stall_near_open_endpoint(self):
         with pytest.raises(SeriesStallError) as err:
