@@ -1,31 +1,26 @@
 """Command-line front end.
 
-Commands, the flags each one reads, and the c where it passes (measured at
-the default truncation):
-  pswf             eigenvalue/endpoint table for the prolate basis, c <= 20
+Commands and the flags each one reads:
+  pswf             eigenvalue/endpoint table for the prolate basis
                    --c --n-trunc --out --format
-  verify           run one suite: translation c <= 12, fourier c <= 18, sinc c <= 18,
-                   commutation c <= 40 (largest c measured); limits-small runs at c
-                   in [1e-6, 0.1], limits-large at c >= 4 and refuses c > 680,
-                   where its Nystrom oracle at c/2 is past 340; on the grid
-                   c = 4, 4.25, ..., 40 limits-large FAILs at every c up to 31.25
-                   and at 40, and passes from 31.5 to 36.5 and at scattered c up
-                   to 39.75 (exit 0 at 32 and 36, 1 at 31 and 40), a window that
-                   says nothing about its convergence (ROADMAP item 4)
+  verify           run one suite: translation, fourier, sinc, limits-small,
+                   limits-large or commutation
                    --suite --c --n-trunc --variant --seed --out --format
   export-operator  write an operator matrix artifact
                    WHICH --c --n-trunc --variant --out --format
-  nystrom          write the independent oracle's mu_n, chi_n for n <= 8, c <= 340,
-                   the rows with mu_n >= 1e-10 (``legendre.MIN_MU``)
+  nystrom          write the independent oracle's mu_n, chi_n for n <= 8, the
+                   rows with mu_n >= 1e-10 (``legendre.MIN_MU``)
                    --c --out --format
 
-Past its range a run FAILs or is refused (exit 2) today (ROADMAP items 3 and 4);
-limits-small, limits-large and nystrom refuse any other c before any work.  A
-run whose largest dense arrays would pass ``MAX_ARRAY_BYTES`` is refused (exit 2)
-before any work too.  The checked modes n <= 8 are ``legendre.CHECKED_MODES``,
-and the Nystrom grid and its c <= ``legendre.MAX_C`` range are decided in
-``nystrom.nystrom_sinc_eigen``, which refuses a larger c for both the nystrom
-command and the limits-large suite.
+The c each suite and the pswf and nystrom commands run at is stated once, in
+``verify.C_RANGES`` (measured at the default truncation), and printed by
+``verify --help``: a c outside it is refused (exit 2, ``error[out-of-range]``)
+before any work, whatever N.  Inside its range limits-large still FAILs
+at most c (ROADMAP item 4).  A run whose largest dense arrays would pass
+``MAX_ARRAY_BYTES`` is refused (exit 2) before any work too, ahead of the
+range.  The checked modes n <= 8 are ``legendre.CHECKED_MODES``, and the
+Nystrom grid is decided in ``nystrom.nystrom_sinc_eigen``, which refuses a c
+past ``legendre.MAX_C`` itself too.
 ``--variant`` selects the full or folded xi integral of the fourier and sinc
 suites and of the two reconstructed operators; ``--seed`` draws the translation
 suite's test points, and only its report records it.  Each check carries its
@@ -54,8 +49,8 @@ import time
 import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
-from .legendre import MAX_C, MAX_NODES, MIN_MU, RITZ_BUFFER, default_truncation
-from .verify import SUITES, RunConfig, VerificationReport, run_suite
+from .legendre import MAX_NODES, MIN_MU, RITZ_BUFFER, default_truncation
+from .verify import C_RANGES, SUITES, RunConfig, VerificationReport, run_suite
 
 OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
@@ -90,18 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             p.add_argument(name, default=argparse.SUPPRESS, **_FLAGS[name])
 
-    p_pswf = sub.add_parser("pswf", help="write the eigenvalue table")
+    p_pswf = sub.add_parser("pswf", help=f"write the eigenvalue table, at {C_RANGES['pswf']}")
     flags(p_pswf, "--c", "--n-trunc", "--out", "--format")
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     flags(p_verify, "--c", "--n-trunc", "--variant", "--out", "--format", "--seed")
+    ranges = ", ".join(f"{suite} {C_RANGES[suite]}" for suite in SUITES)
     p_verify.add_argument(
         "--suite", choices=SUITES, required=True,
-        help="passes (measured) at translation c <= 12, fourier c <= 18, sinc c <= 18, commutation "
-        "c <= 40; limits-small runs at c in [1e-6, 0.1], limits-large at c >= 4 (measured on c = 4, "
-        "4.25, ..., 40: FAILs up to c = 31.25 and at 40, passes from 31.5 to 36.5 and at scattered "
-        "c up to 39.75, a window that says nothing about convergence, see ROADMAP item 4; refuses "
-        f"c > {2 * MAX_C:g}, where its Nystrom oracle at c/2 is out of range)",
+        help=f"runs at (measured at the default truncation; any other c is refused before any "
+        f"work): {ranges}. limits-large passes only in a window (measured on c = 4, 4.25, ..., "
+        "40: FAILs up to c = 31.25 and at 40, passes from 31.5 to 36.5 and at scattered c up to "
+        "39.75), which says nothing about convergence, see ROADMAP item 4",
     )
 
     p_export = sub.add_parser("export-operator", help="write an operator matrix")
@@ -113,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write oracle fixtures for mu_n, chi_n",
         description=f"Write mu_n and chi_n, n <= 8, from the Nystrom discretization of the sinc "
         f"kernel on min({MAX_NODES}, 2 N) Gauss nodes, N the default truncation of c: 128 at "
-        f"c <= 12, {MAX_NODES} from c = 80. Runs at c <= {MAX_C:g}, refusing a larger c. mu_n is "
+        f"c <= 12, {MAX_NODES} from c = 80. Runs at {C_RANGES['nystrom']}, refusing any other c. mu_n is "
         "within 5e-15 of the spectral mu_n up to c = 80 and 4.2e-14 up to 340 (1.2e-12 at 370). "
         "chi_n comes from a Rayleigh-Ritz step of T on the leading 2 ceil(c/pi) + "
         f"{RITZ_BUFFER} Nystrom eigenvectors: within 1.3e-13 of the spectral chi_n at c in "
@@ -296,6 +291,8 @@ def main(argv=None) -> int:
                 f"{job} at c = {config.c:g} would allocate a {gib:.3g} GiB "
                 f"array, past the {MAX_ARRAY_BYTES / 2**20:g} MiB limit"
             )
+        if args.command in C_RANGES:  # pswf and nystrom; run_suite checks each suite
+            C_RANGES[args.command].check(args.command, config.c)
         if args.command == "pswf":
             report = cmd_pswf(config)
         elif args.command == "verify":

@@ -1,8 +1,11 @@
 """Named verification suites behind the CLI.
 
 Each suite builds the objects it needs from a RunConfig, measures a list of
-checks and returns a VerificationReport.  Each check passes when its measured
-value is at most its tolerance, so the JSON artifact is self-describing.
+checks and returns a VerificationReport.  ``run_suite`` first refuses a c
+outside the suite's stated range (``C_RANGES``, which also holds the ranges
+of the ``pswf`` and ``nystrom`` commands), before any work.  Each check
+passes when its measured value is at most its tolerance, so the JSON
+artifact is self-describing.
 A suite builds every operator it needs at one (c, N) in one pass per route
 (``transforms.reconstructions``, ``transforms.direct_operators``), in that
 order, so it meets every xi refusal of its reconstructions before any direct
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .legendre import CHECKED_MODES, MAX_C, default_truncation
+from .legendre import CHECKED_MODES, MAX_C, MAX_NODES, default_truncation
 
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
@@ -89,9 +92,72 @@ class VerificationReport:
         return [head] + ["  " + r.line() for r in self.records]
 
 
+@dataclass(frozen=True)
+class CRange:
+    """The c a job runs at, low <= c <= high (low < c where ``low_open``),
+    and why a c below or above it is refused."""
+
+    low: float
+    high: float
+    above: str
+    below: str = ""
+    low_open: bool = False
+
+    def __contains__(self, c: float) -> bool:
+        return (self.low < c if self.low_open else self.low <= c) and c <= self.high
+
+    def __str__(self) -> str:
+        high = _bound(self.high)
+        if self.low == 0 and not self.low_open:
+            return f"c <= {high}"
+        return f"{_bound(self.low)} {'<' if self.low_open else '<='} c <= {high}"
+
+    def check(self, job: str, c: float) -> None:
+        """Raise OutOfRangeError, naming ``job`` and the bound it passes, for a c outside."""
+        if c in self:
+            return
+        if c > self.high:
+            bound, why = f"c <= {_bound(self.high)}", self.above
+        else:
+            bound, why = f"c {'>' if self.low_open else '>='} {_bound(self.low)}", self.below
+        raise OutOfRangeError(f"{job} runs at {bound}, got c = {c:g}; {why}")
+
+
+def _bound(x: float) -> str:
+    return f"{x:g}".replace("e-0", "e-")
+
+
+_ENDPOINTS = "the range measured at the default truncation; past it, as psi_n(-1) falls like e^-c,"
+# Each job's stated range of c, measured at the default truncation; a c
+# outside it is refused before any work, whatever N.  The pswf and nystrom
+# commands are checked in ``cli.main``, the suites in ``run_suite``.
+C_RANGES: dict[str, CRange] = {
+    "pswf": CRange(0, 20, f"{_ENDPOINTS} 1/|psi_n(-1)| nears its conditioning bound of 1e8"),
+    "translation": CRange(0, 12, f"{_ENDPOINTS} the series and spectral ratios part by more than 1e-8"),
+    "fourier": CRange(0, 18, f"{_ENDPOINTS} the xi integrals drift by more than 1e-9"),
+    "sinc": CRange(0, 18, f"{_ENDPOINTS} mu_0 rounds to 1 and the xi integrals drift by more than 1e-9"),
+    "limits-small": CRange(
+        1e-6, 0.1,
+        above="the range stated for the suite, inside the small-c expansion's own c <= 0.2",
+        below="below 1e-6 the expansion error is at rounding level, so halving c cannot show its c^2 order",
+    ),
+    "limits-large": CRange(
+        4, 2 * MAX_C,
+        above=f"its Nystrom oracle runs at c/2, and the oracle's grid resolves c <= {MAX_C:g}",
+        below="the suite compares the large-c limits at bandwidths c/4, c/2 and c, so c/4 must be at least 1",
+    ),
+    "commutation": CRange(0, 40, "the largest c measured at the default truncation"),
+    "nystrom": CRange(
+        0, MAX_C, f"its {MAX_NODES}-node grid loses digits of mu_n past c = 370",
+        below="the sinc kernel vanishes at c = 0", low_open=True,
+    ),
+}
+
+
 def run_suite(suite: str, config: RunConfig) -> VerificationReport:
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    C_RANGES[suite].check(suite, config.c)
     start = time.perf_counter()
     report = SUITES[suite](config)
     report.wall_time_s = time.perf_counter() - start
@@ -109,12 +175,11 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
     if config.seed < 0:
         raise DomainError(f"seed must be >= 0, got {config.seed}")
     from .prolate import solve_prolate
-    from .ucalc import boundary_ratios, ratio_denominators
+    from .ucalc import boundary_ratios
 
     rep = _report("translation", config, {"seed": config.seed})
     tol = 1e-10 if config.c == 0 else 1e-8
     basis = solve_prolate(config.c, _identity_dim(config))
-    ratio_denominators(basis)  # refuses a psi_n(-1) that rounds to 0 before any series work
     rng = np.random.default_rng(config.seed)
     xis = rng.uniform(0.05, 1.5, size=10)
     worst = 0.0
@@ -215,11 +280,6 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
 
 def _suite_limits_small(config: RunConfig) -> VerificationReport:
     c = config.c
-    if not 1e-6 <= c <= 0.1:
-        raise OutOfRangeError(
-            f"limits-small runs at c in [1e-6, 0.1], got c = {c:g}; below 1e-6 the "
-            "expansion error is at rounding level, so halving c cannot show its c^2 order"
-        )
     from .asymptotics import small_c_operator
     from .transforms import finite_fourier_direct
 
@@ -237,19 +297,8 @@ def _suite_limits_small(config: RunConfig) -> VerificationReport:
 
 
 def _suite_limits_large(config: RunConfig) -> VerificationReport:
-    """Large-c limits at c/4, c/2 and c, and the Nystrom oracle at c/2;
-    c outside [4, 2 MAX_C] is refused before any work."""
+    """Large-c limits at c/4, c/2 and c, and the Nystrom oracle at c/2."""
     c = config.c
-    if c < 4:
-        raise OutOfRangeError(
-            f"limits-large runs at c >= 4, got c = {c:g}; the suite compares the "
-            "large-c limits at bandwidths c/4, c/2 and c, so c/4 must be at least 1"
-        )
-    if c > 2 * MAX_C:
-        raise OutOfRangeError(
-            f"limits-large runs at c <= {2 * MAX_C:g}, got c = {c:g}; its Nystrom "
-            f"oracle runs at c/2, and the oracle's grid resolves c <= {MAX_C:g}"
-        )
     from .asymptotics import bessel_limit_check, hermite_distance, oscillator_gaps, wkb_value
     from .nystrom import nystrom_sinc_eigen
     from .prolate import solve_prolate

@@ -37,6 +37,14 @@ message.  Diffing it between two checkouts shows whether a change to the
 series kernel moved a bit or a stop term:
 
     PYTHONPATH=<checkout>/src python tests/argv_digest.py --series > series.txt
+
+With ``--ranges`` it prints the range scan instead: one line per job and
+variant of RANGE_JOBS, run at each c of RANGE_C = 0.25, 0.5, ..., 40 (with
+``--out``, like the digest), giving the c where each outcome holds, in runs
+of equal outcomes: the exit code, and for a refusal its error kind.  Diffing
+it between two checkouts shows every c whose outcome moved:
+
+    PYTHONPATH=<checkout>/src python tests/argv_digest.py --ranges > ranges.txt
 """
 
 from __future__ import annotations
@@ -81,6 +89,22 @@ TRANSLATION_C_LARGE = ("25", "30", "34.5", "450", "500", "700")
 # The series grid: c = 0, 0.5, ..., 40 and xi = 0.05, 0.06, ..., 1.5.
 SERIES_C = tuple(i / 2 for i in range(81))
 SERIES_XI = tuple(i / 100 for i in range(5, 151))
+# The range scan's grid and its jobs, each with the argv before --c.
+RANGE_C = tuple(i / 4 for i in range(1, 161))
+RANGE_JOBS = {
+    "pswf": ("pswf",),
+    "nystrom": ("nystrom",),
+    **{
+        suite: ("verify", "--suite", suite)
+        for suite in ("translation", "limits-small", "limits-large", "commutation")
+    },
+    **{
+        f"{suite} {variant}": ("verify", "--suite", suite, "--variant", variant)
+        for suite in ("fourier", "sinc")
+        for variant in ("folded", "full")
+    },
+}
+_ERROR_KIND = re.compile(r"error\[([^]]+)\]")
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
 FORMATS = ("json", "csv")
 _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
@@ -89,15 +113,15 @@ _WALL_TIME = re.compile(r"(checks, )[0-9.]+s\)")
 def argv_grid():
     """254 argvs (31 per value of C_GRID, and 37 more), each written with
     ``--out``, ``--format`` json unless given.  Three run the translation
-    suite at c = 450, 500 and 700, where it is refused before any series
-    work.  Two run just past the
-    Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large at
-    c = 700, whose oracle runs at c/2 = 350.  Eight more take a finite c
+    suite at c = 450, 500 and 700, past its stated range.  Two run just
+    past the Nystrom oracle's c <= 340: nystrom at c = 341, and limits-large
+    at c = 700, whose oracle runs at c/2 = 350.  Eight more take a finite c
     or N whose predicted array size, basis size 2c + 40 or xi rule
-    16 + 4c overflows a float.  The next two write the pswf table at
-    c = 40, where psi_0(+-1) rounds to 0.  The last three take a c whose
-    square in T's matrix overflows a float, with an explicit N small
-    enough for every other size to fit."""
+    16 + 4c overflows a float.  The next two ask for the pswf table at
+    c = 40, past its stated range, where psi_0(+-1) rounds to 0.  The last
+    three take a c whose square in T's matrix overflows a float, with an
+    explicit N small enough for every other size to fit; the pswf and
+    translation ones are refused by their stated ranges first."""
     for c in C_GRID:
         for which in OPERATORS:
             for variant in ("folded", "full"):
@@ -141,7 +165,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def digest(argv, work: Path) -> str:
+def _run(argv, work: Path):
+    """Run ``argv`` with ``--out`` in ``work``; return the exit code (or the
+    exception's type), stdout and stderr with the path read as ``OUT``, and
+    the output path."""
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
     out = work / f"out.{fmt}"
     out.unlink(missing_ok=True)
@@ -155,7 +182,27 @@ def digest(argv, work: Path) -> str:
         except Exception as exc:  # a traceback
             code = type(exc).__name__
             print(f"{code}: {exc}", file=sys.stderr)
-    texts = [s.getvalue().replace(str(out), "OUT") for s in (stdout, stderr)]
+    return code, *(s.getvalue().replace(str(out), "OUT") for s in (stdout, stderr)), out
+
+
+def range_scan(job: str, work: Path) -> str:
+    runs = []  # [first c, last c, outcome]
+    for c in RANGE_C:
+        code, _, stderr, _ = _run([*RANGE_JOBS[job], "--c", f"{c:g}"], work)
+        kind = _ERROR_KIND.match(stderr)
+        outcome = f"{code} {kind[1]}" if kind else str(code)
+        if runs and runs[-1][2] == outcome:
+            runs[-1][1] = c
+        else:
+            runs.append([c, c, outcome])
+    return f"{job}: " + ", ".join(
+        f"{lo:g} {outcome}" if lo == hi else f"{lo:g}-{hi:g} {outcome}" for lo, hi, outcome in runs
+    )
+
+
+def digest(argv, work: Path) -> str:
+    code, *texts, out = _run(argv, work)
+    fmt = out.suffix[1:]
     texts[0] = _WALL_TIME.sub(r"\1<wall>)", texts[0])
     written = _sha(out.read_bytes()) if out.exists() else "-"
     lines = [" ".join([str(code), *(_sha(t.encode()) for t in texts), written, *argv])]
@@ -252,6 +299,10 @@ def main() -> int:
             print(series_digest(c), flush=True)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
+        if sys.argv[1:] == ["--ranges"]:
+            for job in RANGE_JOBS:
+                print(range_scan(job, Path(tmp)), flush=True)
+            return 0
         for argv in argv_grid():
             print(digest(argv, Path(tmp)), flush=True)
     return 0

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from prolate_calculus import (
+    OutOfRangeError,
     RunConfig,
     asymptotics,
     cli,
@@ -35,7 +36,7 @@ from prolate_calculus import (
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import MAX_C, MIN_MU, _build_rule
 from prolate_calculus.nystrom import nystrom_chi, nystrom_sinc_eigen
-from prolate_calculus.verify import SUITES, VerificationReport
+from prolate_calculus.verify import C_RANGES, SUITES, VerificationReport
 
 
 # The child interpreter imports the package from the same path as this one.
@@ -141,25 +142,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, n",
         [
-            (("verify", "--suite", "fourier", "--c", "40"), 0),
-            (("verify", "--suite", "fourier", "--variant", "full", "--c", "40"), 0),
-            (("verify", "--suite", "sinc", "--c", "40"), 0),
-            (("verify", "--suite", "sinc", "--variant", "full", "--c", "40"), 0),
-            (("verify", "--suite", "translation", "--c", "40"), 0),
-            # Refused before any series work, whose sums pass the double
-            # range at these c.
-            (("verify", "--suite", "translation", "--c", "450"), 1),
-            (("verify", "--suite", "translation", "--c", "500"), 3),
-            (("verify", "--suite", "translation", "--c", "700"), 34),
             # An export's enlarged basis (N = 154 at c = 45) loses psi_2(-1).
             (("export-operator", "Fc-reconstructed", "--c", "45"), 2),
             (("export-operator", "Qc-reconstructed", "--variant", "full", "--c", "45"), 2),
         ],
     )
     def test_zero_endpoint_value_exits_two(self, argv, n, capsys, tmp_path):
-        # Some psi_n(-1) rounds to exactly 0.0 at c = 40 (at the default
-        # N): the spectral ratios and the reconstructions' mode integrals
-        # are refused, by one owner, instead of carried into NaN records.
+        # The reconstructions' mode integrals are refused, by the spectral
+        # ratios' one owner, instead of carried into NaN entries.
         out = tmp_path / "out.json"
         assert cli.main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -170,6 +160,71 @@ class TestExitCodes:
         )
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "fourier", "--c", "40"),
+            ("verify", "--suite", "fourier", "--variant", "full", "--c", "40"),
+            ("verify", "--suite", "sinc", "--c", "40"),
+            ("verify", "--suite", "sinc", "--variant", "full", "--c", "40"),
+            ("verify", "--suite", "translation", "--c", "40"),
+            ("verify", "--suite", "translation", "--c", "450"),
+            ("verify", "--suite", "translation", "--c", "500"),
+            ("verify", "--suite", "translation", "--c", "700"),
+        ],
+    )
+    def test_a_suite_past_its_range_is_refused_before_any_eigensolve(self, argv, monkeypatch, capsys,
+                                                                      tmp_path):
+        # Some psi_n(-1) rounds to 0 at these c, and from c = 450 the series
+        # sums pass the double range; the stated range refuses them first.
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve_prolate ran past the stated range")
+
+        monkeypatch.setattr(prolate, "solve_prolate", no_work)
+        out = tmp_path / "out.json"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        suite, c = argv[2], argv[-1]
+        high = {"translation": 12, "fourier": 18, "sinc": 18}[suite]
+        assert captured.err.startswith(f"error[out-of-range]: {suite} runs at c <= {high}, got c = {c}; ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c, n", [(40.0, 0), (450.0, 1), (500.0, 3), (700.0, 34)])
+    def test_ratio_denominators_refuse_a_zero_endpoint_value(self, c, n):
+        # Some psi_n(-1) rounds to exactly 0.0 at these c (at the default
+        # N): the spectral ratios are refused, by one owner, instead of
+        # carried into NaN values.
+        message = (
+            f"psi_{n}(-1) rounds to 0 at c = {c:g}; the spectral ratios "
+            "psi_n(-1 + xi) / psi_n(-1) are not representable"
+        )
+        with pytest.raises(OutOfRangeError) as refused:
+            ucalc.boundary_ratios(solve_prolate(c), 0.5)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (("pswf", "--c", "1e100", "--n-trunc", "64"), "pswf runs at c <= 20, got c = 1e+100; "),
+            (("pswf", "--c", "25", "--n-trunc", "30"), "pswf runs at c <= 20, got c = 25; "),
+            (("verify", "--suite", "translation", "--c", "40", "--n-trunc", "40"),
+             "translation runs at c <= 12, got c = 40; "),
+        ],
+    )
+    def test_an_explicit_n_does_not_lift_the_stated_range(self, argv, refusal, monkeypatch, capsys):
+        # Refused by c alone: an eigensolve at these (c, N) would end in an
+        # error that blames the eigensolver or the sign convention instead.
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve_prolate ran past the stated range")
+
+        monkeypatch.setattr(prolate, "solve_prolate", no_work)
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error[out-of-range]: {refusal}")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv, module, stage",
@@ -235,6 +290,11 @@ class TestExitCodes:
         assert captured.err.startswith(f"error[out-of-range]: nystrom runs at c <= {MAX_C:g}, got c = ")
         assert captured.out == ""
         assert not out.exists()
+        # The command's refusal (the range table's) and the oracle's own
+        # input check give one text.
+        with pytest.raises(OutOfRangeError) as oracle:
+            nystrom_sinc_eigen(float(c))
+        assert captured.err == f"error[out-of-range]: {oracle.value}\n"
 
     def test_limits_large_refuses_a_c_past_its_nystrom_oracle_before_any_eigensolve(self, monkeypatch, capsys):
         # The suite refuses c > 2 MAX_C itself, naming the c it was given and
@@ -407,8 +467,10 @@ def test_limits_reports_record_the_n_they_compute_on(argv, n_used, monkeypatch, 
     assert _load_json(out)["params"]["N"] == n_used
 
 
-@pytest.mark.parametrize("c", ["0", "4e-7", "0.2", "1", "40"])
-def test_limits_small_refuses_a_c_outside_its_range(c, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "c, bound", [("0", ">= 1e-6"), ("4e-7", ">= 1e-6"), ("0.2", "<= 0.1"), ("1", "<= 0.1"), ("40", "<= 0.1")]
+)
+def test_limits_small_refuses_a_c_outside_its_range(c, bound, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("limits-small computed before refusing")
 
@@ -416,7 +478,8 @@ def test_limits_small_refuses_a_c_outside_its_range(c, monkeypatch, capsys):
     monkeypatch.setattr(transforms, "finite_fourier_direct", no_work)
     assert cli.main(["verify", "--suite", "limits-small", "--c", c]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error[out-of-range]: limits-small runs at c in [1e-6, 0.1]")
+    refusal = f"error[out-of-range]: limits-small runs at c {bound}, got c = {float(c):g}; "
+    assert captured.err.startswith(refusal)
     assert captured.out == ""
 
 
@@ -455,10 +518,15 @@ def test_a_run_past_the_array_limit_is_refused_before_any_work(argv, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("job", ["pswf", "nystrom", *SUITES, *cli.OPERATOR_NAMES])
+@pytest.mark.parametrize("job", C_RANGES)
 def test_every_stated_range_fits_the_array_limit(job):
-    # nystrom's c <= 340 is the largest range any command states.
-    assert cli._largest_array_bytes(job, RunConfig(c=MAX_C)) <= cli.MAX_ARRAY_BYTES
+    assert cli._largest_array_bytes(job, RunConfig(c=C_RANGES[job].high)) <= cli.MAX_ARRAY_BYTES
+
+
+@pytest.mark.parametrize("which", cli.OPERATOR_NAMES)
+def test_every_operator_fits_the_array_limit_at_the_nystrom_range(which):
+    # export-operator states no range; it fits up to the oracle's c <= 340.
+    assert cli._largest_array_bytes(which, RunConfig(c=MAX_C)) <= cli.MAX_ARRAY_BYTES
 
 
 def _recorded_tables(monkeypatch, on_table=None):
@@ -587,7 +655,8 @@ _SERIES_CHECK_VALUES = {
 )
 @pytest.mark.parametrize("suite, c", sorted(_SERIES_CHECK_VALUES))
 def test_series_check_values_are_pinned(suite, c):
-    report = run_suite(suite, RunConfig(c=c, seed=1234))
+    # The suite itself, so that a c past its stated range still pins the series.
+    report = SUITES[suite](RunConfig(c=c, seed=1234))
     expected = _SERIES_CHECK_VALUES[suite, c]
     values = {r.name: r.value for r in report.records if r.name in expected}
     assert values == expected

@@ -38,7 +38,7 @@ from prolate_calculus.transforms import (
     reconstructions,
 )
 from prolate_calculus.ucalc import boundary_ratios, ratio_denominators
-from prolate_calculus.verify import RunConfig, run_suite
+from prolate_calculus.verify import SUITES, RunConfig, run_suite
 
 
 def full_grid_matrix(kernel, n_dim, q_order):
@@ -332,14 +332,15 @@ class TestReconstructions:
 
     def test_the_fourier_suite_refuses_before_the_direct_pass(self, monkeypatch):
         # At c = 20 the full variant's xi quadrature refuses: both variants'
-        # refusals come before any direct quadrature.
+        # refusals come before any direct quadrature.  The suite itself runs,
+        # past the stated range at which run_suite refuses it.
         def no_direct_pass(*args):
             raise AssertionError("the direct F_c was built before a refusal")
 
         monkeypatch.setattr(prolate_calculus.transforms, "finite_fourier_direct", no_direct_pass)
         for variant in ("folded", "full"):
             with pytest.raises(XiQuadratureUnresolvedError):
-                run_suite("fourier", RunConfig(c=20.0, variant=variant))
+                SUITES["fourier"](RunConfig(c=20.0, variant=variant))
 
     @pytest.mark.parametrize("n_trunc", [18, 0], ids=["N=18", "default N"])
     @pytest.mark.parametrize("c", [0.5, 10.0, 20.0, 40.0])

@@ -12,7 +12,7 @@ from prolate_calculus import (
     pswf_eval,
     u_series_scalar,
 )
-from prolate_calculus import RunConfig, assemble_heun_matrix, run_suite, ucalc
+from prolate_calculus import RunConfig, assemble_heun_matrix, ucalc
 from prolate_calculus.errors import OutOfRangeError, ProlateCalculusError
 from prolate_calculus.ucalc import (
     _BLOCK,
@@ -25,6 +25,7 @@ from prolate_calculus.ucalc import (
     u_series_terms,
 )
 from prolate_calculus.legendre import CHECKED_MODES
+from prolate_calculus.verify import SUITES
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -271,8 +272,8 @@ class TestBlockedSeries:
 
         monkeypatch.setattr(ucalc, "u_series_terms", recording_terms(blocks))
         monkeypatch.setattr(ucalc, "u_series_many", counting)
-        for seed in (1234, 1, 2):
-            run_suite("translation", RunConfig(c=c, seed=seed))
+        for seed in (1234, 1, 2):  # the suite itself, also past its stated range
+            SUITES["translation"](RunConfig(c=c, seed=seed))
         assert len(blocks) == len(stops) == 30
         assert [sum(rows) for rows in blocks] == [max(min(_BLOCK, k_max + 1), used) for used, k_max in stops]
 
@@ -507,7 +508,7 @@ class TestBoundaryRatios:
             return u_series_many(c, lambdas, xi, **kwargs)
 
         monkeypatch.setattr(ucalc, "u_series_many", counting)
-        run_suite("translation", RunConfig(c=c))
+        SUITES["translation"](RunConfig(c=c))  # the suite itself, also past its stated range
         assert calls == [CHECKED_MODES] * 10
 
     def test_spectral_reflects_at_xi_two(self, ops):
