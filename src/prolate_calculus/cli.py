@@ -12,15 +12,22 @@ Commands and the flags each one reads:
                    rows with mu_n >= 1e-10 (``legendre.MIN_MU``)
                    --c --out --format
 
-The c each suite and the pswf and nystrom commands run at is stated once, in
-``verify.C_RANGES`` (measured at the default truncation), and printed by
-``verify --help``: a c outside it is refused (exit 2, ``error[out-of-range]``)
-before any work, whatever N.  Inside its range limits-large still FAILs
-at most c (ROADMAP item 4).  A run whose largest dense arrays would pass
-``MAX_ARRAY_BYTES`` is refused (exit 2) before any work too, ahead of the
-range.  The checked modes n <= 8 are ``legendre.CHECKED_MODES``, and the
-Nystrom grid is decided in ``nystrom.nystrom_sinc_eigen``, which refuses a c
-past ``legendre.MAX_C`` itself too.
+This module parses argv, requires ``--out`` where a command writes a file,
+dispatches and writes.  Every other refusal made before any work is
+``verify.admit``'s, which every job (a suite, the pswf and nystrom commands
+and each exported operator) passes, the suites through ``run_suite``.  It
+refuses, in this order: a run whose largest dense arrays would pass
+``verify.MAX_ARRAY_BYTES``; a c outside the job's stated range, stated once,
+in ``verify.C_RANGES`` (measured at the default truncation, and printed by
+``verify --help`` and ``export-operator --help``), whatever N; a negative
+translation seed; and an N that certifies fewer than the checked modes
+n <= 8 (``legendre.CHECKED_MODES``) for the translation, fourier and sinc
+suites.  Each exits 2 (``error[out-of-range]`` for the size and the range,
+``error[domain]`` for the seed and the modes).  Inside its range
+limits-large still FAILs at most c (ROADMAP item 4).  The Nystrom grid is
+decided in ``nystrom.nystrom_sinc_eigen``, which refuses a c past
+``legendre.MAX_C`` itself too, and ``nystrom`` refuses a c whose oracle
+resolves no row once the oracle has run.
 ``--variant`` selects the full or folded xi integral of the fourier and sinc
 suites and of the two reconstructed operators; ``--seed`` draws the translation
 suite's test points, and only its report records it.  Each check carries its
@@ -49,18 +56,10 @@ import time
 import numpy as np
 
 from .errors import OutOfRangeError, ProlateCalculusError
-from .legendre import MAX_NODES, MIN_MU, RITZ_BUFFER, default_truncation
-from .verify import C_RANGES, SUITES, RunConfig, VerificationReport, run_suite
-
-OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
-RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
-# Largest dense arrays one run may allocate.  256 MiB holds the N x N
-# eigenvectors up to N = 5792 (c = 2876 at the default N), the direct
-# operators' complex kernels up to q = 4096 (c = 1349) and a reconstruction's
-# Legendre table with its recurrence's coefficients up to c = 664 (an export;
-# c = 470 for the fourier suite's two variants), far past every range the
-# commands state; a run predicted to need more is refused before any work.
-MAX_ARRAY_BYTES = 2**28
+from .legendre import MAX_NODES, MIN_MU, RITZ_BUFFER
+from .verify import (
+    C_RANGES, OPERATOR_NAMES, RECONSTRUCTED, SUITES, RunConfig, VerificationReport, _enlarged_dim, admit, run_suite
+)
 
 _FLAGS = {
     "--c": dict(type=float, help="bandwidth parameter"),
@@ -99,7 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
         "39.75), which says nothing about convergence, see ROADMAP item 4",
     )
 
-    p_export = sub.add_parser("export-operator", help="write an operator matrix")
+    reconstructed = ", ".join(f"{which} {C_RANGES[which]}" for which in RECONSTRUCTED)
+    p_export = sub.add_parser(
+        "export-operator", help="write an operator matrix",
+        description=f"Write an operator matrix. The reconstructed operators run at {reconstructed} "
+        "(measured at the default truncation; any other c is refused before any work), and "
+        "Fc-reconstructed folded is refused as xi-quadrature-unresolved at c = 16.75 and 17.5 "
+        "inside it, as the fourier suite is (ROADMAP item 3). T, Fc and Qc state no range.",
+    )
     p_export.add_argument("which", choices=OPERATOR_NAMES)
     flags(p_export, "--c", "--n-trunc", "--variant", "--out", "--format")
 
@@ -122,59 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     return RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
-
-
-def _enlarged_dim(config: RunConfig) -> int:
-    """Size of the internal basis a reconstructed operator is assembled on."""
-    return max(config.n_dim + 24, default_truncation(config.c))
-
-
-def _largest_array_bytes(job: str, config: RunConfig) -> int:
-    """Bytes of the largest dense arrays that ``job`` (a command, a suite or
-    an exported operator) holds at once, one of:
-    - the N x N float64 eigenvectors of T (pswf, translation, and
-      limits-large at the default N of c);
-    - the direct operators' complex kernel exp(icyy') on the q nodes y >= 0
-      of their fine rule, q = N + ceil(c) + 8, a q x q array (Fc, Qc and
-      the commutation, fourier and sinc suites);
-    - a reconstruction's Legendre table over every xi rule with the
-      recurrence's coefficient array (``_xi_table_bytes``): the fourier and
-      sinc suites are predicted at the larger of these and their kernel,
-      and a reconstructed export at these alone, on its enlarged basis of
-      size Ne.  No other array of a reconstruction has a row per mode and a
-      column per node, and its Ne x Ne arrays are smaller.
-    T is predicted at 16 N^2, four times its two real N/2 x N/2 parity
-    blocks: the size of the complex N x N array it once was, kept so that no
-    refusal moves.  nystrom works on at most ``MAX_NODES`` = 400 nodes (two
-    200 x 200 parity blocks) and limits-small at a fixed size, both under
-    1 MiB.
-    """
-    c, n = config.c, config.n_dim
-    if job in ("nystrom", "limits-small"):
-        return 0
-    if job == "limits-large":
-        return 8 * default_truncation(c) ** 2
-    if job in RECONSTRUCTED:
-        return _xi_table_bytes(c, _enlarged_dim(config), 1)
-    if job in ("pswf", "translation"):
-        return 8 * n * n
-    if job == "T":
-        return 16 * n * n
-    from .transforms import _q_order
-
-    kernel = 16 * _q_order(c, n) ** 2  # Fc, Qc and the commutation suite
-    variants = {"fourier": 2, "sinc": 1}.get(job, 0)
-    return max(kernel, _xi_table_bytes(c, n, variants))
-
-
-def _xi_table_bytes(c: float, n_dim: int, variants: int) -> int:
-    """Bytes of the Legendre table that ``variants`` reconstructions on a
-    basis of n_dim modes share, with its recurrence's coefficient array: the
-    rules of q_xi and 2 q_xi nodes of each variant, n_dim values a node in
-    the table and 2 n_dim in the coefficients, 8 bytes each."""
-    from .transforms import _default_q_xi
-
-    return 24 * n_dim * 3 * _default_q_xi(c, n_dim) * variants
 
 
 def cmd_pswf(config: RunConfig) -> VerificationReport:
@@ -281,18 +234,8 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         if args.command in ("export-operator", "nystrom") and not config.out:
             raise ProlateCalculusError(f"{args.command} requires --out")
-        job = vars(args).get("suite") or vars(args).get("which") or args.command
-        predicted = _largest_array_bytes(job, config)
-        if predicted > MAX_ARRAY_BYTES:
-            # An int division raises where its quotient passes the largest
-            # float; such a size reads inf.
-            gib = predicted / 2**30 if predicted >> 30 <= sys.float_info.max else math.inf
-            raise OutOfRangeError(
-                f"{job} at c = {config.c:g} would allocate a {gib:.3g} GiB "
-                f"array, past the {MAX_ARRAY_BYTES / 2**20:g} MiB limit"
-            )
-        if args.command in C_RANGES:  # pswf and nystrom; run_suite checks each suite
-            C_RANGES[args.command].check(args.command, config.c)
+        if args.command != "verify":  # run_suite admits each suite
+            admit(vars(args).get("which", args.command), config)
         if args.command == "pswf":
             report = cmd_pswf(config)
         elif args.command == "verify":

@@ -42,10 +42,6 @@ class SeriesStallError(ProlateCalculusError, RuntimeError):
 
     kind = "series-stall"
 
-    def __init__(self, message: str, worst_index: int | None = None):
-        super().__init__(message)
-        self.worst_index = worst_index
-
 
 class QuadratureUnresolvedError(ProlateCalculusError, RuntimeError):
     """Operator entries drift when the quadrature order is doubled."""

@@ -105,22 +105,14 @@ def report_to_dict(report) -> dict:
             "checks": [
                 {
                     "name": r.name,
-                    "value": _json_scalar(r.value),
-                    "tol": _json_scalar(r.tol),
+                    "value": r.value,
+                    "tol": r.tol,
                     "passed": r.passed,
                 }
                 for r in report.records
             ],
         },
     }
-
-
-def _json_scalar(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
 
 
 def dump_json(payload: dict, path) -> None:

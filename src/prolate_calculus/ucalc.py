@@ -142,7 +142,7 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     term at which the series could stop, so a call computes
     max(min(``_BLOCK``, k_max + 1), terms_used) terms.  A series that has
     not stopped after the k_max + 1 terms t_0..t_{k_max} raises
-    SeriesStallError naming the point with the shortest run.
+    SeriesStallError.
 
     Returns (values, terms_used, tail, cancellation): ``tail`` bounds the
     dropped tail geometrically with ratio |xi|/2, and ``cancellation`` is
@@ -169,7 +169,6 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     # Index of the last row where some point's term was not small; with no
     # points every run is long enough at once, so the first term stops.
     last_big = -1 if lam.size else -_RUN_LENGTH
-    masks = []  # each block's small-term flags, read only to name a stall
     start = 0
     terms = u_series_terms(c, lam, xi, k_max)
     rows = None  # the first block has _BLOCK rows
@@ -203,19 +202,11 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
                 np.asarray(cancel, dtype=float) + 0.5 * np.spacing(np.abs(values)),
             )
         np.maximum(max_term, size.max(axis=0), out=max_term)
-        masks.append(small)
         total = sums[-1]
         last_big = int(last[-1])
         start += block.shape[0]
         rows = last_big + _RUN_LENGTH + 1 - start
-    # Each point's run of small terms at t_{k_max}: the rows after its last
-    # term that was not small.
-    small = np.vstack(masks)
-    run = np.where(small.all(axis=0), small.shape[0], np.argmin(small[::-1], axis=0))
-    raise SeriesStallError(
-        f"series did not converge within {k_max} terms at xi={xi}",
-        worst_index=int(np.argmin(run)),
-    )
+    raise SeriesStallError(f"series did not converge within {k_max} terms at xi={xi}")
 
 
 def u_series_scalar(c: float, lam: float, xi: float) -> float:

@@ -1,11 +1,21 @@
-"""Named verification suites behind the CLI.
+"""Named verification suites behind the CLI, and the gate every job passes
+before any work.
 
 Each suite builds the objects it needs from a RunConfig, measures a list of
-checks and returns a VerificationReport.  ``run_suite`` first refuses a c
-outside the suite's stated range (``C_RANGES``, which also holds the ranges
-of the ``pswf`` and ``nystrom`` commands), before any work.  Each check
-passes when its measured value is at most its tolerance, so the JSON
-artifact is self-describing.
+checks and returns a VerificationReport.  ``admit(job, config)`` makes every
+refusal that needs no computed quantity, for each job (a suite, a CLI
+command or an exported operator), in this order:
+1. its largest dense arrays past ``MAX_ARRAY_BYTES`` (``_largest_array_bytes``);
+2. a c outside its stated range, its row of ``C_RANGES``;
+3. a negative translation seed;
+4. a basis that certifies fewer than the checked modes n <= 8 (N < 18), for
+   the translation, fourier and sinc suites.
+``run_suite`` admits each suite and ``cli.main`` each other job, so the
+library and the CLI refuse alike.  Refusals that need a computed quantity
+(a psi_n(-1) that rounds to 0, an xi or quadrature drift, a zero reference
+norm) stay with the code that computes it.  Each check passes when its
+measured value is at most its tolerance, so the JSON artifact is
+self-describing.
 A suite builds every operator it needs at one (c, N) in one pass per route
 (``transforms.reconstructions``, ``transforms.direct_operators``), in that
 order, so it meets every xi refusal of its reconstructions before any direct
@@ -18,6 +28,7 @@ norms, and mode n, of parity n, is read off the block of its parity.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,6 +40,16 @@ from .legendre import CHECKED_MODES, MAX_C, MAX_NODES, default_truncation
 
 # Relative error allowed to a reconstructed F_c or Q_c against direct quadrature.
 _RECON_TOL = 1e-7
+
+OPERATOR_NAMES = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")
+RECONSTRUCTED = ("Fc-reconstructed", "Qc-reconstructed")
+# Largest dense arrays one run may allocate.  256 MiB holds the N x N
+# eigenvectors up to N = 5792 (c = 2876 at the default N), the direct
+# operators' complex kernels up to q = 4096 (c = 1349) and a reconstruction's
+# Legendre table with its recurrence's coefficients up to c = 664 (an export;
+# c = 470 for the fourier suite's two variants), far past every stated range;
+# a run predicted to need more is refused before any work.
+MAX_ARRAY_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -128,9 +149,9 @@ def _bound(x: float) -> str:
 
 
 _ENDPOINTS = "the range measured at the default truncation; past it, as psi_n(-1) falls like e^-c,"
-# Each job's stated range of c, measured at the default truncation; a c
-# outside it is refused before any work, whatever N.  The pswf and nystrom
-# commands are checked in ``cli.main``, the suites in ``run_suite``.
+# Each job's stated range of c, measured at the default truncation (a
+# reconstructed export's at its enlarged basis, ``_enlarged_dim``); ``admit``
+# refuses a c outside it before any work, whatever N.
 C_RANGES: dict[str, CRange] = {
     "pswf": CRange(0, 20, f"{_ENDPOINTS} 1/|psi_n(-1)| nears its conditioning bound of 1e8"),
     "translation": CRange(0, 12, f"{_ENDPOINTS} the series and spectral ratios part by more than 1e-8"),
@@ -152,12 +173,99 @@ C_RANGES: dict[str, CRange] = {
         below="the sinc kernel vanishes at c = 0", low_open=True,
     ),
 }
+# A reconstructed export runs where the fourier and sinc suites, which check
+# its reconstruction, do, for the fourier row's reason.  Measured on c = 0.25,
+# 0.5, ..., 40 at the default N, each operator and variant exits 0 up to c =
+# 18 (Fc folded is refused as xi-quadrature-unresolved at 16.75 and 17.5, as
+# the fourier suite is), and from 18.5 some pair is refused as
+# xi-quadrature-unresolved.
+C_RANGES.update(dict.fromkeys(RECONSTRUCTED, C_RANGES["fourier"]))
+# Jobs whose checks read modes n <= 8, refused before any work where N
+# certifies fewer.
+_CHECKED_MODE_JOBS = ("translation", "fourier", "sinc")
+
+
+def admit(job: str, config: RunConfig) -> None:
+    """Refuse ``job`` at ``config`` before any work, in the order the module
+    docstring gives: the array size and the stated range raise
+    OutOfRangeError, the seed and the checked modes DomainError."""
+    predicted = _largest_array_bytes(job, config)
+    if predicted > MAX_ARRAY_BYTES:
+        # An int division raises where its quotient passes the largest
+        # float; such a size reads inf.
+        gib = predicted / 2**30 if predicted >> 30 <= sys.float_info.max else math.inf
+        raise OutOfRangeError(
+            f"{job} at c = {config.c:g} would allocate a {gib:.3g} GiB "
+            f"array, past the {MAX_ARRAY_BYTES / 2**20:g} MiB limit"
+        )
+    if job in C_RANGES:
+        C_RANGES[job].check(job, config.c)
+    if job == "translation" and config.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {config.seed}")
+    if job in _CHECKED_MODE_JOBS and config.n_dim // 2 < CHECKED_MODES:
+        raise DomainError(
+            f"N = {config.n_dim} certifies {config.n_dim // 2} modes; the checks on modes "
+            f"n <= {CHECKED_MODES - 1} need N >= {2 * CHECKED_MODES}"
+        )
+
+
+def _enlarged_dim(config: RunConfig) -> int:
+    """Size of the internal basis a reconstructed operator is assembled on."""
+    return max(config.n_dim + 24, default_truncation(config.c))
+
+
+def _largest_array_bytes(job: str, config: RunConfig) -> int:
+    """Bytes of the largest dense arrays that ``job`` (a command, a suite or
+    an exported operator) holds at once, one of:
+    - the N x N float64 eigenvectors of T (pswf, translation, and
+      limits-large at the default N of c);
+    - the direct operators' complex kernel exp(icyy') on the q nodes y >= 0
+      of their fine rule, q = N + ceil(c) + 8, a q x q array (Fc, Qc and
+      the commutation, fourier and sinc suites);
+    - a reconstruction's Legendre table over every xi rule with the
+      recurrence's coefficient array (``_xi_table_bytes``): the fourier and
+      sinc suites are predicted at the larger of these and their kernel,
+      and a reconstructed export at these alone, on its enlarged basis of
+      size Ne.  No other array of a reconstruction has a row per mode and a
+      column per node, and its Ne x Ne arrays are smaller.
+    T is predicted at 16 N^2, four times its two real N/2 x N/2 parity
+    blocks: the size of the complex N x N array it once was, kept so that no
+    refusal moves.  nystrom works on at most ``MAX_NODES`` = 400 nodes (two
+    200 x 200 parity blocks) and limits-small at a fixed size, both under
+    1 MiB.  Only the jobs that run a transform import ``transforms``.
+    """
+    c, n = config.c, config.n_dim
+    if job in ("nystrom", "limits-small"):
+        return 0
+    if job == "limits-large":
+        return 8 * default_truncation(c) ** 2
+    if job in RECONSTRUCTED:
+        return _xi_table_bytes(c, _enlarged_dim(config), 1)
+    if job in ("pswf", "translation"):
+        return 8 * n * n
+    if job == "T":
+        return 16 * n * n
+    from .transforms import _q_order
+
+    kernel = 16 * _q_order(c, n) ** 2  # Fc, Qc and the commutation suite
+    variants = {"fourier": 2, "sinc": 1}.get(job, 0)
+    return max(kernel, _xi_table_bytes(c, n, variants))
+
+
+def _xi_table_bytes(c: float, n_dim: int, variants: int) -> int:
+    """Bytes of the Legendre table that ``variants`` reconstructions on a
+    basis of n_dim modes share, with its recurrence's coefficient array: the
+    rules of q_xi and 2 q_xi nodes of each variant, n_dim values a node in
+    the table and 2 n_dim in the coefficients, 8 bytes each."""
+    from .transforms import _default_q_xi
+
+    return 24 * n_dim * 3 * _default_q_xi(c, n_dim) * variants
 
 
 def run_suite(suite: str, config: RunConfig) -> VerificationReport:
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    C_RANGES[suite].check(suite, config.c)
+    admit(suite, config)
     start = time.perf_counter()
     report = SUITES[suite](config)
     report.wall_time_s = time.perf_counter() - start
@@ -172,14 +280,12 @@ def _report(suite, config, extra=None) -> VerificationReport:
 
 
 def _suite_translation(config: RunConfig) -> VerificationReport:
-    if config.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {config.seed}")
     from .prolate import solve_prolate
     from .ucalc import boundary_ratios
 
     rep = _report("translation", config, {"seed": config.seed})
     tol = 1e-10 if config.c == 0 else 1e-8
-    basis = solve_prolate(config.c, _identity_dim(config))
+    basis = solve_prolate(config.c, config.n_dim)
     rng = np.random.default_rng(config.seed)
     xis = rng.uniform(0.05, 1.5, size=10)
     worst = 0.0
@@ -191,18 +297,6 @@ def _suite_translation(config: RunConfig) -> VerificationReport:
     return rep
 
 
-def _identity_dim(config: RunConfig) -> int:
-    """Basis size of a run that checks modes n <= 8, refused before any work
-    if those modes are not certified."""
-    n_dim = config.n_dim
-    if n_dim // 2 < CHECKED_MODES:
-        raise DomainError(
-            f"N = {n_dim} certifies {n_dim // 2} modes; the checks on modes "
-            f"n <= {CHECKED_MODES - 1} need N >= {2 * CHECKED_MODES}"
-        )
-    return n_dim
-
-
 def _suite_fourier(config: RunConfig) -> VerificationReport:
     """F_c reconstructed in the chosen variant against direct quadrature, on
     the checked modes, and against the other variant.  Both variants come
@@ -212,7 +306,7 @@ def _suite_fourier(config: RunConfig) -> VerificationReport:
     from .transforms import finite_fourier_direct, reconstructions
 
     rep = _report("fourier", config, {"variant": config.variant})
-    n_dim = _identity_dim(config)
+    n_dim = config.n_dim
     basis = solve_prolate(config.c, n_dim)
     other_variant = "full" if config.variant == "folded" else "folded"
     recon, other = reconstructions(basis, "Fc", (config.variant, other_variant))
@@ -250,7 +344,7 @@ def _suite_sinc(config: RunConfig) -> VerificationReport:
     from .transforms import OperatorMatrix, direct_operators, reconstruct_sinc
 
     rep = _report("sinc", config, {"variant": config.variant})
-    n_dim = _identity_dim(config)
+    n_dim = config.n_dim
     basis = solve_prolate(config.c, n_dim)
     recon = reconstruct_sinc(basis, config.variant)
     direct, fourier = direct_operators(config.c, n_dim, ("Qc", "Fc"))

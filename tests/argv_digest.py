@@ -103,6 +103,11 @@ RANGE_JOBS = {
         for suite in ("fourier", "sinc")
         for variant in ("folded", "full")
     },
+    **{
+        f"{which} {variant}": ("export-operator", which, "--variant", variant)
+        for which in ("Fc-reconstructed", "Qc-reconstructed")
+        for variant in ("folded", "full")
+    },
 }
 _ERROR_KIND = re.compile(r"error\[([^]]+)\]")
 OPERATORS = ("T", "Fc", "Qc", "Fc-reconstructed", "Qc-reconstructed")

@@ -1,6 +1,7 @@
 """End-to-end CLI checks, through subprocess and in process, including artifact round-trips."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -32,6 +33,7 @@ from prolate_calculus import (
     solve_prolate,
     transforms,
     ucalc,
+    verify,
 )
 from prolate_calculus.asymptotics import _small_c_terms
 from prolate_calculus.legendre import MAX_C, MIN_MU, _build_rule
@@ -140,24 +142,40 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "argv, n",
-        [
-            # An export's enlarged basis (N = 154 at c = 45) loses psi_2(-1).
-            (("export-operator", "Fc-reconstructed", "--c", "45"), 2),
-            (("export-operator", "Qc-reconstructed", "--variant", "full", "--c", "45"), 2),
-        ],
+        "build, variant",
+        [(transforms.reconstruct_fourier, "folded"), (transforms.reconstruct_sinc, "full")],
+        ids=["Fc-folded", "Qc-full"],
     )
-    def test_zero_endpoint_value_exits_two(self, argv, n, capsys, tmp_path):
-        # The reconstructions' mode integrals are refused, by the spectral
-        # ratios' one owner, instead of carried into NaN entries.
-        out = tmp_path / "out.json"
-        assert cli.main([*argv, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        c = argv[-1]
-        assert captured.err == (
-            f"error[out-of-range]: psi_{n}(-1) rounds to 0 at c = {c}; the spectral ratios "
-            "psi_n(-1 + xi) / psi_n(-1) are not representable\n"
+    def test_a_reconstruction_refuses_a_zero_endpoint_value(self, build, variant):
+        # An export's enlarged basis at c = 45 (N = 154) loses psi_2(-1).  The
+        # reconstructions' mode integrals are refused, by the spectral ratios'
+        # one owner, instead of carried into NaN entries; the CLI refuses
+        # this c by the exports' stated range first.
+        config = RunConfig(c=45.0)
+        basis = solve_prolate(config.c, verify._enlarged_dim(config))
+        with pytest.raises(OutOfRangeError) as refused:
+            build(basis, variant)
+        assert str(refused.value) == (
+            "psi_2(-1) rounds to 0 at c = 45; the spectral ratios psi_n(-1 + xi) / psi_n(-1) are not representable"
         )
+
+    @pytest.mark.parametrize("c", ["18.25", "45"])
+    @pytest.mark.parametrize("variant", ["folded", "full"])
+    @pytest.mark.parametrize("which", verify.RECONSTRUCTED)
+    def test_a_reconstructed_export_past_its_range_is_refused_before_any_eigensolve(
+        self, which, variant, c, monkeypatch, capsys, tmp_path
+    ):
+        # From c = 18.5 some pair is refused as xi-quadrature-unresolved, and
+        # at c = 45 a psi_n(-1) rounds to 0; the stated range refuses them
+        # first (the contract checks the c between).
+        def no_work(*args, **kwargs):
+            raise AssertionError("solve_prolate ran past the stated range")
+
+        monkeypatch.setattr(prolate, "solve_prolate", no_work)
+        out = tmp_path / "out.json"
+        assert cli.main(["export-operator", which, "--variant", variant, "--c", c, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error[out-of-range]: {which} runs at c <= 18, got c = {c}; ")
         assert captured.out == ""
         assert not out.exists()
 
@@ -512,21 +530,84 @@ def test_a_run_past_the_array_limit_is_refused_before_any_work(argv, monkeypatch
     assert cli.main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error[out-of-range]: ")
-    assert f"past the {cli.MAX_ARRAY_BYTES / 2**20:g} MiB limit" in captured.err
+    assert f"past the {verify.MAX_ARRAY_BYTES / 2**20:g} MiB limit" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["translation", "fourier", "sinc", "commutation"])
+def test_run_suite_refuses_a_run_past_the_array_limit_as_the_cli_does(suite, monkeypatch, capsys):
+    # The library passes the gate the CLI does: no eigensolve or direct
+    # quadrature starts, and no numpy MemoryError escapes untyped.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started past the array limit")
+
+    monkeypatch.setattr(prolate, "solve_prolate", no_work)
+    monkeypatch.setattr(transforms, "direct_operators", no_work)
+    with pytest.raises(OutOfRangeError) as refused:
+        run_suite(suite, RunConfig(c=1.0, n_trunc=10**6))
+    assert str(refused.value).endswith("array, past the 256 MiB limit")
+    assert cli.main(["verify", "--suite", suite, "--c", "1", "--n-trunc", str(10**6)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[out-of-range]: {refused.value}\n"
+    assert captured.out == ""
+
+
+def test_cli_makes_no_refusal_of_its_own():
+    # The size, range, seed and checked-mode refusals live in verify.admit.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    refusals = {"check", "MAX_ARRAY_BYTES", "CHECKED_MODES", "_largest_array_bytes", "seed"}
+    assert not read & refusals
+    assert "admit" in read
+
+
+# One argv of each command, suite and operator, and the job it is admitted as.
+_ADMITTED = [
+    (("pswf",), "pswf"),
+    (("nystrom", "--out", "F"), "nystrom"),
+    *((("verify", "--suite", suite), suite) for suite in SUITES),
+    *((("export-operator", which, "--out", "F"), which) for which in verify.OPERATOR_NAMES),
+]
+
+
+@pytest.mark.parametrize("argv, job", _ADMITTED, ids=[job for _, job in _ADMITTED])
+def test_main_admits_every_job_once_before_any_work(argv, job, monkeypatch, capsys, tmp_path):
+    admitted = []
+
+    def spy(job, config):
+        admitted.append((job, config.c))
+        raise OutOfRangeError("refused by the gate")
+
+    monkeypatch.setattr(verify, "admit", spy)
+    monkeypatch.setattr(cli, "admit", spy)
+    out = tmp_path / "out.json"
+    argv = [str(out) if arg == "F" else arg for arg in argv]
+    assert cli.main([*argv, "--c", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error[out-of-range]: refused by the gate\n"
+    assert captured.out == ""
+    assert admitted == [(job, 2.0)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("job", C_RANGES)
 def test_every_stated_range_fits_the_array_limit(job):
-    assert cli._largest_array_bytes(job, RunConfig(c=C_RANGES[job].high)) <= cli.MAX_ARRAY_BYTES
+    assert verify._largest_array_bytes(job, RunConfig(c=C_RANGES[job].high)) <= verify.MAX_ARRAY_BYTES
 
 
-@pytest.mark.parametrize("which", cli.OPERATOR_NAMES)
+@pytest.mark.parametrize("which", verify.OPERATOR_NAMES)
 def test_every_operator_fits_the_array_limit_at_the_nystrom_range(which):
-    # export-operator states no range; it fits up to the oracle's c <= 340.
-    assert cli._largest_array_bytes(which, RunConfig(c=MAX_C)) <= cli.MAX_ARRAY_BYTES
+    # T, Fc and Qc state no range; every operator fits up to the oracle's c <= 340.
+    assert verify._largest_array_bytes(which, RunConfig(c=MAX_C)) <= verify.MAX_ARRAY_BYTES
 
 
 def _recorded_tables(monkeypatch, on_table=None):
@@ -546,7 +627,7 @@ def _recorded_tables(monkeypatch, on_table=None):
     return tables
 
 
-@pytest.mark.parametrize("which", cli.RECONSTRUCTED)
+@pytest.mark.parametrize("which", verify.RECONSTRUCTED)
 @pytest.mark.parametrize("c", [0.5, 7.0, 12.0])
 def test_the_array_prediction_bounds_a_reconstructed_export(which, c, monkeypatch):
     # The prediction is the Legendre table over every xi rule, with its
@@ -554,8 +635,8 @@ def test_the_array_prediction_bounds_a_reconstructed_export(which, c, monkeypatc
     # and from the table on the build never holds a (modes x q_xi) array
     # more: no ratio table and no complex copy of one.
     config = RunConfig(c=c)
-    predicted = cli._largest_array_bytes(which, config)
-    n_dim = cli._enlarged_dim(config)
+    predicted = verify._largest_array_bytes(which, config)
+    n_dim = verify._enlarged_dim(config)
     ratio_table = 8 * n_dim * transforms._default_q_xi(c, n_dim)
     held = []
 
@@ -582,7 +663,7 @@ def test_the_array_prediction_bounds_a_suites_tables(suite, c, monkeypatch):
     config = RunConfig(c=c)
     tables = _recorded_tables(monkeypatch)
     run_suite(suite, config)
-    assert len(tables) == 2 and max(tables) <= cli._largest_array_bytes(suite, config)
+    assert len(tables) == 2 and max(tables) <= verify._largest_array_bytes(suite, config)
 
 
 @pytest.mark.parametrize("c", ["1e-6", "0.05", "0.1"])
@@ -607,7 +688,7 @@ def test_reports_record_the_seed_only_where_it_is_read(suite, tmp_path, capsys):
         assert "seed" not in params
 
 
-@pytest.mark.parametrize("which", cli.OPERATOR_NAMES)
+@pytest.mark.parametrize("which", verify.OPERATOR_NAMES)
 def test_export_records_the_variant_only_where_it_is_read(which, tmp_path, capsys):
     out = tmp_path / "op.json"
     argv = ["export-operator", which, "--c", "1", "--n-trunc", "8", "--variant", "full"]
@@ -760,7 +841,7 @@ class TestExportOperator:
         # Every operator at N = 24, the reconstructed ones cut from their
         # enlarged N + 24 basis: the file holds 24 x 24 entries, and two runs
         # write the same bytes.
-        for which in cli.OPERATOR_NAMES:
+        for which in verify.OPERATOR_NAMES:
             for fmt in ("json", "csv"):
                 out1, out2 = tmp_path / f"{which}-1.{fmt}", tmp_path / f"{which}-2.{fmt}"
                 args = ("export-operator", which, "--c", "1", "--n-trunc", "24", "--format", fmt)
@@ -844,8 +925,8 @@ _BLOCK_ONLY_RUNS = [
     *[(("verify", "--suite", suite, "--c", {"limits-small": "0.05", "limits-large": "4"}.get(suite, "1")),
        1 if suite == "limits-large" else 0) for suite in SUITES],
     *[(("export-operator", which, "--c", "1", "--variant", variant, "--format", fmt), 0)
-      for which in cli.OPERATOR_NAMES for variant in ("folded", "full") for fmt in ("json", "csv")
-      if variant == "folded" or which in cli.RECONSTRUCTED],
+      for which in verify.OPERATOR_NAMES for variant in ("folded", "full") for fmt in ("json", "csv")
+      if variant == "folded" or which in verify.RECONSTRUCTED],
 ]
 
 
@@ -941,7 +1022,7 @@ def _out_path(tmp_path, name, fmt, write):
 
 @settings(_FUZZ, max_examples=40)
 @given(
-    which=st.sampled_from(cli.OPERATOR_NAMES),
+    which=st.sampled_from(verify.OPERATOR_NAMES),
     c=st.floats(0.0, 25.0),
     n_trunc=st.one_of(st.just(0), st.integers(4, 48)),
     fmt=_FORMATS,

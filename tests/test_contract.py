@@ -34,6 +34,11 @@ JOBS = {
     },
     "limits-large": ("limits-large", ("verify", "--suite", "limits-large")),
     "commutation": ("commutation", ("verify", "--suite", "commutation")),
+    **{
+        f"{which} {variant}": (which, ("export-operator", which, "--variant", variant))
+        for which in ("Fc-reconstructed", "Qc-reconstructed")
+        for variant in ("folded", "full")
+    },
 }
 
 # ROADMAP item 4 rebuilds limits-large so that it passes.  Each reason
@@ -61,9 +66,10 @@ def test_expected_failures_are_the_listed_cells():
 
 
 @pytest.mark.parametrize("job, c", _cells())
-def test_exit_code_contract(job, c, capsys):
+def test_exit_code_contract(job, c, capsys, tmp_path):
     row, prefix = JOBS[job]
-    code = cli.main([*prefix, "--c", str(c)])
+    out = ["--out", str(tmp_path / "out.json")] if prefix[0] == "export-operator" else []
+    code = cli.main([*prefix, "--c", str(c), *out])
     captured = capsys.readouterr()
     reason = EXPECTED_FAILURES.get((job, c))
     if reason is not None:
@@ -99,6 +105,9 @@ def test_help_and_docstring_state_the_contract_ranges():
     assert pswf.help.endswith(f"at {C_RANGES['pswf']}")
     nystrom = _flat(commands.choices["nystrom"].description)
     assert f"Runs at {C_RANGES['nystrom']}, refusing any other c" in nystrom
+    export = _flat(commands.choices["export-operator"].description)
+    rows = ", ".join(f"{which} {C_RANGES[which]}" for which in ("Fc-reconstructed", "Qc-reconstructed"))
+    assert f"The reconstructed operators run at {rows} (" in export
     # The docstring points to the table instead of restating it.
     doc = _flat(cli.__doc__)
     assert "stated once, in ``verify.C_RANGES``" in doc

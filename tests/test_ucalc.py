@@ -122,10 +122,7 @@ def reference_series_many(c, lambdas, xi, tol=1e-12, k_max=K_MAX):
                 np.asarray(tail, dtype=float),
                 np.asarray(max_term * eps, dtype=float) + 0.5 * np.spacing(np.abs(values)),
             )
-    raise SeriesStallError(
-        f"series did not converge within {k_max} terms at xi={xi}",
-        worst_index=int(np.argmin(run)),
-    )
+    raise SeriesStallError(f"series did not converge within {k_max} terms at xi={xi}")
 
 
 def assert_same_series(c, lambdas, xi, tol, k_max=K_MAX):
@@ -135,7 +132,6 @@ def assert_same_series(c, lambdas, xi, tol, k_max=K_MAX):
     except SeriesStallError as ref_err:
         with pytest.raises(SeriesStallError) as err:
             u_series_many(c, lambdas, xi, tol=tol, k_max=k_max)
-        assert err.value.worst_index == ref_err.worst_index
         assert str(err.value) == str(ref_err)
         return None
     values, terms_used, tail, cancel = u_series_many(c, lambdas, xi, tol=tol, k_max=k_max)
@@ -359,17 +355,9 @@ class TestUSeriesScalar:
         assert np.all(np.isfinite(u_series_many(500.0, [-2.0, 0.0], 1.0)[0]))
 
     def test_series_stall_near_open_endpoint(self):
-        with pytest.raises(SeriesStallError) as err:
+        with pytest.raises(SeriesStallError, match=r"^series did not converge within 400 terms at xi=1\.99$"):
             u_series_many(1.0, [-2.0], 1.99, tol=1e-13, k_max=400)
-        assert err.value.worst_index == 0
-
-    @pytest.mark.parametrize("lambdas, worst", [([-2.5, -2.0], 0), ([-2.0, -2.5], 1)])
-    def test_stall_names_the_mode_that_did_not_converge(self, lambdas, worst):
-        # At c = 0, lambda = -2 is the Legendre case: the series stops after
-        # U_1, so only lambda = -2.5 keeps the run from reaching its length.
-        with pytest.raises(SeriesStallError) as err:
-            u_series_many(0.0, lambdas, 1.99, tol=1e-13, k_max=400)
-        assert err.value.worst_index == worst
+        assert assert_same_series(1.0, [-2.0], 1.99, 1e-13, k_max=400) is None
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6])
     def test_c_zero_equals_legendre_translation(self, m):
