@@ -27,14 +27,14 @@ weights and divide by psi_n(-1) after (``transforms``), sharing only
 The series runs only where it is itself under test (translation and
 limits-large suites, and the tests).
 
-``u_series_terms`` is the one unrolling of the recurrence, in the scaled
-form t_k = xi^k U_k / k!; it produces the terms in blocks, the first of
-``_BLOCK`` rows and each next one of the rows its caller sends.
-``u_series_many`` sums them over an array of spectral points, applying its
-stop rule to a whole block at a time with the same result, bit for bit, as
-a term-by-term loop, and asks after the first block only for the terms
-before the earliest possible stop; it returns the sums with their error
-bounds.  ``u_series_scalar`` returns the bare float at one point.
+``u_series_many`` sums the series over an array of spectral points, in the
+scaled form t_k = xi^k U_k / k!, and returns the sums with their error
+bounds.  It computes the terms in blocks, ``_BLOCK`` rows first and after
+that only the rows before the earliest possible stop, each block by one
+call of ``_series_rows``, the one unrolling of the recurrence, from the
+last three terms of the block before; it applies its stop rule to a whole
+block at a time, with the same result, bit for bit, as a term-by-term loop.
+``u_series_scalar`` returns the bare float at one point.
 
 The module sits below ``prolate``, whose ``ProlateBasis`` it names in
 annotations only, so ``prolate`` may call the series.
@@ -54,14 +54,15 @@ if TYPE_CHECKING:
 
 K_MAX = 2000
 _RUN_LENGTH = 20  # consecutive small terms required before stopping
-# Rows of the first block of terms, before the stop rule first runs; later
-# blocks hold only the rows before the earliest possible stop.  The
-# translation suite's series calls use 67.4 terms on average (34 to 114 over
-# the 120 calls of three benchmark passes).  With a first block of 64 they
-# compute 73.1 terms in 1.73 blocks.  Timed in one process on 80 such calls
-# (c in [5, 20], xi in [0.05, 1.5]), that is 16% less time than fixed
-# blocks of 32 (83.5 terms in 2.61 blocks); first blocks of 32 and 96 save
-# 7% and 3%, and 128 costs 21% more.
+# Rows of the first block of terms that u_series_many computes, before its
+# stop rule first runs; it computes each later block only up to the
+# earliest possible stop.  The translation suite's series calls use 67.4
+# terms on average (34 to 114 over the 120 calls of three benchmark
+# passes).  With a first block of 64 they compute 73.1 terms in 1.73
+# blocks.  Timed in one process on 80 such calls (c in [5, 20], xi in
+# [0.05, 1.5]), that is 16% less time than fixed blocks of 32 (83.5 terms
+# in 2.61 blocks); first blocks of 32 and 96 save 7% and 3%, and 128 costs
+# 21% more.
 _BLOCK = 64
 # Relative term size at which boundary_ratios' series path stops summing.
 _SERIES_TOL = 1e-13
@@ -71,13 +72,13 @@ _SERIES_TOL = 1e-13
 SERIES_DTYPE = np.longdouble
 
 
-def u_series_terms(c: float, lambdas, xi: float, k_max: int):
-    """Generator of the scaled terms t_k = xi^k U_k(lambda) / k!, k = 0..k_max,
-    in blocks of shape (rows, len(lambdas)); the blocks stacked in order are
-    t_0..t_{k_max}.  The first block has up to ``_BLOCK`` rows, and each next
-    one the row count sent to the generator (``generator.send``), or
-    ``_BLOCK`` rows when none is sent, as in plain iteration; the last block
-    stops at t_{k_max}.
+def _series_rows(c: float, lam, xi: float, window, start: int, rows: int):
+    """The scaled terms t_k = xi^k U_k(lambda) / k! for k = start..start+rows-1,
+    as rows 3.. of a (3 + rows, len(lam)) array whose first three rows are
+    ``window``, the terms [t_{start-3}, t_{start-2}, t_{start-1}] before them
+    (zeros at start = 0, where t_0 = 1 is set, not computed).  Its last three
+    rows are the window of the next block, so blocks computed one after the
+    other give t_0, t_1, ... in order.
 
     Uses the recurrence rewritten for t_k directly,
 
@@ -85,50 +86,43 @@ def u_series_terms(c: float, lambdas, xi: float, k_max: int):
                                        - 2 c^2 xi t_{k-1} + c^2 xi^2 t_{k-2} ],
 
     which never overflows for |xi| < 2 since t_k ~ (xi/2)^k.  Terms are
-    ``SERIES_DTYPE``.  Each block sets up a (rows, 3, points) array of the
-    step coefficients [c^2 xi^2, -2 c^2 xi, lambda + c^2 + k(k+1)], so that
-    one multiply of a row of it by the window [t_{k-2}, t_{k-1}, t_k] of the
-    block gives the three products; a step then sums them as
+    ``SERIES_DTYPE``.  A (rows, 3, points) array holds the step coefficients
+    [c^2 xi^2, -2 c^2 xi, lambda + c^2 + k(k+1)], so that one multiply of a
+    row of it by the window [t_{k-2}, t_{k-1}, t_k] above the new row gives
+    the three products; a step then sums them as
     (d t_k + (-2 c^2 xi) t_{k-1}) + c^2 xi^2 t_{k-2} and scales the sum,
     four numpy calls per term.  Negation is exact and a + (-b) is a - b in
     IEEE arithmetic, signed zeros included, so each term has the bits of the
-    formula read left to right, and the blocking does not change a bit.
+    formula read left to right, however the terms are split into blocks.
     """
     dtype = SERIES_DTYPE
-    lam = np.asarray(lambdas, dtype=dtype).ravel()
+    lam = np.asarray(lam, dtype=dtype)
     xi = dtype(xi)
     c2 = dtype(c) * dtype(c)
-    lam_c2 = lam + c2
+    buf = np.empty((3 + rows, lam.size), dtype=dtype)
+    buf[:3] = window
+    first = 3
+    if start == 0:
+        buf[3] = 1  # t_0 is set, not computed
+        first = 4
+    # Row i >= first of buf holds t_{k+1}, from step k = start + i - 4.
+    k = np.arange(start + first - 4, start + rows - 1, dtype=dtype)
+    scale = xi / (2 * (k + 1) ** 2)
+    coef = np.empty((k.size, 3, lam.size), dtype=dtype)
+    coef[:, 0] = c2 * xi * xi
+    coef[:, 1] = -(2 * c2 * xi)
+    np.add(lam + c2, (k * (k + 1))[:, None], out=coef[:, 2])
     products = np.empty((3, lam.size), dtype=dtype)
     p_m2, p_m1, p_0 = products
-    n_terms = max(k_max, 0) + 1
-    history = np.zeros((3, lam.size), dtype=dtype)  # t_{s-3}, t_{s-2}, t_{s-1}
-    s, rows = 0, _BLOCK
-    while s < n_terms:
-        buf = np.empty((3 + min(rows, n_terms - s), lam.size), dtype=dtype)
-        buf[:3] = history
-        first = 3
-        if s == 0:
-            buf[3] = 1  # t_0 is set, not computed
-            first = 4
-        # Row i >= first of buf holds t_{k+1}, from step k = s + i - 4.
-        k = np.arange(s + first - 4, s + buf.shape[0] - 4, dtype=dtype)
-        scale = xi / (2 * (k + 1) ** 2)
-        coef = np.empty((k.size, 3, lam.size), dtype=dtype)
-        coef[:, 0] = c2 * xi * xi
-        coef[:, 1] = -(2 * c2 * xi)
-        np.add(lam_c2, (k * (k + 1))[:, None], out=coef[:, 2])
-        for i, out, a, step in zip(range(first, buf.shape[0]), buf[first:], scale, coef):
-            np.multiply(step, buf[i - 3 : i], out=products)
-            np.add(p_0, p_m1, out=out)
-            out += p_m2
-            out *= a
-        history = buf[-3:].copy()
-        s += buf.shape[0] - 3
-        rows = (yield buf[3:]) or _BLOCK
+    for i, out, a, step in zip(range(first, buf.shape[0]), buf[first:], scale, coef):
+        np.multiply(step, buf[i - 3 : i], out=products)
+        np.add(p_0, p_m1, out=out)
+        out += p_m2
+        out *= a
+    return buf
 
 
-def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int = K_MAX):
+def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12):
     """Sum U(xi; lambda) adaptively over an array of spectral points.
 
     Stops once ``_RUN_LENGTH`` consecutive terms fall below tol times the
@@ -137,12 +131,13 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     that length at row r exactly when no point had a term that was not
     small in the last ``_RUN_LENGTH`` rows, so the rule reads one flag per
     row, and stops at the same term, with the same running sums, as a
-    term-by-term loop.  The terms arrive in blocks from ``u_series_terms``:
-    after the first, each block asks only for the rows before the earliest
+    term-by-term loop.  The terms are computed here in blocks, each by one
+    ``_series_rows`` call from the last three terms of the block before:
+    ``_BLOCK`` rows first, and after that only the rows before the earliest
     term at which the series could stop, so a call computes
-    max(min(``_BLOCK``, k_max + 1), terms_used) terms.  A series that has
-    not stopped after the k_max + 1 terms t_0..t_{k_max} raises
-    SeriesStallError.
+    max(min(``_BLOCK``, ``K_MAX`` + 1), terms_used) terms.  A series that
+    has not stopped after the ``K_MAX`` + 1 terms t_0..t_{K_MAX} raises
+    SeriesStallError, which names that count.
 
     Returns (values, terms_used, tail, cancellation): ``tail`` bounds the
     dropped tail geometrically with ratio |xi|/2, and ``cancellation`` is
@@ -169,14 +164,12 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
     # Index of the last row where some point's term was not small; with no
     # points every run is long enough at once, so the first term stops.
     last_big = -1 if lam.size else -_RUN_LENGTH
-    start = 0
-    terms = u_series_terms(c, lam, xi, k_max)
-    rows = None  # the first block has _BLOCK rows
-    while True:
-        try:
-            block = terms.send(rows)
-        except StopIteration:
-            break
+    n_terms = K_MAX + 1
+    window = np.zeros((3, lam.size), dtype=SERIES_DTYPE)
+    start, rows = 0, _BLOCK
+    while start < n_terms:
+        buf = _series_rows(c, lam, xi, window, start, min(rows, n_terms - start))
+        block, window = buf[3:], buf[-3:]
         # add.accumulate adds in order, so each row is the loop's `total += term`.
         sums = np.add.accumulate(np.vstack((total, block)))[1:]
         size = np.abs(block)
@@ -206,7 +199,7 @@ def u_series_many(c: float, lambdas, xi: float, tol: float = 1e-12, k_max: int =
         last_big = int(last[-1])
         start += block.shape[0]
         rows = last_big + _RUN_LENGTH + 1 - start
-    raise SeriesStallError(f"series did not converge within {k_max} terms at xi={xi}")
+    raise SeriesStallError(f"series did not converge within {n_terms} terms at xi={xi}")
 
 
 def u_series_scalar(c: float, lam: float, xi: float) -> float:

@@ -145,6 +145,7 @@ REMOVED_PARAMETERS = [
     (asymptotics.small_c_diagonal_terms, "k_max"),
     (asymptotics.small_c_operator, "k_max"),
     (ucalc.u_series_scalar, "k_max"),
+    (ucalc.u_series_many, "k_max"),
     (ucalc.u_series_scalar, "tol"),
     (ucalc.boundary_ratios, "n_modes"),
     (nystrom.nystrom_sinc_eigen, "n_nodes"),

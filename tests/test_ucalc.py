@@ -20,9 +20,9 @@ from prolate_calculus.ucalc import (
     _SERIES_TOL,
     K_MAX,
     SERIES_DTYPE,
+    _series_rows,
     ratio_denominators,
     u_series_many,
-    u_series_terms,
 )
 from prolate_calculus.legendre import CHECKED_MODES
 from prolate_calculus.verify import SUITES
@@ -122,19 +122,23 @@ def reference_series_many(c, lambdas, xi, tol=1e-12, k_max=K_MAX):
                 np.asarray(tail, dtype=float),
                 np.asarray(max_term * eps, dtype=float) + 0.5 * np.spacing(np.abs(values)),
             )
-    raise SeriesStallError(f"series did not converge within {k_max} terms at xi={xi}")
+    # t_0..t_{k_max} are summed: k_max + 1 terms.
+    raise SeriesStallError(f"series did not converge within {k_max + 1} terms at xi={xi}")
 
 
 def assert_same_series(c, lambdas, xi, tol, k_max=K_MAX):
-    """u_series_many and the reference give identical bits, or the same stall."""
-    try:
-        expected = reference_series_many(c, lambdas, xi, tol, k_max)
-    except SeriesStallError as ref_err:
-        with pytest.raises(SeriesStallError) as err:
-            u_series_many(c, lambdas, xi, tol=tol, k_max=k_max)
-        assert str(err.value) == str(ref_err)
-        return None
-    values, terms_used, tail, cancel = u_series_many(c, lambdas, xi, tol=tol, k_max=k_max)
+    """u_series_many, with ucalc.K_MAX set to k_max, and the reference give
+    identical bits, or the same stall."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ucalc, "K_MAX", k_max)
+        try:
+            expected = reference_series_many(c, lambdas, xi, tol, k_max)
+        except SeriesStallError as ref_err:
+            with pytest.raises(SeriesStallError) as err:
+                u_series_many(c, lambdas, xi, tol=tol)
+            assert str(err.value) == str(ref_err)
+            return None
+        values, terms_used, tail, cancel = u_series_many(c, lambdas, xi, tol=tol)
     assert terms_used == expected[1]
     for got, want in zip((values, tail, cancel), (expected[0], expected[2], expected[3])):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -147,37 +151,41 @@ def u_apply(basis, xi, f):
     return basis.psi_coeffs @ (boundary_ratios(basis, xi) * (basis.psi_coeffs.T @ f))
 
 
-def block_rows(c, lambdas, xi, k_max):
-    """The terms t_0..t_{k_max} from u_series_terms' blocks, one row each."""
-    return np.concatenate(list(u_series_terms(c, lambdas, xi, k_max)))
+def block_rows(c, lambdas, xi, k_max, rows=_BLOCK):
+    """The terms t_0..t_{k_max} from _series_rows, one row each, computed in
+    blocks of up to ``rows`` rows, each from the last three rows of the one
+    before, as u_series_many computes them."""
+    lam = np.asarray(lambdas, dtype=float)
+    window = np.zeros((3, lam.size), dtype=SERIES_DTYPE)
+    blocks = []
+    for start in range(0, k_max + 1, rows):
+        count = min(rows, k_max + 1 - start)
+        buf = _series_rows(c, lam, xi, window, start, count)
+        assert buf.shape == (3 + count, lam.size) and np.array_equal(buf[:3], window)
+        blocks.append(buf[3:])
+        window = buf[-3:]
+    return np.concatenate(blocks)
 
 
-def recording_terms(calls):
-    """A u_series_terms that passes each sent row count on and appends, for
-    each call, the list of the row counts of the blocks it yields to calls."""
+def recording_rows(calls):
+    """A _series_rows that appends, for each u_series_many call (each run
+    from start = 0), the list of the row counts it was asked for to calls."""
 
-    def terms(*args):
-        blocks = []
-        calls.append(blocks)
-        gen = u_series_terms(*args)
-        rows = None
-        while True:
-            try:
-                block = gen.send(rows)
-            except StopIteration:
-                return
-            blocks.append(len(block))
-            rows = yield block
+    def rows(c, lam, xi, window, start, count):
+        if start == 0:
+            calls.append([])
+        calls[-1].append(count)
+        return _series_rows(c, lam, xi, window, start, count)
 
-    return terms
+    return rows
 
 
 def blocks_and_stop(monkeypatch, c, lambdas, xi, tol, k_max=K_MAX):
     """assert_same_series' terms_used (None for a stall) and the row counts
-    of the blocks u_series_many took from u_series_terms."""
+    of the blocks u_series_many asked of _series_rows."""
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(ucalc, "u_series_terms", recording_terms(calls))
+        patch.setattr(ucalc, "_series_rows", recording_rows(calls))
         terms_used = assert_same_series(c, lambdas, xi, tol, k_max)
     return terms_used, calls[0]
 
@@ -212,37 +220,45 @@ class TestBlockedSeries:
             (0.0, [0.0, -2.0, -6.0, -12.0, -3.0], 0.9),
             (0.0, [0.0, -2.0, -6.0, -12.0, -3.0], -0.9),
         ]
+        # The terms are computed in blocks of _BLOCK rows, as u_series_many's
+        # first one, and of 1 and 5 rows, so that blocks of any size chain
+        # through the window with the same bits.
         negative_zeros = 0
         for c, lam, xi in cases:
             for k_max in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
-                rows = block_rows(c, lam, xi, k_max)
                 expected = np.array(list(reference_series_terms(c, lam, xi, k_max)))
-                assert rows.dtype == SERIES_DTYPE
-                assert np.array_equal(rows, expected)
-                assert np.array_equal(np.signbit(rows), np.signbit(expected))
+                for block in (_BLOCK, 1, 5):
+                    rows = block_rows(c, lam, xi, k_max, block)
+                    assert rows.dtype == SERIES_DTYPE
+                    assert np.array_equal(rows, expected)
+                    assert np.array_equal(np.signbit(rows), np.signbit(expected))
                 negative_zeros += int(np.sum(np.signbit(expected) & (expected == 0)))
         assert negative_zeros > 0
 
     def test_blocks_have_the_stated_shape(self):
-        # Plain iteration gives blocks of _BLOCK rows; a row count sent to
-        # the generator sets the next block's rows, None meaning _BLOCK, and
-        # the last block stops at t_{k_max}.
-        lam, k_max = [-1.0, -2.0], 2 * _BLOCK + 4
-        assert [b.shape for b in u_series_terms(1.0, lam, 0.5, k_max)] == [(_BLOCK, 2), (_BLOCK, 2), (5, 2)]
-        k_max = 3 * _BLOCK + 7
-        terms = u_series_terms(1.0, lam, 0.5, k_max)
-        blocks = [next(terms), terms.send(1), terms.send(None), terms.send(5), terms.send(k_max)]
-        assert [len(b) for b in blocks] == [_BLOCK, 1, _BLOCK, 5, _BLOCK + 2]
-        with pytest.raises(StopIteration):
-            terms.send(1)
+        # _series_rows(..., window, start, rows) returns a (3 + rows, points)
+        # array: the window it was given, then t_start..t_{start+rows-1}, with
+        # t_0 = 1 set at start = 0.  Its last three rows are the next block's
+        # window, so blocks of 64, 1, 64, 5 and 66 rows give t_0..t_{3*64+7}.
+        lam, k_max = [-1.0, -2.0], 3 * _BLOCK + 7
+        window = np.zeros((3, 2), dtype=SERIES_DTYPE)
+        blocks, start = [], 0
+        for rows in (_BLOCK, 1, _BLOCK, 5, _BLOCK + 2):
+            buf = _series_rows(1.0, np.asarray(lam), 0.5, window, start, rows)
+            assert buf.dtype == SERIES_DTYPE and buf.shape == (3 + rows, 2)
+            assert np.array_equal(buf[:3], window)
+            blocks.append(buf[3:])
+            window, start = buf[-3:], start + rows
+        assert start == k_max + 1 and np.array_equal(blocks[0][0], [1.0, 1.0])
         assert np.array_equal(np.concatenate(blocks), np.array(list(reference_series_terms(1.0, lam, 0.5, k_max))))
 
     def test_stops_on_and_around_block_edges(self, monkeypatch):
-        # The first block has _BLOCK rows; each later one holds the rows up
-        # to the earliest possible stop, at most _RUN_LENGTH of them, so a
-        # call computes max(_BLOCK, terms_used) terms.  The grid stops inside
-        # the first block, on its last row, on the first row after it, and
-        # at the end of the second and of a later sent block.
+        # u_series_many asks _series_rows for _BLOCK rows first; each later
+        # block holds the rows up to the earliest possible stop, at most
+        # _RUN_LENGTH of them, so a call computes max(_BLOCK, terms_used)
+        # terms.  The grid stops inside the first block, on its last row, on
+        # the first row after it, and at the end of the second and of a
+        # later block.
         found = set()
         for xi in np.linspace(0.3, 1.8, 151):
             terms_used, blocks = blocks_and_stop(monkeypatch, 1.0, [-2.5, 7.0], float(xi), 1e-12)
@@ -257,42 +273,43 @@ class TestBlockedSeries:
 
     @pytest.mark.parametrize("c", [0.5, 4.0, 8.0, 10.0, 12.0, 15.0, 18.0, 20.0, 22.0, 25.0, 30.0])
     def test_translation_suite_computes_no_term_past_the_stop(self, monkeypatch, c):
-        # Each of the suite's series calls computes max(min(_BLOCK,
-        # k_max + 1), terms_used) terms, over three seeds' draws of xi.
+        # Each of the suite's series calls asks _series_rows for
+        # max(min(_BLOCK, K_MAX + 1), terms_used) terms, over three seeds'
+        # draws of xi.
         blocks, stops = [], []
 
         def counting(*args, **kwargs):
             result = u_series_many(*args, **kwargs)
-            stops.append((result[1], kwargs.get("k_max", K_MAX)))
+            stops.append(result[1])
             return result
 
-        monkeypatch.setattr(ucalc, "u_series_terms", recording_terms(blocks))
+        monkeypatch.setattr(ucalc, "_series_rows", recording_rows(blocks))
         monkeypatch.setattr(ucalc, "u_series_many", counting)
         for seed in (1234, 1, 2):  # the suite itself, also past its stated range
             SUITES["translation"](RunConfig(c=c, seed=seed))
         assert len(blocks) == len(stops) == 30
-        assert [sum(rows) for rows in blocks] == [max(min(_BLOCK, k_max + 1), used) for used, k_max in stops]
+        assert [sum(rows) for rows in blocks] == [max(min(_BLOCK, K_MAX + 1), used) for used in stops]
 
     def test_k_max_caps_the_terms_exactly(self):
         c, lam, xi, tol = 1.0, [-2.5, 7.0], 1.2, 1e-12
         terms_used = assert_same_series(c, lam, xi, tol)
         assert terms_used % _BLOCK not in (0, 1)
-        # k_max + 1 terms are allowed: enough at k_max = terms_used - 1.
+        # K_MAX + 1 terms are allowed: enough at K_MAX = terms_used - 1.
         assert assert_same_series(c, lam, xi, tol, k_max=terms_used - 1) == terms_used
         assert assert_same_series(c, lam, xi, tol, k_max=terms_used - 2) is None
 
     @pytest.mark.parametrize("k_max", [0, 1, 45, _BLOCK + 1, 399])
-    def test_stall_after_exactly_k_max_plus_one_terms(self, k_max):
-        assert len(block_rows(1.0, [-2.0], 1.99, k_max)) == k_max + 1
-        assert_same_series(1.0, [-2.0], 1.99, 1e-13, k_max=k_max)
+    def test_stall_after_exactly_k_max_plus_one_terms(self, monkeypatch, k_max):
+        terms_used, blocks = blocks_and_stop(monkeypatch, 1.0, [-2.0], 1.99, 1e-13, k_max)
+        assert terms_used is None and sum(blocks) == k_max + 1
 
     @pytest.mark.parametrize("k_max, xi", [(_BLOCK + 5, 1.17), (3 * _BLOCK + 7, 1.755), (400, 1.887)])
     @pytest.mark.parametrize("lambdas", [[7.0, -2.5], [-2.5, 7.0]])
     def test_stall_named_from_an_earlier_block(self, monkeypatch, k_max, xi, lambdas):
-        # k_max cuts the last block short of the earliest possible stop, and
+        # K_MAX cuts the last block short of the earliest possible stop, and
         # every point's last term that was not small lies in an earlier
-        # block: the stall names the worst point from the kept flags, with
-        # the reference's index and message.
+        # block: the stall comes after exactly K_MAX + 1 terms, with the
+        # reference's message.
         terms_used, blocks = blocks_and_stop(monkeypatch, 1.0, lambdas, xi, 1e-12, k_max)
         assert terms_used is None and sum(blocks) == k_max + 1
         assert last_big_rows(1.0, lambdas, xi, 1e-12, k_max).max() < k_max + 1 - blocks[-1]
@@ -354,9 +371,11 @@ class TestUSeriesScalar:
             u_series_scalar(600.0, 0.0, 1.0)
         assert np.all(np.isfinite(u_series_many(500.0, [-2.0, 0.0], 1.0)[0]))
 
-    def test_series_stall_near_open_endpoint(self):
-        with pytest.raises(SeriesStallError, match=r"^series did not converge within 400 terms at xi=1\.99$"):
-            u_series_many(1.0, [-2.0], 1.99, tol=1e-13, k_max=400)
+    def test_series_stall_near_open_endpoint(self, monkeypatch):
+        # K_MAX = 400 sums the 401 terms t_0..t_400, and the message names them.
+        monkeypatch.setattr(ucalc, "K_MAX", 400)
+        with pytest.raises(SeriesStallError, match=r"^series did not converge within 401 terms at xi=1\.99$"):
+            u_series_many(1.0, [-2.0], 1.99, tol=1e-13)
         assert assert_same_series(1.0, [-2.0], 1.99, 1e-13, k_max=400) is None
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6])
